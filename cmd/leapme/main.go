@@ -93,6 +93,10 @@ func reportUnitFailures(m *core.Matcher) {
 	}
 }
 
+// matcherWorkersHelp documents -workers on the subcommands that train
+// and classify through core.Matcher.
+const matcherWorkersHelp = "parallelism: 0 = legacy serial training, N = deterministic flat-kernel path (bit-identical for any N), -1 = all CPUs; classification, like featurization, uses all CPUs at 0 and is bit-identical for every value"
+
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   leapme embed   -out store.bin [-dim 50] [-epochs 30] [-categories cameras,headphones,phones,tvs] [-seed 1]
@@ -107,7 +111,9 @@ train/match/eval/cluster/label/index also accept:
   -lenient       quarantine malformed dataset records instead of failing the load
   -timeout DUR   abort the run after DUR (e.g. 90s); Ctrl-C cancels cooperatively
   -workers N     parallelism: 0 = legacy serial training, N ≥ 1 = deterministic
-                 N-worker pipeline (bit-identical for every N), -1 = all CPUs
+                 N-worker pipeline (bit-identical for every N), -1 = all CPUs;
+                 classification, like featurization, uses all CPUs at 0 and
+                 is bit-identical for every value
 
 serve saved models over HTTP with the leapme-serve binary:
   leapme-serve -store store.bin -model model.leapme [-addr :8080]`)
@@ -180,7 +186,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 	featStr := fs.String("features", "both/all", "feature config level/kind")
 	threshold := fs.Float64("threshold", 0.5, "match threshold")
 	seed := fs.Int64("seed", 1, "seed")
-	workers := fs.Int("workers", 0, "parallelism: 0 = legacy serial training, N = deterministic flat-kernel path (bit-identical for any N), -1 = all CPUs")
+	workers := fs.Int("workers", 0, matcherWorkersHelp)
 	lenient := fs.Bool("lenient", false, "quarantine malformed dataset records instead of failing")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
 	fs.Parse(args)
@@ -281,7 +287,7 @@ func cmdMatch(ctx context.Context, args []string) error {
 	top := fs.Int("top", 0, "print only the top N matches by score (0 = all)")
 	explain := fs.Bool("explain", false, "attribute each printed match to its feature groups")
 	seed := fs.Int64("seed", 1, "seed")
-	workers := fs.Int("workers", 0, "parallelism: 0 = legacy serial training, N = deterministic flat-kernel path (bit-identical for any N), -1 = all CPUs")
+	workers := fs.Int("workers", 0, matcherWorkersHelp)
 	lenient := fs.Bool("lenient", false, "quarantine malformed dataset records instead of failing")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
 	fs.Parse(args)
@@ -326,7 +332,7 @@ func cmdEval(ctx context.Context, args []string) error {
 	runs := fs.Int("runs", 5, "number of random splits")
 	featStr := fs.String("features", "both/all", "feature config")
 	seed := fs.Int64("seed", 1, "seed")
-	workers := fs.Int("workers", 0, "parallelism: 0 = legacy serial training, N = deterministic flat-kernel path (bit-identical for any N), -1 = all CPUs")
+	workers := fs.Int("workers", 0, matcherWorkersHelp)
 	lenient := fs.Bool("lenient", false, "quarantine malformed dataset records instead of failing")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
 	fs.Parse(args)
@@ -454,7 +460,7 @@ func cmdCluster(ctx context.Context, args []string) error {
 	scheme := fs.String("scheme", "components", "clustering scheme: components|star|correlation")
 	threshold := fs.Float64("threshold", 0.5, "match threshold")
 	seed := fs.Int64("seed", 1, "seed")
-	workers := fs.Int("workers", 0, "parallelism: 0 = legacy serial training, N = deterministic flat-kernel path (bit-identical for any N), -1 = all CPUs")
+	workers := fs.Int("workers", 0, matcherWorkersHelp)
 	lenient := fs.Bool("lenient", false, "quarantine malformed dataset records instead of failing")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
 	fs.Parse(args)

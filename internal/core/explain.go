@@ -38,7 +38,7 @@ func (e Explanation) String() string {
 // mean, i.e. zero in standardised space) and the score delta recorded.
 // Blocks whose evidence argues for the match have positive deltas.
 func (m *Matcher) Explain(a, b dataset.Key) (Explanation, error) {
-	if m.net == nil {
+	if m.sc == nil {
 		return Explanation{}, fmt.Errorf("core: matcher is not trained")
 	}
 	pa, err := m.prop(a)
@@ -52,10 +52,8 @@ func (m *Matcher) Explain(a, b dataset.Key) (Explanation, error) {
 	full := make([]float64, m.pairer.Dim())
 	m.pairer.PairVector(full, pa, pb)
 	m.standardize(full)
-	score, err := m.net.PositiveScore(full)
-	if err != nil {
-		return Explanation{}, err
-	}
+	kern, scratch := m.sc.kern, m.sc.scratch
+	score := kern.PositiveScore(full, scratch)
 	out := Explanation{A: a, B: b, Score: score}
 	probe := make([]float64, len(full))
 	for _, blk := range m.pairer.Blocks() {
@@ -63,10 +61,7 @@ func (m *Matcher) Explain(a, b dataset.Key) (Explanation, error) {
 		for i := blk.Lo; i < blk.Hi; i++ {
 			probe[i] = 0 // standardised space: 0 = training mean
 		}
-		s, err := m.net.PositiveScore(probe)
-		if err != nil {
-			return Explanation{}, err
-		}
+		s := kern.PositiveScore(probe, scratch)
 		out.Contributions = append(out.Contributions, BlockContribution{
 			Block: blk.Name,
 			Delta: score - s,

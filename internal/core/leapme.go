@@ -53,9 +53,10 @@ type Options struct {
 	// Quantized additionally builds an int8 quantised kernel after
 	// training and embeds it in saved models (the v3 descriptor flag).
 	// Scorers taken from a quantised matcher run the int8/float32
-	// forward pass; the float64 network is always retained as the
-	// reference and the default for everything else (training, Matcher
-	// scoring, explanations). Off by default.
+	// forward pass. The matcher's own scoring — Score, MatchAll,
+	// MatchWhere, MatchCandidates, Explain — always runs the float64
+	// kernel, bit-identical to the trained network, and training never
+	// sees the int8 weights. Off by default.
 	Quantized bool
 	// NoStandardize disables z-score standardisation of pair features
 	// (fitted on the training pairs, applied everywhere). Standardisation
@@ -65,14 +66,17 @@ type Options struct {
 	NoStandardize bool
 	// Seed drives weight init, shuffling, and negative sampling.
 	Seed int64
-	// Workers sets the parallelism of featurization and training. 0 (the
-	// default) keeps the legacy behaviour: featurization fans out over
-	// all CPUs (it is a pure map with an ordered merge, so the result is
-	// worker-count independent), while nn.Fit stays on the serial path
-	// that historical seeds reproduce. Any value ≥ 1 additionally
-	// switches training to the deterministic chunked gradient path, which
-	// is bit-identical across all worker counts (Workers=1 ≡ Workers=8).
-	// Negative means one worker per CPU.
+	// Workers sets the parallelism of featurization, training and
+	// classification. 0 (the default) keeps the legacy training
+	// behaviour: nn.Fit stays on the serial path that historical seeds
+	// reproduce, while featurization and classification fan out over
+	// all CPUs (featurization is a pure map with an ordered merge,
+	// classification scores bit-identically to one pair at a time, so
+	// neither result depends on the worker count). Any value ≥ 1 uses
+	// that many workers everywhere and switches training to the
+	// deterministic chunked gradient path, which is bit-identical across
+	// all worker counts (Workers=1 ≡ Workers=8). Negative means one
+	// worker per CPU.
 	Workers int
 }
 
@@ -110,9 +114,16 @@ type Matcher struct {
 	pairer *features.Pairer
 	props  map[dataset.Key]*features.Prop
 	net    *nn.Network
+	// sc is the float64 scoring snapshot of net that all of the
+	// matcher's own inference runs through: Score and Explain use it
+	// directly, the Match* runs score through workerSc, one clone of it
+	// per classification worker, kept across runs so their scratch
+	// stays warm.
+	sc       *Scorer
+	workerSc []*Scorer
 	// qk is the optional int8 serving kernel, built when opts.Quantized
 	// is set (or loaded from a quantised model file). Never used by the
-	// matcher's own scoring paths — only Scorer snapshots read it.
+	// matcher's own scoring paths — only NewScorer snapshots read it.
 	qk *nn.QuantKernel
 
 	// Standardisation parameters fitted on the training pairs.
@@ -325,12 +336,22 @@ func (m *Matcher) Train(ctx context.Context, pairs []LabeledPair) (float64, erro
 	if err != nil {
 		return 0, fmt.Errorf("core: training: %w", err)
 	}
-	m.net = net
-	m.qk = nil
+	var qk *nn.QuantKernel
 	if m.opts.Quantized {
-		m.qk = nn.NewQuantKernel(net)
+		qk = nn.NewQuantKernel(net)
 	}
+	m.setModel(net, qk)
 	return loss, nil
+}
+
+// setModel installs a trained network whose input dimension matches the
+// pair dimension and which has at least two classes, together with its
+// optional int8 serving kernel, and takes the float64 scoring snapshot
+// the matcher's own inference runs through.
+func (m *Matcher) setModel(net *nn.Network, qk *nn.QuantKernel) {
+	m.net, m.qk = net, qk
+	m.sc = m.newScorer(nn.NewKernel(net), nil)
+	m.workerSc = nil
 }
 
 // Trained reports whether the matcher has a fitted network.
@@ -338,7 +359,7 @@ func (m *Matcher) Trained() bool { return m.net != nil }
 
 // Score classifies a single property pair (step 5b for one pair).
 func (m *Matcher) Score(a, b dataset.Key) (ScoredPair, error) {
-	if m.net == nil {
+	if m.sc == nil {
 		return ScoredPair{}, errors.New("core: matcher is not trained")
 	}
 	pa, err := m.prop(a)
@@ -349,34 +370,19 @@ func (m *Matcher) Score(a, b dataset.Key) (ScoredPair, error) {
 	if err != nil {
 		return ScoredPair{}, err
 	}
-	vec := make([]float64, m.pairer.Dim())
-	m.pairer.PairVector(vec, pa, pb)
-	m.standardize(vec)
-	s, err := m.net.PositiveScore(vec)
+	s, err := m.sc.Score(pa, pb)
 	if err != nil {
-		return ScoredPair{}, fmt.Errorf("core: %w", err)
+		return ScoredPair{}, err
 	}
 	return ScoredPair{A: a, B: b, Score: s, Match: s >= m.opts.Threshold}, nil
 }
 
 // MatchAll runs step 5b over every cross-source pair of props, streaming
-// each scored pair to fn. Pair vectors are computed into a reused buffer,
-// so memory stays constant regardless of the quadratic pair count.
+// each scored pair to fn. Pairs are classified in bounded rounds (see
+// MatchWhere), so memory stays bounded by the worker count times the
+// round size regardless of the quadratic pair count.
 func (m *Matcher) MatchAll(ctx context.Context, props []dataset.Property, fn func(ScoredPair)) error {
 	return m.MatchWhere(ctx, props, nil, fn)
-}
-
-// scoreUnit scores one property pair into the reused vec buffer and
-// streams the result to fn — the unit of failure for panic isolation.
-func (m *Matcher) scoreUnit(vec []float64, a, b dataset.Key, pa, pb *features.Prop, fn func(ScoredPair)) error {
-	m.pairer.PairVector(vec, pa, pb)
-	m.standardize(vec)
-	s, err := m.net.PositiveScore(vec)
-	if err != nil {
-		return err
-	}
-	fn(ScoredPair{A: a, B: b, Score: s, Match: s >= m.opts.Threshold})
-	return nil
 }
 
 // MatchWhere is MatchAll restricted to cross-source pairs for which
@@ -384,22 +390,29 @@ func (m *Matcher) scoreUnit(vec []float64, a, b dataset.Key, pa, pb *features.Pr
 // uses it to classify exactly the pairs not wholly inside the training
 // sources, as the paper prescribes.
 //
+// Pairs are enumerated in CrossSourcePairs order into bounded rounds;
+// each round is scored in fixed 64-pair batches on Options.Workers
+// workers (all CPUs at 0) and then streamed to fn. fn runs only on the
+// caller goroutine, one pair at a time, in enumeration order, and every
+// score is bit-identical to scoring the pair alone, whatever the worker
+// count. Memory stays bounded by workers × round size.
+//
 // The unit of failure is one pair: a panic while scoring a pair or inside
-// the fn callback is contained, recorded in LastReport, and enumeration
-// continues — the run degrades gracefully rather than aborting. Hard
-// errors still abort: a missing property (features never computed) is a
-// caller bug, and a done ctx stops the run within one pair with ctx.Err().
-// A nil ctx behaves like context.Background().
+// the fn callback is contained, recorded in LastReport, and the run
+// continues — it degrades gracefully rather than aborting. Hard errors
+// still abort: a missing property (features never computed) is a caller
+// bug, reported after the pairs enumerated before it have reached fn. A
+// done ctx ends the run with ctx.Err(): no callback runs after ctx is
+// done, and in-flight scoring stops within one batch. A nil ctx behaves
+// like context.Background().
 func (m *Matcher) MatchWhere(ctx context.Context, props []dataset.Property, include func(a, b dataset.Property) bool, fn func(ScoredPair)) error {
-	if m.net == nil {
+	if m.sc == nil {
 		return errors.New("core: matcher is not trained")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rep := guard.NewReport()
-	m.lastReport = rep
-	vec := make([]float64, m.pairer.Dim())
+	r := m.newMatchRun(ctx, fn, len(props)*(len(props)-1)/2)
 	var err error
 	dataset.CrossSourcePairs(props, func(a, b dataset.Property) bool {
 		if err = ctx.Err(); err != nil {
@@ -408,55 +421,51 @@ func (m *Matcher) MatchWhere(ctx context.Context, props []dataset.Property, incl
 		if include != nil && !include(a, b) {
 			return true
 		}
-		var pa, pb *features.Prop
-		if pa, err = m.prop(a.Key()); err != nil {
-			return false
-		}
-		if pb, err = m.prop(b.Key()); err != nil {
-			return false
-		}
 		ka, kb := a.Key(), b.Key()
-		rep.Do(ka.String()+" × "+kb.String(), func() error {
-			return m.scoreUnit(vec, ka, kb, pa, pb, fn)
-		})
-		return true
+		var pa, pb *features.Prop
+		if pa, err = m.prop(ka); err != nil {
+			return false
+		}
+		if pb, err = m.prop(kb); err != nil {
+			return false
+		}
+		err = r.add(ka, kb, pa, pb)
+		return err == nil
 	})
-	return err
+	return r.finish(err)
 }
 
 // MatchCandidates scores exactly the given candidate pairs (e.g. from a
 // blocker) instead of the full cross product, streaming each scored pair
-// to fn. Features for both endpoints must have been computed. Failure
-// semantics match MatchWhere: per-pair panics are isolated into
-// LastReport, unknown properties and a done ctx abort.
+// to fn in candidate order. Features for both endpoints must have been
+// computed. Batching, workers, memory bound and failure semantics match
+// MatchWhere: per-pair panics are isolated into LastReport, unknown
+// properties and a done ctx abort.
 func (m *Matcher) MatchCandidates(ctx context.Context, cands []dataset.Pair, fn func(ScoredPair)) error {
-	if m.net == nil {
+	if m.sc == nil {
 		return errors.New("core: matcher is not trained")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rep := guard.NewReport()
-	m.lastReport = rep
-	vec := make([]float64, m.pairer.Dim())
+	r := m.newMatchRun(ctx, fn, len(cands))
 	for _, c := range cands {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		pa, err := m.prop(c.A)
 		if err != nil {
-			return err
+			return r.finish(err)
 		}
 		pb, err := m.prop(c.B)
 		if err != nil {
+			return r.finish(err)
+		}
+		if err := r.add(c.A, c.B, pa, pb); err != nil {
 			return err
 		}
-		c := c
-		rep.Do(c.A.String()+" × "+c.B.String(), func() error {
-			return m.scoreUnit(vec, c.A, c.B, pa, pb, fn)
-		})
 	}
-	return nil
+	return r.finish(nil)
 }
 
 // Matches collects the pairs MatchAll classifies as matches — the

@@ -328,6 +328,9 @@ func (m *Matcher) ReadModel(r io.Reader) error {
 	if net.InDim() != m.pairer.Dim() {
 		return fmt.Errorf("core: model input dim %d does not match pair dim %d", net.InDim(), m.pairer.Dim())
 	}
+	if net.OutDim() < 2 {
+		return fmt.Errorf("core: model has %d output classes, scoring needs at least 2", net.OutDim())
+	}
 	if qk != nil {
 		if qk.InDim() != net.InDim() || qk.OutDim() != net.OutDim() {
 			return fmt.Errorf("core: quantised kernel shape %d→%d does not match network %d→%d",
@@ -335,8 +338,7 @@ func (m *Matcher) ReadModel(r io.Reader) error {
 		}
 	}
 	m.featMean, m.featInvStd = mean, invStd
-	m.net = net
-	m.qk = qk
+	m.setModel(net, qk)
 	m.opts.Quantized = qk != nil
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"leapme/internal/mathx"
+	"leapme/internal/nn"
 )
 
 func TestModelRoundTrip(t *testing.T) {
@@ -170,5 +171,20 @@ func TestReadModelDimMismatch(t *testing.T) {
 	m2, _ := NewMatcher(store, opts)
 	if err := m2.ReadModel(&buf); err == nil {
 		t.Error("dim mismatch accepted")
+	}
+	// A network with a single output class has no positive class to
+	// score: the load must fail and leave the matcher untrained.
+	one, err := nn.New(nn.Config{InDim: m.PairDim(), Hidden: []int{4}, Out: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.net = one
+	buf.Reset()
+	if err := m.WriteModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m3, _ := NewMatcher(store, DefaultOptions(1))
+	if err := m3.ReadModel(&buf); err == nil || m3.Trained() {
+		t.Errorf("one-class model accepted (err %v)", err)
 	}
 }

@@ -47,32 +47,33 @@ type Scorer struct {
 	qscratch []float32 // quantised kernel activations
 }
 
-// NewScorer snapshots the matcher's trained state. The weights are
-// copied into an immutable flat kernel; the featurizer and standardiser
-// are shared (both read-only).
+// NewScorer snapshots the matcher's trained state. The snapshot shares
+// the matcher's immutable float64 kernel and, for a quantised model, its
+// int8 kernel; the featurizer and standardiser are shared too (all
+// read-only). A later Train or ReadModel on the matcher installs new
+// kernels and leaves snapshots already taken untouched.
 func (m *Matcher) NewScorer() (*Scorer, error) {
-	if m.net == nil {
+	if m.sc == nil {
 		return nil, errors.New("core: NewScorer on untrained matcher")
 	}
-	kern := nn.NewKernel(m.net)
-	if kern.InDim() != m.pairer.Dim() {
-		return nil, fmt.Errorf("core: network input dim %d does not match pair dim %d", kern.InDim(), m.pairer.Dim())
-	}
-	if kern.OutDim() < 2 {
-		return nil, errors.New("core: scoring requires at least 2 output classes")
-	}
+	return m.newScorer(m.sc.kern, m.qk), nil
+}
+
+// newScorer builds a snapshot over the given kernels and the matcher's
+// featurizer, standardiser and threshold.
+func (m *Matcher) newScorer(kern *nn.Kernel, qk *nn.QuantKernel) *Scorer {
 	s := &Scorer{
 		ex:         m.ex,
 		pairer:     m.pairer,
 		kern:       kern,
-		qkern:      m.qk,
+		qkern:      qk,
 		featMean:   m.featMean,
 		featInvStd: m.featInvStd,
 		threshold:  m.opts.Threshold,
 		fc:         m.opts.Features,
 	}
 	s.initScratch()
-	return s, nil
+	return s
 }
 
 // initScratch allocates the single-pair arenas up front so even the

@@ -10,10 +10,11 @@ import "fmt"
 // buffer through every call — so one Kernel is immutable after
 // construction and safe to share across any number of goroutines.
 //
-// Bit-identity contract: for the same input, Forward produces outputs
-// byte-for-byte identical to Network.Forward. Both walk each row with
-// the same sequential single-accumulator dot product (the mathx.Dot
-// order) and the same softmax; only the memory layout differs. The
+// Bit-identity contract: for the same input, Forward and every lane of
+// ForwardBatch produce outputs byte-for-byte identical to
+// Network.Forward. All walk each row with the same sequential
+// single-accumulator dot product (the mathx.Dot order) and the same
+// softmax; only the memory layout and the lane interleaving differ. The
 // determinism suites and the serve layer's reproducibility guarantee
 // rely on this, so any change to the accumulation order here is a
 // format-breaking change, not an optimisation.
@@ -24,8 +25,8 @@ type Kernel struct {
 	inDim  int
 	outDim int
 	// maxWidth is the widest activation the kernel ever materialises
-	// (max over layer outputs and the input), which fixes the scratch
-	// stride for batch-major buffers.
+	// (max over layer outputs and the input), which sizes the
+	// activation scratch of Forward and ForwardBatch.
 	maxWidth int
 }
 
@@ -75,8 +76,15 @@ func (k *Kernel) OutDim() int { return k.outDim }
 func (k *Kernel) ScratchLen() int { return 2 * k.maxWidth }
 
 // BatchScratchLen returns the scratch length ForwardBatch requires for
-// n inputs.
-func (k *Kernel) BatchScratchLen(n int) int { return 2 * n * k.maxWidth }
+// n inputs. The batch runs in fixed chunks of eight inputs, so every
+// n ≥ 1 needs the same two unit-major activation blocks of
+// maxWidth × 8.
+func (k *Kernel) BatchScratchLen(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return 2 * gradChunkSize * k.maxWidth
+}
 
 // forwardRaw runs all layers on x and returns the pre-softmax logits as
 // a view into scratch (or x itself for a zero-layer kernel). It
@@ -149,12 +157,16 @@ func (k *Kernel) PositiveScore(x, scratch []float64) float64 {
 
 // ForwardBatch scores n inputs stored back-to-back in xs (len n*InDim),
 // writing softmax probabilities back-to-back into probs (len n*OutDim).
-// scratch must have len >= BatchScratchLen(n). The loop order is
-// batch-major — each weight row is streamed once per layer across the
-// whole batch, instead of re-walking the full weight set per pair — but
-// every individual input sees exactly the per-row sequential
-// accumulation of Forward, so results are bit-identical to n separate
-// Forward calls in any batch size.
+// scratch must have len >= BatchScratchLen(n).
+//
+// The batch runs in chunks of eight inputs, the lane layout TrainKernel
+// trains on: each chunk is transposed unit-major, every layer streams
+// each weight row once across the chunk's eight lanes (the AVX routines
+// of simd.go for a full chunk, the generic lane loop for the last
+// partial one), and a per-lane softmax closes it. Every lane is the
+// zero-seeded, ascending-column mul-then-add chain of Forward, so
+// results are bit-identical to n separate Forward calls in any batch
+// size and at any chunk position.
 //
 //lint:hotpath gated by TestKernelZeroAllocs
 func (k *Kernel) ForwardBatch(probs, xs []float64, n int, scratch []float64) {
@@ -167,36 +179,88 @@ func (k *Kernel) ForwardBatch(probs, xs []float64, n int, scratch []float64) {
 	if len(scratch) < k.BatchScratchLen(n) {
 		panic(fmt.Sprintf("nn: kernel batch scratch has len %d, want >= %d", len(scratch), k.BatchScratchLen(n)))
 	}
-	if n == 0 {
-		return
-	}
-	buf0 := scratch[:n*k.maxWidth]
-	buf1 := scratch[n*k.maxWidth : 2*n*k.maxWidth]
-	cur, curStride := xs, k.inDim
-	out := buf0
-	for li, l := range k.layers {
-		w := k.w[l.woff : l.woff+l.rows*l.cols]
-		bias := k.b[l.boff : l.boff+l.rows]
-		for r := 0; r < l.rows; r++ {
-			row := w[r*l.cols : (r+1)*l.cols]
-			bv := bias[r]
-			for p := 0; p < n; p++ {
-				in := cur[p*curStride : p*curStride+l.cols]
-				var s float64
-				for c, wv := range row {
-					s += wv * in[c]
-				}
-				out[p*k.maxWidth+r] = l.act.apply(s + bv)
+	span := gradChunkSize * k.maxWidth
+	buf0, buf1 := scratch[:span], scratch[span:2*span]
+	for lo := 0; lo < n; lo += gradChunkSize {
+		m := n - lo
+		if m > gradChunkSize {
+			m = gradChunkSize
+		}
+		// Transpose the chunk unit-major: in[c*8+e] is input c of lane
+		// e. A pure copy, so layout cannot affect bits.
+		for e := 0; e < m; e++ {
+			x := xs[(lo+e)*k.inDim : (lo+e+1)*k.inDim]
+			for c, v := range x {
+				buf0[c*gradChunkSize+e] = v
 			}
 		}
-		cur, curStride = out, k.maxWidth
-		if li%2 == 0 {
-			out = buf1
-		} else {
-			out = buf0
+		cur, out := buf0, buf1
+		for li := range k.layers {
+			k.layers[li].forwardChunk(out, cur, k.w, k.b, m)
+			cur, out = out, cur
+		}
+		// Gather each lane's logits into its output row and take the
+		// softmax in place: softmax reads z[i] before it writes dst[i].
+		for e := 0; e < m; e++ {
+			p := probs[(lo+e)*k.outDim : (lo+e+1)*k.outDim]
+			for r := range p {
+				p[r] = cur[r*gradChunkSize+e]
+			}
+			softmax(p, p)
 		}
 	}
-	for p := 0; p < n; p++ {
-		softmax(probs[p*k.outDim:(p+1)*k.outDim], cur[p*k.maxWidth:p*k.maxWidth+k.outDim])
+}
+
+// forwardChunk computes layer l's activations for a chunk of m ≤ 8
+// inputs held unit-major with stride 8:
+//
+//	out[r*8+e] = act(Σ_c w[r][c]·in[c*8+e] + b[r])
+//
+// where w and b are the flat weight and bias slabs l indexes into. Each
+// lane is a zero-seeded sequential dot in ascending c, the mathx.Dot
+// order of Network.Forward, so a lane's bits do not depend on the chunk
+// it rides in. A full chunk runs the fused two-row SIMD routines; a
+// partial chunk takes the generic lane loop. Kernel.ForwardBatch and
+// TrainKernel's forward pass share it.
+func (l *kernLayer) forwardChunk(out, in, w, b []float64, m int) {
+	w = w[l.woff : l.woff+l.rows*l.cols]
+	b = b[l.boff : l.boff+l.rows]
+	if m == gradChunkSize {
+		var acc2 [2 * gradChunkSize]float64
+		r := 0
+		for ; r+2 <= l.rows; r += 2 {
+			fwd2Row8(&acc2, in, w[r*l.cols:(r+2)*l.cols])
+			bv0, bv1 := b[r], b[r+1]
+			o := out[r*gradChunkSize : (r+2)*gradChunkSize]
+			for e := 0; e < gradChunkSize; e++ {
+				o[e] = l.act.apply(acc2[e] + bv0)
+				o[gradChunkSize+e] = l.act.apply(acc2[gradChunkSize+e] + bv1)
+			}
+		}
+		if r < l.rows {
+			var acc [gradChunkSize]float64
+			fwdRow8(&acc, in, w[r*l.cols:(r+1)*l.cols])
+			bv := b[r]
+			o := out[r*gradChunkSize : (r+1)*gradChunkSize]
+			for e := 0; e < gradChunkSize; e++ {
+				o[e] = l.act.apply(acc[e] + bv)
+			}
+		}
+		return
+	}
+	for r := 0; r < l.rows; r++ {
+		row := w[r*l.cols : (r+1)*l.cols]
+		var acc [gradChunkSize]float64
+		for c, wv := range row {
+			cb := c * gradChunkSize
+			for e := 0; e < m; e++ {
+				acc[e] += wv * in[cb+e]
+			}
+		}
+		bv := b[r]
+		rb := r * gradChunkSize
+		for e := 0; e < m; e++ {
+			out[rb+e] = l.act.apply(acc[e] + bv)
+		}
 	}
 }

@@ -71,38 +71,127 @@ func TestKernelBitIdentity(t *testing.T) {
 	}
 }
 
-// TestKernelBatchDeterminism proves batch-major execution changes
-// nothing: ForwardBatch over any batch size is bit-identical to one
-// Forward per input. The name keeps it inside `make test-determinism`,
-// which re-runs it under GOMAXPROCS=1 and 4.
+// batchSizes sweeps ForwardBatch across one, partial, exact and
+// chunk-plus-tail batches of its fixed 8-input chunks.
+var batchSizes = []int{1, 7, 8, 9, 15, 16, 17, 31, 32, 33}
+
+// edgeInputs returns inputs that stress the lane arithmetic's sign and
+// zero handling: all +0, all −0 (every unit with a negative bias then
+// sits at an exact ReLU 0), a mix of ±0 and ordinary values, and random
+// inputs each paired with its negation scaled by 1e6, which drives the
+// units x leaves active to an exact ReLU 0.
+func edgeInputs(cfg Config, seed int64) [][]float64 {
+	negZero := math.Copysign(0, -1)
+	zeros := make([]float64, cfg.InDim)
+	negZeros := make([]float64, cfg.InDim)
+	mixed := make([]float64, cfg.InDim)
+	for i := range negZeros {
+		negZeros[i] = negZero
+	}
+	rng := mathx.NewRand(seed)
+	for i := range mixed {
+		switch i % 3 {
+		case 0:
+			mixed[i] = negZero
+		case 1:
+			mixed[i] = 0
+		default:
+			mixed[i] = rng.NormFloat64()
+		}
+	}
+	out := [][]float64{zeros, negZeros, mixed}
+	for _, x := range randInputs(cfg, 4, seed+1) {
+		neg := make([]float64, len(x))
+		for i, v := range x {
+			neg[i] = -v * 1e6
+		}
+		out = append(out, x, neg)
+	}
+	return out
+}
+
+// withBiases gives every layer of net seeded non-zero biases, so the
+// act(acc + bias) step is exercised with real operands (fresh networks
+// start with zero biases).
+func withBiases(net *Network, seed int64) {
+	rng := mathx.NewRand(seed)
+	for _, l := range net.layers {
+		for i := range l.b {
+			l.b[i] = rng.NormFloat64() * 0.1
+		}
+	}
+}
+
+// TestKernelBatchDeterminism proves chunked batch execution changes
+// nothing: ForwardBatch over any batch size — full 8-input chunks, a
+// partial tail, or both — is bit-identical to Network.Forward per
+// input, with the AVX routines enabled and with the generic lane loop
+// forced, on inputs that include ±0 and fully zeroed ReLU layers. The
+// name keeps it inside `make test-determinism`, which re-runs it under
+// GOMAXPROCS=1 and 4.
 func TestKernelBatchDeterminism(t *testing.T) {
-	for _, cfg := range inferTopologies {
-		net, err := New(cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
+	saved := useAVX
+	defer func() { useAVX = saved }()
+	for _, avx := range []bool{false, true} {
+		if avx && !saved {
+			continue // no AVX on this CPU: the generic arm is the only arm
 		}
-		k := NewKernel(net)
-		inputs := randInputs(cfg, 33, cfg.Seed+200)
-		single := make([]float64, len(inputs)*k.OutDim())
-		scratch := make([]float64, k.ScratchLen())
-		for i, x := range inputs {
-			k.Forward(single[i*k.OutDim():(i+1)*k.OutDim()], x, scratch)
-		}
-		for _, n := range []int{1, 2, 7, 32, 33} {
-			xs := make([]float64, 0, n*k.InDim())
-			for _, x := range inputs[:n] {
-				xs = append(xs, x...)
+		useAVX = avx
+		for ci, cfg := range inferTopologies {
+			net, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
 			}
-			probs := make([]float64, n*k.OutDim())
-			bscratch := make([]float64, k.BatchScratchLen(n))
-			k.ForwardBatch(probs, xs, n, bscratch)
-			for i := 0; i < n*k.OutDim(); i++ {
-				if math.Float64bits(probs[i]) != math.Float64bits(single[i]) {
-					t.Fatalf("cfg %+v batch %d: prob %d = %v, want %v", cfg, n, i, probs[i], single[i])
+			withBiases(net, cfg.Seed+300)
+			k := NewKernel(net)
+			inputs := append(edgeInputs(cfg, cfg.Seed+400), randInputs(cfg, 33, cfg.Seed+200)...)
+			want := make([][]float64, len(inputs))
+			for i, x := range inputs {
+				if want[i], err = net.Forward(x); err != nil {
+					t.Fatalf("Forward: %v", err)
+				}
+			}
+			for _, n := range batchSizes {
+				// Slide the batch window so every input lands in a full
+				// chunk at some n and in a tail at another.
+				for lo := 0; lo+n <= len(inputs); lo += 11 {
+					xs := make([]float64, 0, n*k.InDim())
+					for _, x := range inputs[lo : lo+n] {
+						xs = append(xs, x...)
+					}
+					probs := make([]float64, n*k.OutDim())
+					k.ForwardBatch(probs, xs, n, make([]float64, k.BatchScratchLen(n)))
+					for i := 0; i < n; i++ {
+						got := probs[i*k.OutDim() : (i+1)*k.OutDim()]
+						for j, w := range want[lo+i] {
+							if math.Float64bits(got[j]) != math.Float64bits(w) {
+								t.Fatalf("avx=%v topology %d batch %d input %d: prob %d = %x, want %x",
+									avx, ci, n, lo+i, j, math.Float64bits(got[j]), math.Float64bits(w))
+							}
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// TestPositiveScore: the kernel's positive-class score is a
+// probability, and a one-class kernel has no positive class to report.
+func TestPositiveScore(t *testing.T) {
+	n, _ := New(Config{InDim: 2, Out: 2, Seed: 1})
+	k := NewKernel(n)
+	if s := k.PositiveScore([]float64{0.5, 0.5}, make([]float64, k.ScratchLen())); s < 0 || s > 1 {
+		t.Errorf("score %v outside [0,1]", s)
+	}
+	n1, _ := New(Config{InDim: 2, Out: 1, Seed: 1})
+	k1 := NewKernel(n1)
+	defer func() {
+		if recover() == nil {
+			t.Error("1-class PositiveScore accepted")
+		}
+	}()
+	k1.PositiveScore([]float64{1, 2}, make([]float64, k1.ScratchLen()))
 }
 
 // TestKernelZeroAllocs pins the inference kernel at zero heap
@@ -125,7 +214,7 @@ func TestKernelZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = k.PositiveScore(x, scratch) }); n != 0 {
 		t.Errorf("Kernel.PositiveScore allocates %v times per call, want 0", n)
 	}
-	const batch = 32
+	const batch = gradChunkSize + 5 // one full chunk plus a tail
 	xs := make([]float64, batch*k.InDim())
 	for i := range xs {
 		xs[i] = x[i%len(x)]

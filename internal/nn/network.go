@@ -7,7 +7,6 @@
 package nn
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -215,19 +214,6 @@ func (n *Network) Forward(x []float64) ([]float64, error) {
 	out := make([]float64, len(h))
 	softmax(out, h)
 	return out, nil
-}
-
-// PositiveScore runs the network on x and returns the probability of class
-// 1 — LEAPME's similarity score for a property pair.
-func (n *Network) PositiveScore(x []float64) (float64, error) {
-	p, err := n.Forward(x)
-	if err != nil {
-		return 0, err
-	}
-	if len(p) < 2 {
-		return 0, errors.New("nn: PositiveScore requires at least 2 output classes")
-	}
-	return p[1], nil
 }
 
 // Classify returns the argmax class for x.

@@ -60,21 +60,6 @@ func TestForwardDimCheck(t *testing.T) {
 	}
 }
 
-func TestPositiveScore(t *testing.T) {
-	n, _ := New(Config{InDim: 2, Out: 2, Seed: 1})
-	s, err := n.PositiveScore([]float64{0.5, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s < 0 || s > 1 {
-		t.Errorf("score %v outside [0,1]", s)
-	}
-	n1, _ := New(Config{InDim: 2, Out: 1, Seed: 1})
-	if _, err := n1.PositiveScore([]float64{1, 2}); err == nil {
-		t.Error("1-class PositiveScore accepted")
-	}
-}
-
 func TestSoftmaxStability(t *testing.T) {
 	dst := make([]float64, 3)
 	softmax(dst, []float64{1000, 1000, 1000})

@@ -2,11 +2,12 @@ package nn
 
 import "math"
 
-// SIMD kernels for the training hot path.
+// SIMD kernels for the flat kernels' hot loops.
 //
 // The flat training kernel's inner loops are eight independent
 // per-example accumulator chains advanced in lockstep (see
-// TrainKernel). Vertical SIMD — one VMULPD + VADDPD per column over
+// TrainKernel); batched inference (Kernel.ForwardBatch) runs its
+// forward pass through the same fwdRow8/fwd2Row8 routines. Vertical SIMD — one VMULPD + VADDPD per column over
 // the eight lanes — performs exactly the same multiply-then-add per
 // lane as the scalar code: AVX packed mul/add are IEEE 754
 // correctly-rounded per element, each lane stays an independent

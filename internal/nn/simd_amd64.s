@@ -1,4 +1,5 @@
-// AVX kernels for the flat training kernel. Bit-identity rules:
+// AVX kernels for the flat training kernel and batched inference.
+// Bit-identity rules:
 // every lane is an independent sequential accumulator chain, every
 // multiply and add is a separate correctly-rounded instruction (no
 // FMA), accumulators are always the left operand of each add, and

@@ -402,53 +402,13 @@ func (k *TrainKernel) chunkGrads(ci int) {
 	// Forward, batch-major: each weight row streams once across the
 	// chunk; each example keeps its private sequential dot accumulator
 	// (the mathx.Dot order), advanced in lockstep over c. The full-chunk
-	// case is unrolled into eight named accumulators — eight independent
-	// dependency chains the CPU overlaps — which is where the kernel's
-	// single-core speedup comes from.
+	// case runs eight independent dependency chains the CPU overlaps —
+	// which is where the kernel's single-core speedup comes from.
 	cur := inT
 	for li := range k.layers {
 		l := &k.layers[li]
-		w := k.w[l.woff : l.woff+l.rows*l.cols]
-		bias := k.b[l.boff : l.boff+l.rows]
 		out := s.outs[li]
-		if m == gradChunkSize {
-			var acc2 [2 * gradChunkSize]float64
-			r := 0
-			for ; r+2 <= l.rows; r += 2 {
-				fwd2Row8(&acc2, cur, w[r*l.cols:(r+2)*l.cols])
-				bv0, bv1 := bias[r], bias[r+1]
-				o := out[r*gradChunkSize : (r+2)*gradChunkSize]
-				for e := 0; e < gradChunkSize; e++ {
-					o[e] = l.act.apply(acc2[e] + bv0)
-					o[gradChunkSize+e] = l.act.apply(acc2[gradChunkSize+e] + bv1)
-				}
-			}
-			if r < l.rows {
-				var acc [gradChunkSize]float64
-				fwdRow8(&acc, cur, w[r*l.cols:(r+1)*l.cols])
-				bv := bias[r]
-				o := out[r*gradChunkSize : (r+1)*gradChunkSize]
-				for e := 0; e < gradChunkSize; e++ {
-					o[e] = l.act.apply(acc[e] + bv)
-				}
-			}
-		} else {
-			for r := 0; r < l.rows; r++ {
-				row := w[r*l.cols : (r+1)*l.cols]
-				var acc [gradChunkSize]float64
-				for c, wv := range row {
-					cb := c * gradChunkSize
-					for e := 0; e < m; e++ {
-						acc[e] += wv * cur[cb+e]
-					}
-				}
-				bv := bias[r]
-				rb := r * gradChunkSize
-				for e := 0; e < m; e++ {
-					out[rb+e] = l.act.apply(acc[e] + bv)
-				}
-			}
-		}
+		l.forwardChunk(out, cur, k.w, k.b, m)
 		// Mirror the activations example-major for the gradient sweeps
 		// and the softmax reads — a pure copy, bit-neutral.
 		em := s.outsEM[li]
