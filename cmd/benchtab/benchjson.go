@@ -169,7 +169,7 @@ func runBench(suite, out string, seed int64, dim, workers int, quick, stamp bool
 	case "serve":
 		err = benchServe(fx, &rep, quick)
 	case "train":
-		err = benchTrain(fx, &rep, workers, quick)
+		err = benchTrain(fx, &rep, quick)
 	case "parallel":
 		err = benchParallel(fx, &rep, workers, quick)
 	default:
@@ -190,7 +190,7 @@ func runBench(suite, out string, seed int64, dim, workers int, quick, stamp bool
 	return nil
 }
 
-func benchTrain(fx *benchFixture, rep *benchReport, workers int, quick bool) error {
+func benchTrain(fx *benchFixture, rep *benchReport, quick bool) error {
 	ctx := context.Background()
 
 	// Feature computation over the whole dataset (one op = all properties).
@@ -234,8 +234,10 @@ func benchTrain(fx *benchFixture, rep *benchReport, workers int, quick bool) err
 	}
 	rep.Results = append(rep.Results, resultOf("training_pair_generation", len(fx.pairs), r))
 
-	// Full training run (features precomputed once outside the timer);
-	// pairs/sec counts labeled pairs consumed per second of training.
+	// Full training run on the flat training kernel with the default
+	// worker count (all CPUs); features are precomputed once outside the
+	// timer, and pairs/sec counts labeled pairs consumed per second of
+	// training.
 	m, err := core.NewMatcher(fx.store, core.DefaultOptions(fx.seed))
 	if err != nil {
 		return err
@@ -250,43 +252,7 @@ func benchTrain(fx *benchFixture, rep *benchReport, workers int, quick bool) err
 	if err != nil {
 		return err
 	}
-	trainFull := resultOf("train_full", len(fx.pairs), r)
-	rep.Results = append(rep.Results, trainFull)
-
-	// Same training run through the flat TrainKernel (Workers ≥ 1
-	// dispatches core.Train onto it). The trained bytes are bit-identical
-	// to the chunked Fit path — the equivalence suites pin that — so this
-	// row measures pure hot-path speedup, not a different model.
-	kw := workers
-	if kw <= 0 {
-		kw = runtime.GOMAXPROCS(0)
-	}
-	kOpts := core.DefaultOptions(fx.seed)
-	kOpts.Workers = kw
-	km, err := core.NewMatcher(fx.store, kOpts)
-	if err != nil {
-		return err
-	}
-	if err := km.ComputeFeatures(ctx, fx.data); err != nil {
-		return err
-	}
-	r, err = benchOp(quick, func() error {
-		_, err := km.Train(ctx, fx.pairs)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	trainKernel := resultOf("train_kernel_full", len(fx.pairs), r)
-	rep.Results = append(rep.Results, trainKernel)
-
-	if rep.Derived == nil {
-		rep.Derived = map[string]float64{}
-	}
-	if trainKernel.NsPerOp > 0 {
-		rep.Derived["train_speedup"] = trainFull.NsPerOp / trainKernel.NsPerOp
-	}
-	rep.Config["kernel_workers"] = kw
+	rep.Results = append(rep.Results, resultOf("train_full", len(fx.pairs), r))
 	return nil
 }
 

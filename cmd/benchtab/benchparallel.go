@@ -11,7 +11,7 @@ import (
 )
 
 // benchParallel measures the parallel pipeline against its 1-worker arm:
-// the chunked trainer in nn.Fit, property featurization, and the
+// the flat training kernel (nn.TrainKernel), property featurization, and the
 // 25-repetition evaluation loop. Both arms run the *same* deterministic
 // algorithm (the worker count never changes results, only wall clock), so
 // the derived speedups isolate scheduling overhead and core utilisation.
@@ -52,7 +52,7 @@ func benchParallel(fx *benchFixture, rep *benchReport, workers int, quick bool) 
 		return err
 	}
 
-	// Training: chunked gradient path, 1 worker vs N, features shared.
+	// Training: the flat training kernel, 1 worker vs N, features shared.
 	m1, err := matcherAt(1)
 	if err != nil {
 		return err

@@ -95,7 +95,7 @@ func reportUnitFailures(m *core.Matcher) {
 
 // matcherWorkersHelp documents -workers on the subcommands that train
 // and classify through core.Matcher.
-const matcherWorkersHelp = "parallelism: 0 = legacy serial training, N = deterministic flat-kernel path (bit-identical for any N), -1 = all CPUs; classification, like featurization, uses all CPUs at 0 and is bit-identical for every value"
+const matcherWorkersHelp = "parallelism of featurization, training and classification: N workers, 0 or -1 = all CPUs; results are bit-identical for every value"
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
@@ -110,10 +110,9 @@ func usage() {
 train/match/eval/cluster/label/index also accept:
   -lenient       quarantine malformed dataset records instead of failing the load
   -timeout DUR   abort the run after DUR (e.g. 90s); Ctrl-C cancels cooperatively
-  -workers N     parallelism: 0 = legacy serial training, N ≥ 1 = deterministic
-                 N-worker pipeline (bit-identical for every N), -1 = all CPUs;
-                 classification, like featurization, uses all CPUs at 0 and
-                 is bit-identical for every value
+  -workers N     parallelism: N workers, 0 (default) or -1 = all CPUs;
+                 featurization, training and classification are
+                 bit-identical for every value
 
 serve saved models over HTTP with the leapme-serve binary:
   leapme-serve -store store.bin -model model.leapme [-addr :8080]`)
@@ -377,7 +376,7 @@ func cmdLabel(ctx context.Context, args []string) error {
 	trainList := fs.String("train", "", "comma-separated training sources (ground truth used)")
 	top := fs.Int("top", 20, "print only the N most confident labels (0 = all)")
 	seed := fs.Int64("seed", 1, "seed")
-	workers := fs.Int("workers", 0, "parallelism: 0 = legacy serial training, N = deterministic flat-kernel path (bit-identical for any N), -1 = all CPUs")
+	workers := fs.Int("workers", 0, "parallelism: N workers, -1 = all CPUs, 0 = all CPUs except labeling, which runs serially; results are bit-identical for every value")
 	lenient := fs.Bool("lenient", false, "quarantine malformed dataset records instead of failing")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
 	fs.Parse(args)

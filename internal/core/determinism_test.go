@@ -48,12 +48,12 @@ func trainAt(t *testing.T, workers int) ([]byte, []ScoredPair) {
 }
 
 // TestPipelineDeterminismAcrossWorkerCounts is the acceptance gate of the
-// parallel pipeline: with a fixed seed, -workers=1 and -workers=8 must
-// produce bit-identical model weights AND bit-identical positive-class
-// scores for every pair.
+// parallel pipeline: with a fixed seed, -workers=1, -workers=8 and the
+// default -workers=0 (all CPUs) must produce bit-identical model weights
+// AND bit-identical positive-class scores for every pair.
 func TestPipelineDeterminismAcrossWorkerCounts(t *testing.T) {
 	refModel, refScores := trainAt(t, 1)
-	for _, w := range []int{8} {
+	for _, w := range []int{0, 8} {
 		model, scores := trainAt(t, w)
 		if !bytes.Equal(refModel, model) {
 			t.Fatalf("workers=%d: serialized model differs from workers=1", w)

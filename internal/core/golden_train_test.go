@@ -9,26 +9,22 @@ import (
 
 	"leapme/internal/dataset"
 	"leapme/internal/mathx"
-	"leapme/internal/nn"
 )
 
 // goldenTrainCRC pins the serialized v3 model produced by the full
-// cameras-lite training pipeline (seed 1, {16, 8} hidden) — the
-// old-vs-new equivalence gate of the flat training kernel. The chunked
-// Network.Fit path and TrainKernel must both reproduce exactly these
-// bytes at every worker count; a drift means the training arithmetic
-// changed, which is a model-format change, not an optimisation.
+// cameras-lite training pipeline (seed 1, {16, 8} hidden) on the flat
+// training kernel — the same bytes the retired chunked Network.Fit path
+// produced. Every worker count, 0 (all CPUs) included, must reproduce
+// them; a drift means the training arithmetic changed, which is a
+// model-format change, not an optimisation.
 //
 // Regenerate (only after a deliberate change to training arithmetic):
 // LEAPME_WRITE_GOLDEN=1 go test ./internal/core -run TrainGolden -v
 const goldenTrainCRC = 0x9c29ed4e
 
-// goldenTrainModel trains the cameras-lite pipeline and serializes the
-// model. kernel selects the TrainKernel path (the only path core.Train
-// dispatches to for Workers ≥ 1); otherwise the legacy chunked
-// Network.Fit path is replayed through the matcher's own internals, so
-// both arms share features, standardisation, and configuration exactly.
-func goldenTrainModel(t *testing.T, workers int, kernel bool) []byte {
+// goldenTrainModel trains the cameras-lite pipeline through core.Train at
+// the given worker count and serializes the model.
+func goldenTrainModel(t *testing.T, workers int) []byte {
 	t.Helper()
 	d, err := dataset.Generate(dataset.Lite(dataset.CamerasConfig(1)))
 	if err != nil {
@@ -49,54 +45,8 @@ func goldenTrainModel(t *testing.T, workers int, kernel bool) []byte {
 	if len(pairs) == 0 {
 		t.Fatal("no training pairs")
 	}
-	if kernel {
-		if _, err := m.Train(ctx, pairs); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		// The legacy arm: chunked Network.Fit over per-pair row slices,
-		// exactly what core.Train ran before the kernel existed.
-		dim := m.pairer.Dim()
-		xs := make([][]float64, 0, len(pairs))
-		ys := make([]int, 0, len(pairs))
-		for _, lp := range pairs {
-			a, err := m.prop(lp.A)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := m.prop(lp.B)
-			if err != nil {
-				t.Fatal(err)
-			}
-			row := make([]float64, dim)
-			m.pairer.PairVector(row, a, b)
-			xs = append(xs, row)
-			y := 0
-			if lp.Match {
-				y = 1
-			}
-			ys = append(ys, y)
-		}
-		m.fitStandardizer(xs)
-		for _, x := range xs {
-			m.standardize(x)
-		}
-		net, err := nn.New(nn.Config{
-			InDim: dim, Hidden: opts.Hidden, Out: 2, Activation: nn.ActReLU, Seed: opts.Seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := net.Fit(ctx, xs, ys, nn.TrainConfig{
-			Schedule:  opts.Schedule,
-			BatchSize: opts.BatchSize,
-			Optimizer: nn.NewAdam(),
-			Seed:      opts.Seed,
-			Workers:   workers,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		m.net = net
+	if _, err := m.Train(ctx, pairs); err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := m.WriteModel(&buf); err != nil {
@@ -105,27 +55,18 @@ func goldenTrainModel(t *testing.T, workers int, kernel bool) []byte {
 	return buf.Bytes()
 }
 
-// TestTrainGoldenDeterminismKernelVsFit is the old-vs-new golden gate:
-// the legacy chunked Fit and the flat TrainKernel, each at workers 1 and
-// 8, all serialize the cameras-lite model to the same bytes, and those
-// bytes carry the committed CRC.
+// TestTrainGoldenDeterminismKernelVsFit is the golden gate of the one
+// trainer: the flat TrainKernel at workers 0, 1 and 8 serializes the
+// cameras-lite model to the same bytes, and those bytes carry the
+// committed CRC that the retired chunked Fit path produced.
 func TestTrainGoldenDeterminismKernelVsFit(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full training pipeline ×4")
+		t.Skip("full training pipeline ×3")
 	}
-	ref := goldenTrainModel(t, 1, false)
-	arms := []struct {
-		name    string
-		workers int
-		kernel  bool
-	}{
-		{"fit-w8", 8, false},
-		{"kernel-w1", 1, true},
-		{"kernel-w8", 8, true},
-	}
-	for _, a := range arms {
-		if got := goldenTrainModel(t, a.workers, a.kernel); !bytes.Equal(got, ref) {
-			t.Fatalf("%s: model bytes differ from chunked Fit at workers=1", a.name)
+	ref := goldenTrainModel(t, 1)
+	for _, workers := range []int{0, 8} {
+		if got := goldenTrainModel(t, workers); !bytes.Equal(got, ref) {
+			t.Fatalf("kernel-w%d: model bytes differ from workers=1", workers)
 		}
 	}
 	crc := crc32.ChecksumIEEE(ref)

@@ -67,16 +67,13 @@ type Options struct {
 	// Seed drives weight init, shuffling, and negative sampling.
 	Seed int64
 	// Workers sets the parallelism of featurization, training and
-	// classification. 0 (the default) keeps the legacy training
-	// behaviour: nn.Fit stays on the serial path that historical seeds
-	// reproduce, while featurization and classification fan out over
-	// all CPUs (featurization is a pure map with an ordered merge,
-	// classification scores bit-identically to one pair at a time, so
-	// neither result depends on the worker count). Any value ≥ 1 uses
-	// that many workers everywhere and switches training to the
-	// deterministic chunked gradient path, which is bit-identical across
-	// all worker counts (Workers=1 ≡ Workers=8). Negative means one
-	// worker per CPU.
+	// classification; 0 (the default) and negative values mean one
+	// worker per CPU. No result depends on it: featurization is a pure
+	// map with an ordered merge, training (nn.TrainKernel) fixes its
+	// gradient chunks and reduction order by the batch size alone, and
+	// classification scores bit-identically to one pair at a time — so
+	// every value, 0 included, trains the same model bytes and emits the
+	// same scores.
 	Workers int
 }
 
@@ -271,13 +268,11 @@ func (m *Matcher) Train(ctx context.Context, pairs []LabeledPair) (float64, erro
 	if len(pairs) == 0 {
 		return 0, errors.New("core: no training pairs")
 	}
-	// Pair vectors are emitted into one flat (n × dim) slab; xs holds row
-	// views, so the standardizer and the legacy Fit path see the exact
-	// slices they always did while the kernel path consumes the slab.
+	// Pair vectors are emitted into one flat (n × dim) slab, standardised
+	// in place, and fitted by the training kernel without row copies.
 	dim := m.pairer.Dim()
 	flat := make([]float64, len(pairs)*dim)
-	xs := make([][]float64, 0, len(pairs))
-	ys := make([]int, 0, len(pairs))
+	ys := make([]int, len(pairs))
 	for i, lp := range pairs {
 		a, err := m.prop(lp.A)
 		if err != nil {
@@ -287,21 +282,17 @@ func (m *Matcher) Train(ctx context.Context, pairs []LabeledPair) (float64, erro
 		if err != nil {
 			return 0, err
 		}
-		row := flat[i*dim : (i+1)*dim]
-		m.pairer.PairVector(row, a, b)
-		xs = append(xs, row)
-		y := 0
+		m.pairer.PairVector(flat[i*dim:(i+1)*dim], a, b)
 		if lp.Match {
-			y = 1
+			ys[i] = 1
 		}
-		ys = append(ys, y)
 	}
-	m.fitStandardizer(xs)
-	for _, x := range xs {
-		m.standardize(x)
+	m.fitStandardizer(flat)
+	for i := range ys {
+		m.standardize(flat[i*dim : (i+1)*dim])
 	}
 	net, err := nn.New(nn.Config{
-		InDim:      m.pairer.Dim(),
+		InDim:      dim,
 		Hidden:     m.opts.Hidden,
 		Out:        2,
 		Activation: nn.ActReLU,
@@ -310,29 +301,18 @@ func (m *Matcher) Train(ctx context.Context, pairs []LabeledPair) (float64, erro
 	if err != nil {
 		return 0, fmt.Errorf("core: %w", err)
 	}
-	cfg := nn.TrainConfig{
+	k, err := nn.NewTrainKernel(net, nn.TrainConfig{
 		Schedule:    m.opts.Schedule,
 		BatchSize:   m.opts.BatchSize,
 		Optimizer:   nn.NewAdam(),
 		WeightDecay: m.opts.WeightDecay,
 		Seed:        m.opts.Seed,
 		Workers:     m.opts.Workers,
+	})
+	if err != nil {
+		return 0, fmt.Errorf("core: training: %w", err)
 	}
-	var loss float64
-	if m.opts.Workers == 0 {
-		// Legacy serial gradient path, preserved bit-for-bit so
-		// historical seeds keep reproducing.
-		loss, err = net.Fit(ctx, xs, ys, cfg)
-	} else {
-		// Workers ≥ 1 selects the chunked path; the flat training kernel
-		// is its drop-in replacement, bit-identical for every worker
-		// count (pinned by the nn equivalence suite and the golden
-		// determinism gate here).
-		var k *nn.TrainKernel
-		if k, err = nn.NewTrainKernel(net, cfg); err == nil {
-			loss, err = k.Fit(ctx, flat, ys)
-		}
-	}
+	loss, err := k.Fit(ctx, flat, ys)
 	if err != nil {
 		return 0, fmt.Errorf("core: training: %w", err)
 	}
@@ -481,26 +461,26 @@ func (m *Matcher) Matches(ctx context.Context, props []dataset.Property) ([]Scor
 }
 
 // fitStandardizer computes per-dimension mean and inverse standard
-// deviation from the training pair vectors.
-func (m *Matcher) fitStandardizer(xs [][]float64) {
+// deviation from the training pair vectors, stored row-major in flat.
+func (m *Matcher) fitStandardizer(flat []float64) {
 	if m.opts.NoStandardize {
 		m.featMean, m.featInvStd = nil, nil
 		return
 	}
 	dim := m.pairer.Dim()
 	mean := make([]float64, dim)
-	for _, x := range xs {
-		for i, v := range x {
+	for r := 0; r < len(flat); r += dim {
+		for i, v := range flat[r : r+dim] {
 			mean[i] += v
 		}
 	}
-	n := float64(len(xs))
+	n := float64(len(flat) / dim)
 	for i := range mean {
 		mean[i] /= n
 	}
 	invStd := make([]float64, dim)
-	for _, x := range xs {
-		for i, v := range x {
+	for r := 0; r < len(flat); r += dim {
+		for i, v := range flat[r : r+dim] {
 			d := v - mean[i]
 			invStd[i] += d * d
 		}

@@ -16,28 +16,30 @@ func newNameBaseline() baselines.Matcher { return baselines.NewNezhadi() }
 // TestEvalStatsDeterminismAcrossWorkerCounts: concurrent repetitions must
 // report the same Stats as the serial loop, bit for bit — each run's
 // randomness is a pure function of (master seed, run index) and results
-// are collected in run order.
+// are collected in run order — and so must every matcher worker count,
+// the default 0 (all CPUs) included.
 func TestEvalStatsDeterminismAcrossWorkerCounts(t *testing.T) {
 	d := tinyDataset(t, domain.Cameras(), 21)
-	at := func(workers int) Stats {
+	at := func(workers, matcherWorkers int) Stats {
 		h := fastHarness(t)
 		h.Runs = 4
 		h.Workers = workers
+		h.Options.Workers = matcherWorkers
 		s, err := h.EvalLEAPMEStats(d, features.FullConfig(), 0.5)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("workers=%d/%d: %v", workers, matcherWorkers, err)
 		}
 		return s
 	}
-	ref := at(1)
-	for _, w := range []int{4, -1} {
-		got := at(w)
+	ref := at(1, 1)
+	for _, w := range [][2]int{{4, 1}, {-1, 1}, {1, 0}, {4, 0}} {
+		got := at(w[0], w[1])
 		if got.Runs != ref.Runs ||
 			math.Float64bits(got.Mean.P) != math.Float64bits(ref.Mean.P) ||
 			math.Float64bits(got.Mean.R) != math.Float64bits(ref.Mean.R) ||
 			math.Float64bits(got.Mean.F1) != math.Float64bits(ref.Mean.F1) ||
 			math.Float64bits(got.F1Std) != math.Float64bits(ref.F1Std) {
-			t.Errorf("workers=%d: %v, want %v (bit-identical)", w, got, ref)
+			t.Errorf("workers=%d, matcher workers=%d: %v, want %v (bit-identical)", w[0], w[1], got, ref)
 		}
 	}
 }

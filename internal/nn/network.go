@@ -2,8 +2,9 @@
 // LEAPME's classifier: fully connected layers with ReLU activations, a
 // softmax output with cross-entropy loss, mini-batch training with SGD,
 // momentum or Adam, and the paper's staged learning-rate schedule (10
-// epochs at 1e-3, 5 at 1e-4, 5 at 1e-5 with batch size 32). The network
-// and its training loop are deterministic given a seed.
+// epochs at 1e-3, 5 at 1e-4, 5 at 1e-5 with batch size 32). Training runs
+// on one implementation, TrainKernel; the network and its training are
+// deterministic given a seed, whatever the worker count.
 package nn
 
 import (
@@ -79,25 +80,15 @@ type layer struct {
 	w   *mathx.Matrix // out×in
 	b   []float64
 	act Activation
-
-	// Training scratch, sized at construction.
-	in    []float64 // last input
-	out   []float64 // last activation output
-	delta []float64 // dL/d(pre-activation)
-	gw    *mathx.Matrix
-	gb    []float64
+	out []float64 // forward scratch: the last activation output
 }
 
 func newLayer(inDim, outDim int, act Activation, rng interface{ Float64() float64 }) *layer {
 	l := &layer{
-		w:     mathx.NewMatrix(outDim, inDim),
-		b:     make([]float64, outDim),
-		act:   act,
-		in:    make([]float64, inDim),
-		out:   make([]float64, outDim),
-		delta: make([]float64, outDim),
-		gw:    mathx.NewMatrix(outDim, inDim),
-		gb:    make([]float64, outDim),
+		w:   mathx.NewMatrix(outDim, inDim),
+		b:   make([]float64, outDim),
+		act: act,
+		out: make([]float64, outDim),
 	}
 	// Glorot uniform init, as in Keras Dense defaults.
 	limit := math.Sqrt(6 / float64(inDim+outDim))
@@ -107,10 +98,8 @@ func newLayer(inDim, outDim int, act Activation, rng interface{ Float64() float6
 	return l
 }
 
-// forward computes the layer output for x, retaining x and the output for
-// a subsequent backward pass.
+// forward computes the layer output for x into the layer's scratch.
 func (l *layer) forward(x []float64) []float64 {
-	copy(l.in, x)
 	l.w.MulVec(l.out, x)
 	for i := range l.out {
 		l.out[i] = l.act.apply(l.out[i] + l.b[i])
@@ -174,7 +163,7 @@ func New(cfg Config) (*Network, error) {
 func (n *Network) InDim() int { return n.inDim }
 
 // Clone returns a deep copy of the network: independent weights and —
-// crucially — independent forward/backward scratch buffers, so the clone
+// crucially — independent forward scratch buffers, so the clone
 // can run Forward concurrently with the original. A Network is not safe
 // for concurrent use by itself (forward passes reuse per-layer scratch);
 // concurrent scorers each take a clone.
@@ -223,107 +212,6 @@ func (n *Network) Classify(x []float64) (int, error) {
 		return 0, err
 	}
 	return mathx.ArgMax(p), nil
-}
-
-// backward accumulates gradients for one example given the softmax
-// probabilities and the true label, returning the cross-entropy loss.
-// Forward must have been called on the same input immediately before.
-func (n *Network) backward(probs []float64, label int) float64 {
-	last := n.layers[len(n.layers)-1]
-	// d(CE∘softmax)/dz = p - onehot(y); numerically exact and stable.
-	for i := range last.delta {
-		last.delta[i] = probs[i]
-		if i == label {
-			last.delta[i] -= 1
-		}
-	}
-	// Propagate through hidden layers.
-	for li := len(n.layers) - 1; li > 0; li-- {
-		cur, prev := n.layers[li], n.layers[li-1]
-		cur.gw.AddOuterTo(1, cur.delta, cur.in)
-		mathx.AddTo(cur.gb, cur.gb, cur.delta)
-		cur.w.MulVecT(prev.delta, cur.delta)
-		for i := range prev.delta {
-			prev.delta[i] *= prev.act.derivFromOutput(prev.out[i])
-		}
-	}
-	first := n.layers[0]
-	first.gw.AddOuterTo(1, first.delta, first.in)
-	mathx.AddTo(first.gb, first.gb, first.delta)
-
-	p := probs[label]
-	if p < 1e-12 {
-		p = 1e-12
-	}
-	return -math.Log(p)
-}
-
-// snapshot copies all trainable parameters — the in-memory checkpoint
-// divergence recovery rolls back to. Layout: per layer, weights then
-// biases, concatenated.
-func (n *Network) snapshot() []float64 {
-	size := 0
-	for _, l := range n.layers {
-		size += len(l.w.Data) + len(l.b)
-	}
-	snap := make([]float64, 0, size)
-	for _, l := range n.layers {
-		snap = append(snap, l.w.Data...)
-		snap = append(snap, l.b...)
-	}
-	return snap
-}
-
-// restore writes a snapshot back into the network's parameters.
-func (n *Network) restore(snap []float64) {
-	for _, l := range n.layers {
-		copy(l.w.Data, snap[:len(l.w.Data)])
-		snap = snap[len(l.w.Data):]
-		copy(l.b, snap[:len(l.b)])
-		snap = snap[len(l.b):]
-	}
-}
-
-// maxAbsParam returns the largest parameter magnitude, or NaN if any
-// parameter is NaN — the exploding-weights detector. The explicit NaN
-// check matters: NaN fails every > comparison, so a plain max would
-// report a quiet 0 for a fully-NaN network.
-func (n *Network) maxAbsParam() float64 {
-	m := 0.0
-	scan := func(xs []float64) bool {
-		for _, v := range xs {
-			if math.IsNaN(v) {
-				return false
-			}
-			if a := math.Abs(v); a > m {
-				m = a
-			}
-		}
-		return true
-	}
-	for _, l := range n.layers {
-		if !scan(l.w.Data) || !scan(l.b) {
-			return math.NaN()
-		}
-	}
-	return m
-}
-
-// zeroGrads clears accumulated gradients.
-func (n *Network) zeroGrads() {
-	for _, l := range n.layers {
-		l.gw.Zero()
-		mathx.Zero(l.gb)
-	}
-}
-
-// scaleGrads divides accumulated gradients by k (mini-batch averaging).
-func (n *Network) scaleGrads(k float64) {
-	inv := 1 / k
-	for _, l := range n.layers {
-		l.gw.Scale(inv)
-		mathx.ScaleTo(l.gb, l.gb, inv)
-	}
 }
 
 // softmax writes a numerically stable softmax of z into dst.

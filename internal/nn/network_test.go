@@ -3,8 +3,6 @@ package nn
 import (
 	"math"
 	"testing"
-
-	"leapme/internal/mathx"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -89,17 +87,8 @@ func TestGradientCheck(t *testing.T) {
 		return -math.Log(math.Max(p[label], 1e-300))
 	}
 
-	// Analytic gradients.
-	probs, _ := n.Forward(x)
-	// Forward again through internal path to set layer caches, then backward.
-	h := x
-	for _, l := range n.layers {
-		h = l.forward(h)
-	}
-	pr := make([]float64, len(probs))
-	softmax(pr, h)
-	n.zeroGrads()
-	n.backward(pr, label)
+	// Analytic gradients: the training kernel's for a one-example batch.
+	k := batchGrads(t, n, [][]float64{x}, []int{label})
 
 	const eps = 1e-6
 	for li, l := range n.layers {
@@ -111,7 +100,7 @@ func TestGradientCheck(t *testing.T) {
 			down := loss()
 			l.w.Data[i] = orig
 			num := (up - down) / (2 * eps)
-			ana := l.gw.Data[i]
+			ana := k.gw[k.layers[li].woff+i]
 			if math.Abs(num-ana) > 1e-5*(1+math.Abs(num)) {
 				t.Fatalf("layer %d weight %d: numeric %g vs analytic %g", li, i, num, ana)
 			}
@@ -124,7 +113,7 @@ func TestGradientCheck(t *testing.T) {
 			down := loss()
 			l.b[i] = orig
 			num := (up - down) / (2 * eps)
-			ana := l.gb[i]
+			ana := k.gb[k.layers[li].boff+i]
 			if math.Abs(num-ana) > 1e-5*(1+math.Abs(num)) {
 				t.Fatalf("layer %d bias %d: numeric %g vs analytic %g", li, i, num, ana)
 			}
@@ -191,28 +180,39 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// batchGrads returns a training kernel over n whose gradient slabs hold
+// the batch-averaged gradient of (xs, ys), a batch of at most one chunk.
+func batchGrads(t *testing.T, n *Network, xs [][]float64, ys []int) *TrainKernel {
+	t.Helper()
+	k, err := NewTrainKernel(n, TrainConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flat []float64
+	idx := make([]int, len(xs))
+	for i, x := range xs {
+		flat = append(flat, x...)
+		idx[i] = i
+	}
+	k.curXS, k.curYS, k.curIdx = flat, ys, idx
+	k.chunkGrads(0)
+	k.reduceGrads(1, 1/float64(len(xs)))
+	return k
+}
+
+// TestGradAccumulationScaling: a chunk accumulates its examples'
+// gradients and the reduction averages them, so a batch of one example
+// twice has exactly the gradient of that example alone.
 func TestGradAccumulationScaling(t *testing.T) {
-	n, _ := New(Config{InDim: 2, Hidden: []int{3}, Out: 2, Seed: 4})
+	mk := func() *Network {
+		n, _ := New(Config{InDim: 2, Hidden: []int{3}, Out: 2, Seed: 4})
+		return n
+	}
 	x := []float64{1, -1}
-	h := x
-	for _, l := range n.layers {
-		h = l.forward(h)
-	}
-	pr := make([]float64, 2)
-	softmax(pr, h)
-	n.zeroGrads()
-	n.backward(pr, 0)
-	g1 := mathx.Clone(n.layers[0].gw.Data)
-	// Backward twice accumulates, then scaling by 2 averages.
-	h = x
-	for _, l := range n.layers {
-		h = l.forward(h)
-	}
-	softmax(pr, h)
-	n.backward(pr, 0)
-	n.scaleGrads(2)
-	for i := range g1 {
-		if math.Abs(n.layers[0].gw.Data[i]-g1[i]) > 1e-12 {
+	one := batchGrads(t, mk(), [][]float64{x}, []int{0})
+	two := batchGrads(t, mk(), [][]float64{x, x}, []int{0, 0})
+	for i := range one.gw {
+		if math.Abs(two.gw[i]-one.gw[i]) > 1e-12 {
 			t.Fatal("gradient accumulation + scaling is not an average")
 		}
 	}

@@ -1,47 +1,21 @@
 package nn
 
-import (
-	"fmt"
-	"math"
+import "fmt"
 
-	"leapme/internal/mathx"
-)
-
-// Optimizer applies accumulated gradients to a network's parameters.
+// Optimizer selects the update rule TrainKernel applies after each
+// mini-batch and carries its hyper-parameters. The kernel keeps the
+// optimizer state (moments, velocities) in its own flat slabs, so an
+// Optimizer value is never mutated by training and may be reused.
 type Optimizer interface {
-	// Step applies one update with the given learning rate. The network's
-	// gradient buffers hold the (already batch-averaged) gradients.
-	Step(n *Network, lr float64)
-	// Reset clears any internal state (momentum buffers etc.).
-	Reset()
 	// Name identifies the optimizer in logs and serialized models.
 	Name() string
 }
 
-// SGD is plain stochastic gradient descent, optionally with classical
-// momentum. The paper's reference implementation uses Adam, but SGD is
-// kept for ablations.
+// SGD selects plain stochastic gradient descent, optionally with
+// classical momentum. The paper's reference implementation uses Adam, but
+// SGD is kept for ablations.
 type SGD struct {
 	Momentum float64
-	vel      []velocity
-}
-
-type velocity struct {
-	w *mathx.Matrix
-	b []float64
-}
-
-// velocitiesFit reports whether the buffers match the network's shape.
-func velocitiesFit(vs []velocity, n *Network) bool {
-	if len(vs) != len(n.layers) {
-		return false
-	}
-	for i, l := range n.layers {
-		if vs[i].w.Rows != l.w.Rows || vs[i].w.Cols != l.w.Cols || len(vs[i].b) != len(l.b) {
-			return false
-		}
-	}
-	return true
 }
 
 // NewSGD returns an SGD optimizer with the given momentum (0 disables it).
@@ -50,43 +24,11 @@ func NewSGD(momentum float64) *SGD { return &SGD{Momentum: momentum} }
 // Name implements Optimizer.
 func (s *SGD) Name() string { return fmt.Sprintf("sgd(momentum=%g)", s.Momentum) }
 
-// Reset implements Optimizer.
-func (s *SGD) Reset() { s.vel = nil }
-
-// Step implements Optimizer.
-func (s *SGD) Step(n *Network, lr float64) {
-	if s.Momentum == 0 {
-		for _, l := range n.layers {
-			l.w.AddScaled(-lr, l.gw)
-			mathx.AxpyTo(l.b, -lr, l.gb)
-		}
-		return
-	}
-	if !velocitiesFit(s.vel, n) {
-		s.vel = make([]velocity, len(n.layers))
-		for i, l := range n.layers {
-			s.vel[i] = velocity{w: mathx.NewMatrix(l.w.Rows, l.w.Cols), b: make([]float64, len(l.b))}
-		}
-	}
-	for i, l := range n.layers {
-		v := s.vel[i]
-		v.w.Scale(s.Momentum)
-		v.w.AddScaled(-lr, l.gw)
-		l.w.AddScaled(1, v.w)
-		for j := range v.b {
-			v.b[j] = s.Momentum*v.b[j] - lr*l.gb[j]
-			l.b[j] += v.b[j]
-		}
-	}
-}
-
-// Adam implements the Adam optimizer (Kingma & Ba 2015) with the standard
+// Adam selects the Adam update rule (Kingma & Ba 2015) and carries its
 // hyper-parameters; it is the default for LEAPME training, matching the
 // Keras default the paper's implementation relied on.
 type Adam struct {
 	Beta1, Beta2, Eps float64
-	t                 int
-	m, v              []velocity
 }
 
 // NewAdam returns Adam with β1=0.9, β2=0.999, ε=1e-8.
@@ -94,38 +36,3 @@ func NewAdam() *Adam { return &Adam{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8} }
 
 // Name implements Optimizer.
 func (a *Adam) Name() string { return "adam" }
-
-// Reset implements Optimizer.
-func (a *Adam) Reset() { a.t, a.m, a.v = 0, nil, nil }
-
-// Step implements Optimizer.
-func (a *Adam) Step(n *Network, lr float64) {
-	if !velocitiesFit(a.m, n) {
-		// First step, or the optimizer was (incorrectly) moved to a
-		// network of a different shape: re-initialise rather than index
-		// out of range.
-		a.t = 0
-		a.m = make([]velocity, len(n.layers))
-		a.v = make([]velocity, len(n.layers))
-		for i, l := range n.layers {
-			a.m[i] = velocity{w: mathx.NewMatrix(l.w.Rows, l.w.Cols), b: make([]float64, len(l.b))}
-			a.v[i] = velocity{w: mathx.NewMatrix(l.w.Rows, l.w.Cols), b: make([]float64, len(l.b))}
-		}
-	}
-	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i, l := range n.layers {
-		m, v := a.m[i], a.v[i]
-		for j, g := range l.gw.Data {
-			m.w.Data[j] = a.Beta1*m.w.Data[j] + (1-a.Beta1)*g
-			v.w.Data[j] = a.Beta2*v.w.Data[j] + (1-a.Beta2)*g*g
-			l.w.Data[j] -= lr * (m.w.Data[j] / c1) / (math.Sqrt(v.w.Data[j]/c2) + a.Eps)
-		}
-		for j, g := range l.gb {
-			m.b[j] = a.Beta1*m.b[j] + (1-a.Beta1)*g
-			v.b[j] = a.Beta2*v.b[j] + (1-a.Beta2)*g*g
-			l.b[j] -= lr * (m.b[j] / c1) / (math.Sqrt(v.b[j]/c2) + a.Eps)
-		}
-	}
-}

@@ -5,81 +5,76 @@ import (
 	"testing"
 )
 
-// twoNets builds two identical networks with identical gradients so an
-// optimizer comparison is apples to apples.
-func twoNets(t *testing.T) (*Network, *Network) {
+// gradKernel builds a training kernel over a small network and fills its
+// batch-gradient slabs with a deterministic pattern, so optimizer steps
+// on two kernels compare apples to apples.
+func gradKernel(t *testing.T, opt Optimizer) *TrainKernel {
 	t.Helper()
-	mk := func() *Network {
-		n, err := New(Config{InDim: 3, Hidden: []int{4}, Out: 2, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Populate gradients with a deterministic pattern.
-		for li, l := range n.layers {
-			for i := range l.gw.Data {
-				l.gw.Data[i] = float64(li+1) * float64(i%7-3) * 0.01
-			}
-			for i := range l.gb {
-				l.gb[i] = float64(li+1) * float64(i%5-2) * 0.01
-			}
-		}
-		return n
+	n, err := New(Config{InDim: 3, Hidden: []int{4}, Out: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return mk(), mk()
+	k, err := NewTrainKernel(n, TrainConfig{Optimizer: opt, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range k.gw {
+		k.gw[i] = float64(i%7-3) * 0.01
+	}
+	for i := range k.gb {
+		k.gb[i] = float64(i%5-2) * 0.01
+	}
+	return k
 }
 
-func weightsEqual(a, b *Network, tol float64) bool {
-	for li := range a.layers {
-		for i := range a.layers[li].w.Data {
-			if math.Abs(a.layers[li].w.Data[i]-b.layers[li].w.Data[i]) > tol {
-				return false
-			}
+func paramsWithin(a, b *TrainKernel, tol float64) bool {
+	for i := range a.w {
+		if math.Abs(a.w[i]-b.w[i]) > tol {
+			return false
 		}
-		for i := range a.layers[li].b {
-			if math.Abs(a.layers[li].b[i]-b.layers[li].b[i]) > tol {
-				return false
-			}
+	}
+	for i := range a.b {
+		if math.Abs(a.b[i]-b.b[i]) > tol {
+			return false
 		}
 	}
 	return true
 }
 
 func TestSGDZeroMomentumMatchesPlain(t *testing.T) {
-	a, b := twoNets(t)
-	NewSGD(0).Step(a, 0.1)
-	// Momentum 0.0... the momentum branch with zero momentum equals plain
-	// SGD after any number of steps; emulate via momentum≈0.
-	NewSGD(1e-300).Step(b, 0.1)
-	if !weightsEqual(a, b, 1e-12) {
+	a, b := gradKernel(t, NewSGD(0)), gradKernel(t, NewSGD(1e-300))
+	// The momentum branch with ~zero momentum equals plain SGD after any
+	// number of steps.
+	for i := 0; i < 3; i++ {
+		a.optStep(0.1)
+		b.optStep(0.1)
+	}
+	if !paramsWithin(a, b, 1e-12) {
 		t.Error("SGD with ~zero momentum diverges from plain SGD")
 	}
 }
 
 func TestSGDDescendsGradient(t *testing.T) {
-	a, _ := twoNets(t)
-	before := a.layers[0].w.At(0, 0)
-	grad := a.layers[0].gw.At(0, 0)
-	NewSGD(0).Step(a, 0.5)
-	after := a.layers[0].w.At(0, 0)
-	want := before - 0.5*grad
-	if math.Abs(after-want) > 1e-12 {
-		t.Errorf("SGD step: got %v, want %v", after, want)
+	k := gradKernel(t, NewSGD(0))
+	before, grad := k.w[0], k.gw[0]
+	k.optStep(0.5)
+	if want := before - 0.5*grad; math.Abs(k.w[0]-want) > 1e-12 {
+		t.Errorf("SGD step: got %v, want %v", k.w[0], want)
 	}
 }
 
 func TestMomentumAccumulates(t *testing.T) {
-	_, b := twoNets(t)
-	mom := NewSGD(0.9)
-	w0 := initialWeight(t)
+	k := gradKernel(t, NewSGD(0.9))
+	if k.gw[0] == 0 {
+		t.Fatal("zero gradient at probe position")
+	}
 	// Two identical gradient steps: velocity builds, so the second
 	// displacement is (1 + momentum) times the first.
-	mom.Step(b, 0.1)
-	w1 := b.layers[0].w.At(0, 0)
-	mom.Step(b, 0.1)
-	w2 := b.layers[0].w.At(0, 0)
-	if g := b.layers[0].gw.At(0, 0); g == 0 {
-		t.Skip("zero gradient at probe position")
-	}
+	w0 := k.w[0]
+	k.optStep(0.1)
+	w1 := k.w[0]
+	k.optStep(0.1)
+	w2 := k.w[0]
 	d1, d2 := math.Abs(w1-w0), math.Abs(w2-w1)
 	if d2 <= d1 {
 		t.Errorf("momentum did not accelerate: first step %v, second %v", d1, d2)
@@ -89,36 +84,38 @@ func TestMomentumAccumulates(t *testing.T) {
 	}
 }
 
-func initialWeight(t *testing.T) float64 {
-	t.Helper()
-	n, err := New(Config{InDim: 3, Hidden: []int{4}, Out: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n.layers[0].w.At(0, 0)
-}
-
 func TestAdamBoundedSteps(t *testing.T) {
-	a, _ := twoNets(t)
-	before := make([]float64, len(a.layers[0].w.Data))
-	copy(before, a.layers[0].w.Data)
-	adam := NewAdam()
-	adam.Step(a, 0.001)
+	k := gradKernel(t, NewAdam())
+	before := append([]float64(nil), k.w...)
+	k.optStep(0.001)
 	// Adam's per-parameter step is bounded by ~lr regardless of gradient
 	// scale (bias-corrected first step has |Δ| ≈ lr).
-	for i, w := range a.layers[0].w.Data {
+	for i, w := range k.w {
 		if d := math.Abs(w - before[i]); d > 0.0011 {
 			t.Fatalf("Adam step %d too large: %v", i, d)
 		}
 	}
 }
 
+// TestAdamResetClearsState: after a rollback's resetOpt the next step is
+// a first step again — bias correction restarts and the moments are zero.
 func TestAdamResetClearsState(t *testing.T) {
-	a, _ := twoNets(t)
-	adam := NewAdam()
-	adam.Step(a, 0.001)
-	adam.Reset()
-	if adam.t != 0 || adam.m != nil {
-		t.Error("Reset did not clear Adam state")
+	k := gradKernel(t, NewAdam())
+	w0 := append([]float64(nil), k.w...)
+	b0 := append([]float64(nil), k.b...)
+	k.optStep(0.001)
+	first := append([]float64(nil), k.w...)
+	k.optStep(0.001)
+	k.resetOpt()
+	if k.adamT != 0 {
+		t.Fatalf("resetOpt left step count %d", k.adamT)
+	}
+	copy(k.w, w0)
+	copy(k.b, b0)
+	k.optStep(0.001)
+	for i := range first {
+		if math.Float64bits(k.w[i]) != math.Float64bits(first[i]) {
+			t.Fatalf("step after reset: w[%d] = %v, want first-step %v", i, k.w[i], first[i])
+		}
 	}
 }

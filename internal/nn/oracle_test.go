@@ -1,0 +1,315 @@
+package nn
+
+import (
+	"context"
+	"fmt"
+	"math"
+
+	"leapme/internal/mathx"
+	"leapme/internal/parallel"
+)
+
+// chunkedFit is the reference trainer TrainKernel's bytes are pinned to:
+// the per-example chunked path Network.Fit ran at Workers ≥ 1 before the
+// kernel became the only trainer. Every example runs its own forward and
+// backward pass over per-layer matrices; a batch splits into
+// gradChunkSize-example chunks whose gradients accumulate in example
+// order, the chunk partials fold with parallel.TreeReduce, and the
+// optimizers update layer by layer. It runs single-threaded — the chunk
+// structure, not the scheduling, defines the bits — and expects valid
+// input.
+func chunkedFit(ctx context.Context, n *Network, xs [][]float64, ys []int, cfg TrainConfig) (float64, error) {
+	if cfg.BatchSize <= 0 {
+		cfg.BatchSize = 32
+	}
+	if cfg.Optimizer == nil {
+		cfg.Optimizer = NewAdam()
+	}
+	if len(cfg.Schedule) == 0 {
+		cfg.Schedule = PaperSchedule()
+	}
+	if cfg.MaxPhaseRetries <= 0 {
+		cfg.MaxPhaseRetries = 3
+	}
+	if cfg.LRBackoff <= 0 || cfg.LRBackoff >= 1 {
+		cfg.LRBackoff = 0.1
+	}
+	if cfg.ExplodeThreshold <= 0 {
+		cfg.ExplodeThreshold = 1e8
+	}
+
+	rng := mathx.NewRand(cfg.Seed)
+	order := make([]int, len(xs))
+	for i := range order {
+		order[i] = i
+	}
+	slots := make([]*oracleSlot, (cfg.BatchSize+gradChunkSize-1)/gradChunkSize)
+	for i := range slots {
+		slots[i] = newOracleSlot(n)
+	}
+	grad := zeroParams(n)
+	opt := &oracleOpt{rule: cfg.Optimizer}
+
+	var lastLoss float64
+	epoch := 0
+	for pi, phase := range cfg.Schedule {
+		lr := phase.LR
+		snap := netParams(n)
+		retries := 0
+		for e := 0; e < phase.Epochs; e++ {
+			mathx.Shuffle(order, rng)
+			var epochLoss float64
+			for start := 0; start < len(order); start += cfg.BatchSize {
+				if err := ctx.Err(); err != nil {
+					return lastLoss, err
+				}
+				end := start + cfg.BatchSize
+				if end > len(order) {
+					end = len(order)
+				}
+				idx := order[start:end]
+				chunks := parallel.Chunks(len(idx), gradChunkSize)
+				for ci, c := range chunks {
+					s := slots[ci]
+					s.zero()
+					for _, ei := range idx[c.Lo:c.Hi] {
+						s.loss += s.example(n, xs[ei], ys[ei])
+					}
+				}
+				parallel.TreeReduce(len(chunks), func(dst, src int) { slots[dst].merge(slots[src]) })
+				inv := 1 / float64(end-start)
+				for li := range n.layers {
+					grad.w[li].Zero()
+					mathx.Zero(grad.b[li])
+					grad.w[li].AddScaled(1, slots[0].gw[li])
+					mathx.AddTo(grad.b[li], grad.b[li], slots[0].gb[li])
+					grad.w[li].Scale(inv)
+					mathx.ScaleTo(grad.b[li], grad.b[li], inv)
+				}
+				epochLoss += slots[0].loss
+				opt.step(n, grad, lr)
+				if cfg.WeightDecay > 0 {
+					shrink := 1 - lr*cfg.WeightDecay
+					for _, l := range n.layers {
+						l.w.Scale(shrink)
+					}
+				}
+				if math.IsNaN(epochLoss) || math.IsInf(epochLoss, 0) {
+					break
+				}
+			}
+
+			reason := ""
+			if math.IsNaN(epochLoss) || math.IsInf(epochLoss, 0) {
+				reason = "non-finite loss"
+			} else if m := maxAbsWeight(n); math.IsNaN(m) || m > cfg.ExplodeThreshold {
+				reason = fmt.Sprintf("exploding weights (max |w| = %g)", m)
+			}
+			if reason != "" {
+				retries++
+				setNetParams(n, snap)
+				if retries > cfg.MaxPhaseRetries {
+					return lastLoss, fmt.Errorf("%w: phase %d: %s after %d recovery attempts",
+						ErrDiverged, pi, reason, cfg.MaxPhaseRetries)
+				}
+				opt.reset()
+				lr *= cfg.LRBackoff
+				if cfg.OnRecovery != nil {
+					cfg.OnRecovery(pi, retries, lr, reason)
+				}
+				e = -1
+				continue
+			}
+
+			lastLoss = epochLoss / float64(len(xs))
+			if cfg.OnEpoch != nil {
+				cfg.OnEpoch(epoch, lastLoss)
+			}
+			epoch++
+		}
+	}
+	return lastLoss, nil
+}
+
+// params holds one value per network parameter, per layer.
+type params struct {
+	w []*mathx.Matrix
+	b [][]float64
+}
+
+func zeroParams(n *Network) params {
+	var p params
+	for _, l := range n.layers {
+		p.w = append(p.w, mathx.NewMatrix(l.w.Rows, l.w.Cols))
+		p.b = append(p.b, make([]float64, l.w.Rows))
+	}
+	return p
+}
+
+// oracleSlot is one chunk's per-example scratch plus its gradient sums.
+type oracleSlot struct {
+	ins, outs, deltas [][]float64
+	probs             []float64
+	gw                []*mathx.Matrix
+	gb                [][]float64
+	loss              float64
+}
+
+func newOracleSlot(n *Network) *oracleSlot {
+	g := zeroParams(n)
+	s := &oracleSlot{probs: make([]float64, n.OutDim()), gw: g.w, gb: g.b}
+	for _, l := range n.layers {
+		s.ins = append(s.ins, make([]float64, l.w.Cols))
+		s.outs = append(s.outs, make([]float64, l.w.Rows))
+		s.deltas = append(s.deltas, make([]float64, l.w.Rows))
+	}
+	return s
+}
+
+func (s *oracleSlot) zero() {
+	for i := range s.gw {
+		s.gw[i].Zero()
+		mathx.Zero(s.gb[i])
+	}
+	s.loss = 0
+}
+
+func (s *oracleSlot) merge(src *oracleSlot) {
+	for i := range s.gw {
+		s.gw[i].AddScaled(1, src.gw[i])
+		mathx.AddTo(s.gb[i], s.gb[i], src.gb[i])
+	}
+	s.loss += src.loss
+}
+
+// example runs one forward and backward pass, accumulates the example's
+// gradients into the slot and returns its cross-entropy loss.
+func (s *oracleSlot) example(n *Network, x []float64, label int) float64 {
+	h := x
+	for li, l := range n.layers {
+		copy(s.ins[li], h)
+		out := s.outs[li]
+		l.w.MulVec(out, h)
+		for i := range out {
+			out[i] = l.act.apply(out[i] + l.b[i])
+		}
+		h = out
+	}
+	softmax(s.probs, h)
+
+	last := len(n.layers) - 1
+	for i := range s.deltas[last] {
+		s.deltas[last][i] = s.probs[i]
+		if i == label {
+			s.deltas[last][i] -= 1
+		}
+	}
+	for li := last; li > 0; li-- {
+		s.gw[li].AddOuterTo(1, s.deltas[li], s.ins[li])
+		mathx.AddTo(s.gb[li], s.gb[li], s.deltas[li])
+		n.layers[li].w.MulVecT(s.deltas[li-1], s.deltas[li])
+		prevAct := n.layers[li-1].act
+		for i := range s.deltas[li-1] {
+			s.deltas[li-1][i] *= prevAct.derivFromOutput(s.outs[li-1][i])
+		}
+	}
+	s.gw[0].AddOuterTo(1, s.deltas[0], s.ins[0])
+	mathx.AddTo(s.gb[0], s.gb[0], s.deltas[0])
+
+	p := s.probs[label]
+	if p < 1e-12 {
+		p = 1e-12
+	}
+	return -math.Log(p)
+}
+
+// oracleOpt applies the Adam and SGD update rules layer by layer, with
+// the moments and velocities in per-layer matrices.
+type oracleOpt struct {
+	rule Optimizer
+	t    int
+	m, v params // Adam moments
+	vel  params // SGD momentum velocities
+}
+
+func (o *oracleOpt) reset() { o.t, o.m, o.v, o.vel = 0, params{}, params{}, params{} }
+
+func (o *oracleOpt) step(n *Network, g params, lr float64) {
+	switch r := o.rule.(type) {
+	case *Adam:
+		if o.m.w == nil {
+			o.m, o.v = zeroParams(n), zeroParams(n)
+		}
+		o.t++
+		c1 := 1 - math.Pow(r.Beta1, float64(o.t))
+		c2 := 1 - math.Pow(r.Beta2, float64(o.t))
+		upd := func(w, g, m, v []float64) {
+			for j, gv := range g {
+				m[j] = r.Beta1*m[j] + (1-r.Beta1)*gv
+				v[j] = r.Beta2*v[j] + (1-r.Beta2)*gv*gv
+				w[j] -= lr * (m[j] / c1) / (math.Sqrt(v[j]/c2) + r.Eps)
+			}
+		}
+		for i, l := range n.layers {
+			upd(l.w.Data, g.w[i].Data, o.m.w[i].Data, o.v.w[i].Data)
+			upd(l.b, g.b[i], o.m.b[i], o.v.b[i])
+		}
+	case *SGD:
+		if r.Momentum == 0 {
+			for i, l := range n.layers {
+				l.w.AddScaled(-lr, g.w[i])
+				mathx.AxpyTo(l.b, -lr, g.b[i])
+			}
+			return
+		}
+		if o.vel.w == nil {
+			o.vel = zeroParams(n)
+		}
+		for i, l := range n.layers {
+			vw, vb := o.vel.w[i], o.vel.b[i]
+			vw.Scale(r.Momentum)
+			vw.AddScaled(-lr, g.w[i])
+			l.w.AddScaled(1, vw)
+			for j := range vb {
+				vb[j] = r.Momentum*vb[j] - lr*g.b[i][j]
+				l.b[j] += vb[j]
+			}
+		}
+	default:
+		panic("oracle: unsupported optimizer " + o.rule.Name())
+	}
+}
+
+// netParams copies the network's parameters: per layer, weights then
+// biases.
+func netParams(n *Network) []float64 {
+	var out []float64
+	for _, l := range n.layers {
+		out = append(out, l.w.Data...)
+		out = append(out, l.b...)
+	}
+	return out
+}
+
+// setNetParams writes a netParams copy back into the network.
+func setNetParams(n *Network, p []float64) {
+	for _, l := range n.layers {
+		p = p[copy(l.w.Data, p):]
+		p = p[copy(l.b, p):]
+	}
+}
+
+// maxAbsWeight is the exploding-weights detector over a network's
+// parameters: the largest magnitude, or NaN if any parameter is NaN.
+func maxAbsWeight(n *Network) float64 {
+	m := 0.0
+	for _, v := range netParams(n) {
+		if math.IsNaN(v) {
+			return math.NaN()
+		}
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+	}
+	return m
+}

@@ -47,10 +47,11 @@ func trainToy(t *testing.T, workers int) ([]byte, *Network) {
 }
 
 // TestFitDeterminismAcrossWorkerCounts is the gate for the parallel
-// trainer: any worker count ≥ 1 must produce bit-identical weights.
+// trainer: every worker count, 0 (all CPUs) included, must produce
+// bit-identical weights.
 func TestFitDeterminismAcrossWorkerCounts(t *testing.T) {
 	ref, refNet := trainToy(t, 1)
-	for _, w := range []int{2, 3, 8} {
+	for _, w := range []int{0, 2, 3, 8} {
 		got, gotNet := trainToy(t, w)
 		if !bytes.Equal(ref, got) {
 			t.Fatalf("workers=%d produced different weight bytes than workers=1", w)
@@ -68,8 +69,9 @@ func TestFitDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestFitParallelConverges checks the chunked path actually learns, i.e.
-// it is a correct gradient computation, not just a deterministic one.
+// TestFitParallelConverges checks the multi-worker trainer actually
+// learns, i.e. it is a correct gradient computation, not just a
+// deterministic one.
 func TestFitParallelConverges(t *testing.T) {
 	_, n := trainToy(t, 4)
 	// The two clusters are separated by +1.5 per dimension; a trained net
@@ -86,25 +88,6 @@ func TestFitParallelConverges(t *testing.T) {
 	}
 	if pp[1] < 0.5 {
 		t.Errorf("positive centroid scored class1=%v, want > 0.5", pp[1])
-	}
-}
-
-// TestFitParallelNearSerial: the chunked path regroups floating-point
-// additions, so it is not bit-identical to the legacy Workers=0 loop —
-// but it must agree to high precision.
-func TestFitParallelNearSerial(t *testing.T) {
-	legacy, ln := trainToy(t, 0)
-	chunked, cn := trainToy(t, 1)
-	_ = legacy
-	_ = chunked
-	x := make([]float64, ln.InDim())
-	for i := range x {
-		x[i] = 0.3
-	}
-	a, _ := ln.Forward(x)
-	b, _ := cn.Forward(x)
-	if math.Abs(a[1]-b[1]) > 1e-6 {
-		t.Errorf("legacy vs chunked score drifted: %v vs %v", a[1], b[1])
 	}
 }
 

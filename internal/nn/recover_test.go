@@ -91,7 +91,7 @@ func TestFitDivergenceBudget(t *testing.T) {
 	}
 	// The network must be left at the phase checkpoint, not the exploded
 	// state: all parameters finite and of sane magnitude.
-	if m := n.maxAbsParam(); math.IsNaN(m) || m > 1e3 {
+	if m := maxAbsWeight(n); math.IsNaN(m) || m > 1e3 {
 		t.Errorf("network left with max |param| = %v after ErrDiverged rollback", m)
 	}
 }
@@ -137,16 +137,19 @@ func TestFitCancellation(t *testing.T) {
 // divergence recovery depends on.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	n, _ := New(Config{InDim: 3, Hidden: []int{4}, Out: 2, Seed: 9})
-	snap := n.snapshot()
 	before, _ := n.Forward([]float64{1, 2, 3})
-
-	// Perturb every parameter, then restore.
-	xs, ys := [][]float64{{1, 0, 0}, {0, 1, 0}}, []int{0, 1}
-	cfg := DefaultTrainConfig(9)
-	cfg.Schedule = []Phase{{Epochs: 3, LR: 0.1}}
-	if _, err := n.Fit(context.Background(), xs, ys, cfg); err != nil {
+	k, err := NewTrainKernel(n, TrainConfig{Workers: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
+	k.snapshot()
+
+	// Perturb every parameter, then restore.
+	xs, ys := []float64{1, 0, 0, 0, 1, 0}, []int{0, 1}
+	for i := 0; i < 3; i++ {
+		k.runBatch(xs, ys, []int{0, 1}, 0.1)
+	}
+	k.writeBack()
 	changed, _ := n.Forward([]float64{1, 2, 3})
 	same := true
 	for i := range before {
@@ -158,7 +161,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal("training did not change the network; restore test is vacuous")
 	}
 
-	n.restore(snap)
+	k.restore()
+	k.writeBack()
 	after, _ := n.Forward([]float64{1, 2, 3})
 	for i := range before {
 		if before[i] != after[i] {

@@ -4,10 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-
-	"leapme/internal/mathx"
-	"leapme/internal/parallel"
 )
 
 // Phase is one stage of the learning-rate schedule.
@@ -39,12 +35,11 @@ type TrainConfig struct {
 	// OnEpoch, if non-nil, receives (epochIndex, meanLoss) after each
 	// epoch — useful for logging and learning curves.
 	OnEpoch func(epoch int, loss float64)
-	// Workers selects the gradient computation path. 0 (the default) is
-	// the legacy serial loop, preserved bit-for-bit so historical seeds
-	// keep reproducing. Any value ≥ 1 switches to the deterministic
-	// chunked path (see parallel.go), whose results are bit-identical
-	// across ALL worker counts — Workers=1 and Workers=8 train the exact
-	// same network. Negative means one worker per CPU.
+	// Workers is how many goroutines compute a mini-batch's chunk
+	// gradients; 0 (the default) and negative values mean one per CPU.
+	// The chunk structure and the reduction order depend only on the
+	// batch size, so every value trains the same network down to the
+	// byte — Workers only changes wall-clock time.
 	Workers int
 
 	// MaxPhaseRetries bounds divergence recoveries per schedule phase
@@ -79,7 +74,8 @@ func DefaultTrainConfig(seed int64) TrainConfig {
 
 // Fit trains the network on (xs, ys) with mini-batch gradient descent.
 // ys[i] is the class index of xs[i]. It returns the mean loss of the final
-// epoch.
+// epoch. Fit packs the rows into one flat slab and trains through a
+// TrainKernel, so it produces exactly the bytes TrainKernel.Fit does.
 //
 // Fit is cancellable: ctx is checked between mini-batches and a done
 // context aborts with ctx.Err(), leaving the network in its
@@ -87,137 +83,22 @@ func DefaultTrainConfig(seed int64) TrainConfig {
 // Divergence (non-finite loss, exploding weights) triggers checkpoint
 // rollback with a backed-off learning rate; see TrainConfig.
 func (n *Network) Fit(ctx context.Context, xs [][]float64, ys []int, cfg TrainConfig) (float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(xs) == 0 {
 		return 0, errors.New("nn: Fit with no training examples")
 	}
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("nn: %d inputs but %d labels", len(xs), len(ys))
 	}
-	out := n.OutDim()
+	flat := make([]float64, 0, len(xs)*n.inDim)
 	for i, x := range xs {
 		if len(x) != n.inDim {
 			return 0, fmt.Errorf("nn: example %d has dim %d, want %d", i, len(x), n.inDim)
 		}
-		for j, v := range x {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0, fmt.Errorf("nn: example %d has non-finite feature %d (%v)", i, j, v)
-			}
-		}
-		if ys[i] < 0 || ys[i] >= out {
-			return 0, fmt.Errorf("nn: label %d of example %d outside [0, %d)", ys[i], i, out)
-		}
+		flat = append(flat, x...)
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 32
+	k, err := NewTrainKernel(n, cfg)
+	if err != nil {
+		return 0, err
 	}
-	if cfg.Optimizer == nil {
-		cfg.Optimizer = NewAdam()
-	}
-	if len(cfg.Schedule) == 0 {
-		cfg.Schedule = PaperSchedule()
-	}
-	if cfg.MaxPhaseRetries <= 0 {
-		cfg.MaxPhaseRetries = 3
-	}
-	if cfg.LRBackoff <= 0 || cfg.LRBackoff >= 1 {
-		cfg.LRBackoff = 0.1
-	}
-	if cfg.ExplodeThreshold <= 0 {
-		cfg.ExplodeThreshold = 1e8
-	}
-
-	rng := mathx.NewRand(cfg.Seed)
-	order := make([]int, len(xs))
-	for i := range order {
-		order[i] = i
-	}
-	probs := make([]float64, out)
-	workers := 0
-	if cfg.Workers != 0 {
-		workers = parallel.Resolve(cfg.Workers)
-	}
-	var pt *parTrainer
-	if workers > 0 {
-		pt = newParTrainer(n, workers, cfg.BatchSize)
-	}
-
-	var lastLoss float64
-	epoch := 0
-	for pi, phase := range cfg.Schedule {
-		lr := phase.LR
-		// The rollback checkpoint: parameters as of the start of the
-		// phase, i.e. the last state every earlier phase signed off on.
-		snap := n.snapshot()
-		retries := 0
-		for e := 0; e < phase.Epochs; e++ {
-			mathx.Shuffle(order, rng)
-			var epochLoss float64
-			for start := 0; start < len(order); start += cfg.BatchSize {
-				if err := ctx.Err(); err != nil {
-					return lastLoss, err
-				}
-				end := start + cfg.BatchSize
-				if end > len(order) {
-					end = len(order)
-				}
-				n.zeroGrads()
-				if pt != nil {
-					epochLoss += pt.batchGrads(xs, ys, order[start:end])
-				} else {
-					for _, idx := range order[start:end] {
-						h := xs[idx]
-						for _, l := range n.layers {
-							h = l.forward(h)
-						}
-						softmax(probs, h)
-						epochLoss += n.backward(probs, ys[idx])
-					}
-				}
-				n.scaleGrads(float64(end - start))
-				cfg.Optimizer.Step(n, lr)
-				if cfg.WeightDecay > 0 {
-					shrink := 1 - lr*cfg.WeightDecay
-					for _, l := range n.layers {
-						l.w.Scale(shrink) // biases are conventionally not decayed
-					}
-				}
-				if math.IsNaN(epochLoss) || math.IsInf(epochLoss, 0) {
-					break // mid-epoch divergence: no point finishing the epoch
-				}
-			}
-
-			reason := ""
-			if math.IsNaN(epochLoss) || math.IsInf(epochLoss, 0) {
-				reason = "non-finite loss"
-			} else if m := n.maxAbsParam(); math.IsNaN(m) || m > cfg.ExplodeThreshold {
-				reason = fmt.Sprintf("exploding weights (max |w| = %g)", m)
-			}
-			if reason != "" {
-				retries++
-				if retries > cfg.MaxPhaseRetries {
-					n.restore(snap)
-					return lastLoss, fmt.Errorf("%w: phase %d: %s after %d recovery attempts",
-						ErrDiverged, pi, reason, cfg.MaxPhaseRetries)
-				}
-				n.restore(snap)
-				cfg.Optimizer.Reset() // stale moments would re-poison the restored weights
-				lr *= cfg.LRBackoff
-				if cfg.OnRecovery != nil {
-					cfg.OnRecovery(pi, retries, lr, reason)
-				}
-				e = -1 // restart the phase from the checkpoint
-				continue
-			}
-
-			lastLoss = epochLoss / float64(len(xs))
-			if cfg.OnEpoch != nil {
-				cfg.OnEpoch(epoch, lastLoss)
-			}
-			epoch++
-		}
-	}
-	return lastLoss, nil
+	return k.Fit(ctx, flat, ys)
 }

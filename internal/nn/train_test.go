@@ -81,6 +81,11 @@ func TestFitValidation(t *testing.T) {
 	if _, err := n.Fit(context.Background(), [][]float64{{1}}, []int{0}, DefaultTrainConfig(1)); err == nil {
 		t.Error("wrong input dim accepted")
 	}
+	// Ragged rows whose total length is still n×dim: only the per-row
+	// check catches them.
+	if _, err := n.Fit(context.Background(), [][]float64{{1}, {2, 3, 4}}, []int{0, 1}, DefaultTrainConfig(1)); err == nil {
+		t.Error("ragged rows accepted")
+	}
 	if _, err := n.Fit(context.Background(), [][]float64{{1, 2}}, []int{5}, DefaultTrainConfig(1)); err == nil {
 		t.Error("out-of-range label accepted")
 	}
@@ -144,12 +149,26 @@ func TestPaperSchedule(t *testing.T) {
 	}
 }
 
+// TestOptimizerNamesAndReset: every optimizer is named, and the kernel's
+// rollback reset clears whatever state it keeps for the optimizer.
 func TestOptimizerNamesAndReset(t *testing.T) {
 	for _, o := range []Optimizer{NewSGD(0), NewSGD(0.9), NewAdam()} {
 		if o.Name() == "" {
 			t.Error("empty optimizer name")
 		}
-		o.Reset() // must not panic before first Step
+		k := gradKernel(t, o)
+		k.optStep(1e-3)
+		k.resetOpt()
+		if k.adamT != 0 {
+			t.Errorf("%s: reset left step count %d", o.Name(), k.adamT)
+		}
+		for _, slab := range [][]float64{k.mw, k.vw, k.mb, k.vb, k.velW, k.velB} {
+			for _, v := range slab {
+				if v != 0 {
+					t.Fatalf("%s: reset left optimizer state %v", o.Name(), v)
+				}
+			}
+		}
 	}
 }
 

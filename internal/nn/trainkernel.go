@@ -5,16 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"leapme/internal/mathx"
-	"leapme/internal/parallel"
 )
 
-// TrainKernel is the training-side twin of the inference Kernel: the
+// TrainKernel is the training-side twin of the inference Kernel and the
+// package's only trainer (Network.Fit packs its rows and runs one): the
 // whole network — weights, biases, batch gradients, optimizer moments,
 // and the phase-rollback snapshot — lives in flat row-major float64
 // slabs, and each gradient chunk runs a fused forward/backward pass over
-// a per-chunk arena instead of gradSlot's per-layer slice-of-slices.
+// a per-chunk arena.
 //
 // Memory layout (shared with Kernel via kernLayer):
 //
@@ -28,14 +29,17 @@ import (
 // eight examples (eight independent accumulator chains) instead of
 // re-walking the full weight set per example.
 //
-// Bit-identity contract: Fit reproduces the chunked Network.Fit path
-// (Workers ≥ 1) byte for byte — same fixed 8-example chunks, same
-// per-chunk example-order accumulation, same binary-tree reduction,
-// same per-element optimizer arithmetic — for every worker count. The
-// golden equivalence test and the determinism gates pin this; any
-// change to an accumulation order here is a model-format change, not an
-// optimisation. (The Workers == 0 legacy serial path differs in last
-// ulps and is intentionally out of scope, exactly as for parTrainer.)
+// Bit-identity contract: a batch is split into fixed 8-example chunks;
+// each chunk accumulates its examples' gradients in example order, and
+// the chunk partials fold with a fixed binary-tree reduction. Both are
+// pure functions of the batch size — the worker count only decides how
+// many chunks are in flight — so Fit trains byte-identical weights for
+// every worker count. The equivalence suite pins the bytes to
+// chunkedFit (oracle_test.go), a reference trainer that runs each
+// example's forward and backward pass on its own, and the golden
+// determinism gate in internal/core pins them to a committed CRC, so
+// any change to an accumulation order here is a model-format change,
+// not an optimisation.
 //
 // On amd64 the full-chunk inner loops dispatch to the AVX kernels in
 // simd_amd64.s (vertical lane arithmetic only — see simd.go for why
@@ -54,7 +58,7 @@ type TrainKernel struct {
 	gw, gb []float64 // batch-averaged gradients, flat
 	snap   []float64 // phase checkpoint: w then b
 
-	// Optimizer state, the flat twin of Adam/SGD from optimizer.go.
+	// Optimizer state for the rule cfg.Optimizer selects.
 	optKind           int // optAdam or optSGD
 	beta1, beta2, eps float64
 	momentum          float64
@@ -81,6 +85,10 @@ const (
 	optSGD
 )
 
+// gradChunkSize is the number of examples accumulated serially into one
+// gradient slot. A constant — never derived from the worker count.
+const gradChunkSize = 8
+
 // trainSlot is one chunk's fused forward/backward arena. Activation and
 // delta blocks are unit-major with stride gradChunkSize; gradient slabs
 // mirror the kernel's flat layout so the reduction indexes them
@@ -98,12 +106,12 @@ type trainSlot struct {
 
 // NewTrainKernel builds a training kernel over n, copying its weights
 // into the flat layout and pre-allocating every arena the epoch loop
-// touches, so the loop itself performs no heap allocations. cfg is
-// defaulted exactly as Network.Fit defaults it; the optimizer must be a
-// fresh *Adam or *SGD (no accumulated state), because its state moves
-// into the kernel's flat slabs. Trained weights are written back into n
-// when Fit returns, so serialization and inference read the same bytes
-// as a Network.Fit-trained network.
+// touches, so the loop itself performs no heap allocations. Zero fields
+// of cfg take their defaults (batch 32, Adam, the paper's schedule, 3
+// retries per phase, backoff 0.1, explode threshold 1e8, one worker per
+// CPU); the optimizer must be an *Adam or *SGD. Trained weights are
+// written back into n when Fit returns, so serialization and inference
+// read the trained bytes.
 func NewTrainKernel(n *Network, cfg TrainConfig) (*TrainKernel, error) {
 	if n == nil {
 		return nil, errors.New("nn: NewTrainKernel on nil network")
@@ -149,9 +157,6 @@ func NewTrainKernel(n *Network, cfg TrainConfig) (*TrainKernel, error) {
 
 	switch opt := cfg.Optimizer.(type) {
 	case *Adam:
-		if opt.t != 0 || opt.m != nil || opt.v != nil {
-			return nil, errors.New("nn: NewTrainKernel requires a fresh optimizer (Adam has accumulated state)")
-		}
 		k.optKind = optAdam
 		k.beta1, k.beta2, k.eps = opt.Beta1, opt.Beta2, opt.Eps
 		k.mw = make([]float64, k.wlen)
@@ -159,9 +164,6 @@ func NewTrainKernel(n *Network, cfg TrainConfig) (*TrainKernel, error) {
 		k.mb = make([]float64, k.blen)
 		k.vb = make([]float64, k.blen)
 	case *SGD:
-		if opt.vel != nil {
-			return nil, errors.New("nn: NewTrainKernel requires a fresh optimizer (SGD has accumulated state)")
-		}
 		k.optKind = optSGD
 		k.momentum = opt.Momentum
 		if opt.Momentum != 0 {
@@ -188,7 +190,10 @@ func NewTrainKernel(n *Network, cfg TrainConfig) (*TrainKernel, error) {
 		}
 		k.slots = append(k.slots, s)
 	}
-	k.workers = parallel.Resolve(cfg.Workers)
+	k.workers = cfg.Workers
+	if k.workers <= 0 {
+		k.workers = runtime.GOMAXPROCS(0)
+	}
 	return k, nil
 }
 
@@ -199,13 +204,16 @@ func (k *TrainKernel) InDim() int { return k.inDim }
 func (k *TrainKernel) OutDim() int { return k.outDim }
 
 // Fit trains on a flat row-major training set: example i occupies
-// xs[i*InDim : (i+1)*InDim] and ys[i] is its class. The control flow —
-// validation, shuffling, batching, divergence rollback, callbacks,
-// cancellation — mirrors Network.Fit statement for statement, and the
-// resulting weights are bit-identical to Network.Fit with Workers ≥ 1
-// on the same data for every worker count. The final weights are
-// written back into the source Network on every exit path that touched
-// them, so the network serializes identically however it was trained.
+// xs[i*InDim : (i+1)*InDim] and ys[i] is its class. It returns the mean
+// loss of the final epoch. Each epoch shuffles the examples with a
+// cfg.Seed stream and runs them in mini-batches. ctx is checked between
+// mini-batches: a done context aborts with ctx.Err(), leaving the
+// network in its last-completed-batch state; nil behaves like
+// context.Background(). An epoch with a non-finite loss or a parameter
+// beyond ExplodeThreshold rolls the phase back to its checkpoint and
+// restarts it with a backed-off learning rate; beyond MaxPhaseRetries
+// Fit fails with ErrDiverged. The final weights are written back into
+// the source Network on every exit path that touched them.
 func (k *TrainKernel) Fit(ctx context.Context, xs []float64, ys []int) (float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -370,9 +378,9 @@ func (k *TrainKernel) runBatch(xs []float64, ys []int, idx []int, lr float64) fl
 // chunkGrads runs the fused forward/backward pass for chunk ci of the
 // current batch, writing the chunk's gradient sums and loss into its
 // slot. Within the chunk every example sees the exact serial
-// accumulation order of forwardSlot/backwardSlot — the batch-major loop
-// only interleaves the eight independent per-example accumulator
-// chains, it never regroups any individual sum.
+// accumulation order of a per-example forward and backward pass — the
+// batch-major loop only interleaves the eight independent per-example
+// accumulator chains, it never regroups any individual sum.
 //
 //lint:hotpath gated by TestTrainKernelEpochAllocs
 func (k *TrainKernel) chunkGrads(ci int) {
@@ -448,7 +456,7 @@ func (k *TrainKernel) chunkGrads(ci int) {
 	}
 
 	// Backward: per layer, gradient accumulation then delta propagation,
-	// exactly backwardSlot's order per example.
+	// in a per-example backward pass's order.
 	for li := last; li > 0; li-- {
 		l := &k.layers[li]
 		k.accumLayerGrads(s, li, s.outsEM[li-1], m)
@@ -497,8 +505,8 @@ func (k *TrainKernel) chunkGrads(ci int) {
 // ascending example order. The AddOuterTo zero-skip is preserved per
 // (example, row): a zero delta contributes nothing to gw (its lane is
 // compacted away), while gb adds unconditionally, exactly as
-// backwardSlot does; per column the sweep order reproduces the
-// column-major zero-skip chain term for term.
+// the per-example reference does; per column the sweep order reproduces
+// the column-major zero-skip chain term for term.
 //
 //lint:hotpath gated by TestTrainKernelEpochAllocs
 func (k *TrainKernel) accumLayerGrads(s *trainSlot, li int, insEM []float64, m int) {
@@ -539,7 +547,7 @@ func (k *TrainKernel) accumLayerGrads(s *trainSlot, li int, insEM []float64, m i
 		// First live lane seeds each column with 0 + d·x (the leading
 		// zero is load-bearing for −0 products), the rest accumulate in
 		// ascending example order — per column exactly the zero-skip
-		// chain the legacy AddOuterTo runs.
+		// chain mathx.Matrix.AddOuterTo runs.
 		e0 := int(nzi[0])
 		axpySet(grow, insEM[e0*l.cols:][:len(grow)], dr[e0])
 		for _, e := range nzi[1:nz] {
@@ -551,10 +559,10 @@ func (k *TrainKernel) accumLayerGrads(s *trainSlot, li int, insEM []float64, m i
 // reduceGrads folds the first nChunks slots into the kernel's gradient
 // slabs with the parallel.TreeReduce combination order, the zero-grads
 // fold and the 1/batch scale fused into a single per-element pass:
-// g = (0 + tree(slots)) * inv, which is bit-identical to zeroGrads +
-// merge tree + AddScaled(1, s0) + scaleGrads. The explicit leading zero
-// is load-bearing: it normalises a −0 tree total to +0 exactly as the
-// fold into zeroed buffers does. Returns the batch loss (the same tree
+// g = (0 + tree(slots)) * inv, which is bit-identical to folding the
+// tree total into zeroed buffers and then scaling by inv. The explicit
+// leading zero is load-bearing: it normalises a −0 tree total to +0
+// exactly as the fold into zeroed buffers does. Returns the batch loss (the same tree
 // over the slot losses, unscaled).
 //
 //lint:hotpath gated by TestTrainKernelEpochAllocs
@@ -621,10 +629,9 @@ func (k *TrainKernel) reduceGrads(nChunks int, inv float64) float64 {
 	return s[0].loss
 }
 
-// optStep applies one optimizer update to the flat parameters with the
-// exact per-element arithmetic of Adam.Step / SGD.Step; only the
-// iteration grouping differs (all weights then all biases), which is
-// bit-irrelevant for element-independent updates.
+// optStep applies one optimizer update to the flat parameters; the
+// updates are element-independent, so iterating all weights then all
+// biases is bit-identical to any per-layer grouping.
 //
 //lint:hotpath gated by TestTrainKernelEpochAllocs
 func (k *TrainKernel) optStep(lr float64) {
@@ -671,9 +678,8 @@ func (k *TrainKernel) restore() {
 	copy(k.b, k.snap[k.wlen:])
 }
 
-// resetOpt clears the optimizer state, the flat twin of Optimizer.Reset
-// (dropped buffers are re-initialised to zero on the next step either
-// way).
+// resetOpt clears the optimizer state, so the next step runs as a first
+// step from the restored weights.
 func (k *TrainKernel) resetOpt() {
 	k.adamT = 0
 	mathx.Zero(k.mw)

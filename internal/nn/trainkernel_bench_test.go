@@ -5,45 +5,15 @@ import (
 	"testing"
 )
 
-// The three training-path benchmarks share one workload — 3111
-// examples of dim 101 through a 101→128→64→2 ReLU net, two epochs —
-// so ns/op is directly comparable across the legacy serial path, the
-// legacy chunked path, and the flat kernel the bit-identity suite
-// pins to them.
+// BenchmarkTrainKernel times the one trainer on a fixed workload — 3111
+// examples of dim 101 through a 101→128→64→2 ReLU net, two epochs — with
+// one worker per CPU; -cpu 1,2 compares worker counts.
 
 var benchCfg = Config{InDim: 101, Hidden: []int{128, 64}, Out: 2, Activation: ActReLU, Seed: 1}
 
-func benchTrainCfg(workers int) TrainConfig {
-	return TrainConfig{Schedule: []Phase{{Epochs: 2, LR: 1e-3}}, BatchSize: 32, Seed: 1, Workers: workers}
-}
-
-func BenchmarkFitSerial(b *testing.B) {
-	rows, _, ys := tkDataset(3111, 101, 2, 1)
-	tc := benchTrainCfg(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n, _ := New(benchCfg)
-		if _, err := n.Fit(context.Background(), rows, ys, tc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFitChunked(b *testing.B) {
-	rows, _, ys := tkDataset(3111, 101, 2, 1)
-	tc := benchTrainCfg(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n, _ := New(benchCfg)
-		if _, err := n.Fit(context.Background(), rows, ys, tc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTrainKernel(b *testing.B) {
 	_, flat, ys := tkDataset(3111, 101, 2, 1)
-	tc := benchTrainCfg(1)
+	tc := TrainConfig{Schedule: []Phase{{Epochs: 2, LR: 1e-3}}, BatchSize: 32, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n, _ := New(benchCfg)

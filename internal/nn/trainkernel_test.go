@@ -6,11 +6,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
 // tkDataset builds a deterministic synthetic training set both as row
-// slices (for Network.Fit) and as a flat slab (for TrainKernel.Fit).
+// slices (for Network.Fit and the chunkedFit oracle) and as a flat slab
+// (for TrainKernel.Fit).
 func tkDataset(n, dim, classes int, seed int64) ([][]float64, []float64, []int) {
 	rng := rand.New(rand.NewSource(seed))
 	rows := make([][]float64, n)
@@ -55,14 +57,14 @@ func tkSchedule() []Phase {
 	return []Phase{{Epochs: 3, LR: 1e-3}, {Epochs: 2, LR: 1e-4}}
 }
 
-// trainLegacy trains a fresh network through the chunked Network.Fit
-// path and returns its serialized bytes plus the final loss.
-func trainLegacy(t *testing.T, cfg Config, tc TrainConfig, rows [][]float64, ys []int) ([]byte, float64) {
+// trainOracle trains a fresh network through the chunkedFit reference
+// and returns its serialized bytes plus the final loss.
+func trainOracle(t *testing.T, cfg Config, tc TrainConfig, rows [][]float64, ys []int) ([]byte, float64) {
 	t.Helper()
 	net := mustNet(t, cfg)
-	loss, err := net.Fit(context.Background(), rows, ys, tc)
+	loss, err := chunkedFit(context.Background(), net, rows, ys, tc)
 	if err != nil {
-		t.Fatalf("legacy Fit: %v", err)
+		t.Fatalf("chunkedFit: %v", err)
 	}
 	return netBytes(t, net), loss
 }
@@ -83,10 +85,11 @@ func trainKernel(t *testing.T, cfg Config, tc TrainConfig, flat []float64, ys []
 	return netBytes(t, net), loss
 }
 
-// TestTrainKernelMatchesChunkedFit pins the tentpole contract: for every
-// worker count, TrainKernel trains byte-identical weights to the chunked
-// (Workers ≥ 1) Network.Fit path, across topologies, activations,
-// optimizers, and weight decay.
+// TestTrainKernelMatchesChunkedFit pins the kernel's arithmetic: for
+// every worker count, 0 (all CPUs) included, TrainKernel trains
+// byte-identical weights and bit-equal losses to the chunkedFit
+// reference, across topologies, activations, optimizers, and weight
+// decay.
 func TestTrainKernelMatchesChunkedFit(t *testing.T) {
 	rows, flat, ys := tkDataset(173, 13, 3, 41)
 
@@ -124,28 +127,19 @@ func TestTrainKernelMatchesChunkedFit(t *testing.T) {
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
 			refTC := tt.tc
-			refTC.Workers = 1
 			switch tt.name {
 			case "tanh-sgd-momentum":
 				refTC.Optimizer = &SGD{Momentum: 0.9}
 			case "no-hidden-sgd":
 				refTC.Optimizer = &SGD{}
 			}
-			ref, refLoss := trainLegacy(t, tt.cfg, refTC, rows, ys)
-			for _, w := range []int{1, 2, 3, 8} {
+			ref, refLoss := trainOracle(t, tt.cfg, refTC, rows, ys)
+			for _, w := range []int{0, 1, 2, 3, 8} {
 				kTC := refTC
 				kTC.Workers = w
-				switch tt.name {
-				case "tanh-sgd-momentum":
-					kTC.Optimizer = &SGD{Momentum: 0.9}
-				case "no-hidden-sgd":
-					kTC.Optimizer = &SGD{}
-				default:
-					kTC.Optimizer = nil // fresh Adam per run
-				}
 				got, gotLoss := trainKernel(t, tt.cfg, kTC, flat, ys)
 				if !bytes.Equal(got, ref) {
-					t.Fatalf("workers=%d: kernel-trained model bytes differ from chunked Fit", w)
+					t.Fatalf("workers=%d: kernel-trained model bytes differ from chunkedFit", w)
 				}
 				if math.Float64bits(gotLoss) != math.Float64bits(refLoss) {
 					t.Fatalf("workers=%d: final loss %x, want %x", w,
@@ -170,7 +164,7 @@ func TestTrainKernelDeterminismAcrossWorkerCounts(t *testing.T) {
 		return b
 	}
 	ref := mk(1)
-	for _, w := range []int{2, 4, 8, -1} {
+	for _, w := range []int{0, 2, 4, 8, -1} {
 		if !bytes.Equal(mk(w), ref) {
 			t.Fatalf("workers=%d: trained model bytes differ from workers=1", w)
 		}
@@ -180,7 +174,7 @@ func TestTrainKernelDeterminismAcrossWorkerCounts(t *testing.T) {
 // TestTrainKernelDivergenceRecoveryMatchesFit pins the rollback path: an
 // absurdly low explode threshold forces phase retries through to the
 // ErrDiverged exit, and the kernel must restore and fail exactly as the
-// chunked Fit does.
+// chunkedFit reference does.
 func TestTrainKernelDivergenceRecoveryMatchesFit(t *testing.T) {
 	rows, flat, ys := tkDataset(64, 7, 2, 23)
 	cfg := Config{InDim: 7, Hidden: []int{8}, Out: 2, Activation: ActReLU, Seed: 2}
@@ -199,9 +193,9 @@ func TestTrainKernelDivergenceRecoveryMatchesFit(t *testing.T) {
 	refTC.OnRecovery = func(phase, retry int, lr float64, reason string) {
 		refRecov = append(refRecov, reason)
 	}
-	_, refErr := refNet.Fit(context.Background(), rows, ys, refTC)
+	_, refErr := chunkedFit(context.Background(), refNet, rows, ys, refTC)
 	if !errors.Is(refErr, ErrDiverged) {
-		t.Fatalf("legacy Fit err = %v, want ErrDiverged", refErr)
+		t.Fatalf("chunkedFit err = %v, want ErrDiverged", refErr)
 	}
 
 	kNet := mustNet(t, cfg)
@@ -219,7 +213,7 @@ func TestTrainKernelDivergenceRecoveryMatchesFit(t *testing.T) {
 		t.Fatalf("kernel Fit err = %v, want ErrDiverged", kErr)
 	}
 	if kErr.Error() != refErr.Error() {
-		t.Fatalf("error text diverges:\nkernel: %s\nlegacy: %s", kErr, refErr)
+		t.Fatalf("error text diverges:\nkernel: %s\noracle: %s", kErr, refErr)
 	}
 	if len(kRecov) != len(refRecov) {
 		t.Fatalf("recovery counts differ: %d vs %d", len(kRecov), len(refRecov))
@@ -236,7 +230,7 @@ func TestTrainKernelDivergenceRecoveryMatchesFit(t *testing.T) {
 
 // TestTrainKernelCancellationWritesBack: a deterministic mid-training
 // cancel must leave the kernel-trained network byte-identical to the
-// chunked Fit cancelled at the same point.
+// chunkedFit reference cancelled at the same point.
 func TestTrainKernelCancellationWritesBack(t *testing.T) {
 	rows, flat, ys := tkDataset(96, 7, 2, 31)
 	cfg := Config{InDim: 7, Hidden: []int{8}, Out: 2, Activation: ActReLU, Seed: 6}
@@ -257,9 +251,9 @@ func TestTrainKernelCancellationWritesBack(t *testing.T) {
 	refCtx, refCancel := context.WithCancel(context.Background())
 	defer refCancel()
 	refNet := mustNet(t, cfg)
-	_, refErr := refNet.Fit(refCtx, rows, ys, mkTC(refCancel))
+	_, refErr := chunkedFit(refCtx, refNet, rows, ys, mkTC(refCancel))
 	if !errors.Is(refErr, context.Canceled) {
-		t.Fatalf("legacy Fit err = %v, want context.Canceled", refErr)
+		t.Fatalf("chunkedFit err = %v, want context.Canceled", refErr)
 	}
 
 	kCtx, kCancel := context.WithCancel(context.Background())
@@ -274,35 +268,42 @@ func TestTrainKernelCancellationWritesBack(t *testing.T) {
 		t.Fatalf("kernel Fit err = %v, want context.Canceled", kErr)
 	}
 	if !bytes.Equal(netBytes(t, kNet), netBytes(t, refNet)) {
-		t.Fatal("cancelled kernel weights differ from cancelled chunked Fit")
+		t.Fatal("cancelled kernel weights differ from cancelled chunkedFit")
 	}
 }
 
-func TestNewTrainKernelRejectsStaleOptimizer(t *testing.T) {
+// fakeOptimizer is an update rule the kernel does not implement.
+type fakeOptimizer struct{}
+
+func (fakeOptimizer) Name() string { return "fake" }
+
+// TestNewTrainKernelRejectsUnknownOptimizer: the kernel implements Adam
+// and SGD only, and keeps their state itself, so one optimizer value
+// may train any number of networks.
+func TestNewTrainKernelRejectsUnknownOptimizer(t *testing.T) {
 	cfg := Config{InDim: 4, Hidden: []int{4}, Out: 2, Activation: ActReLU, Seed: 1}
 	_, flat, ys := tkDataset(16, 4, 2, 1)
 
 	adam := NewAdam()
-	net := mustNet(t, cfg)
-	k, err := NewTrainKernel(net, TrainConfig{Schedule: []Phase{{Epochs: 1, LR: 1e-3}}, Optimizer: adam, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	tc := TrainConfig{Schedule: []Phase{{Epochs: 1, LR: 1e-3}}, Optimizer: adam}
+	var models [][]byte
+	for i := 0; i < 2; i++ {
+		net := mustNet(t, cfg)
+		k, err := NewTrainKernel(net, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Fit(context.Background(), flat, ys); err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, netBytes(t, net))
 	}
-	if _, err := k.Fit(context.Background(), flat, ys); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(models[0], models[1]) {
+		t.Fatal("reusing an Adam value changed the trained model")
 	}
-	// The Adam instance itself was never stepped — the kernel keeps its
-	// own flat state — so reuse is still legal; only a genuinely stepped
-	// optimizer is rejected.
-	stepped := NewAdam()
-	stepped.t = 3
-	if _, err := NewTrainKernel(mustNet(t, cfg), TrainConfig{Optimizer: stepped}); err == nil {
-		t.Fatal("expected error for stepped Adam")
-	}
-	sgd := &SGD{Momentum: 0.9}
-	sgd.vel = make([]velocity, 1)
-	if _, err := NewTrainKernel(mustNet(t, cfg), TrainConfig{Optimizer: sgd}); err == nil {
-		t.Fatal("expected error for SGD with velocities")
+	_, err := NewTrainKernel(mustNet(t, cfg), TrainConfig{Optimizer: fakeOptimizer{}})
+	if err == nil || !strings.Contains(err.Error(), "fake") {
+		t.Fatalf("err = %v, want an unsupported-optimizer error naming it", err)
 	}
 }
 
@@ -375,13 +376,13 @@ func TestTrainKernelEpochAllocs(t *testing.T) {
 }
 
 // TestTrainKernelGeneralTreeReduce exercises the nChunks > 4 generic
-// reduction (batch sizes beyond 32) against the chunked Fit.
+// reduction (batch sizes beyond 32) against the chunkedFit reference.
 func TestTrainKernelGeneralTreeReduce(t *testing.T) {
 	rows, flat, ys := tkDataset(200, 6, 2, 29)
 	cfg := Config{InDim: 6, Hidden: []int{8}, Out: 2, Activation: ActReLU, Seed: 3}
 	tc := TrainConfig{Schedule: []Phase{{Epochs: 2, LR: 1e-3}}, BatchSize: 96, Seed: 7, Workers: 1}
-	ref, _ := trainLegacy(t, cfg, tc, rows, ys)
-	for _, w := range []int{1, 4} {
+	ref, _ := trainOracle(t, cfg, tc, rows, ys)
+	for _, w := range []int{0, 1, 4} {
 		kTC := tc
 		kTC.Workers = w
 		got, _ := trainKernel(t, cfg, kTC, flat, ys)

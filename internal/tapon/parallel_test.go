@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestLabelerDeterminismAcrossWorkerCounts: train + label with Workers=1
-// and Workers=8 must agree bit for bit — labels, confidences, and
-// phase-1 opinions.
+// TestLabelerDeterminismAcrossWorkerCounts: train + label with Workers=1,
+// Workers=8 and the default Workers=0 must agree bit for bit — labels,
+// confidences, and phase-1 opinions.
 func TestLabelerDeterminismAcrossWorkerCounts(t *testing.T) {
 	store := getStore(t)
 	train := genData(t, 6, 4)
@@ -34,7 +34,7 @@ func TestLabelerDeterminismAcrossWorkerCounts(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("no predictions")
 	}
-	for _, w := range []int{8} {
+	for _, w := range []int{0, 8} {
 		got := at(w)
 		if len(got) != len(ref) {
 			t.Fatalf("workers=%d: %d predictions, want %d", w, len(got), len(ref))

@@ -46,10 +46,11 @@ type Options struct {
 	MaxValues int
 	// Seed drives initialisation and shuffling.
 	Seed int64
-	// Workers parallelises featurization, training and labeling. The
-	// semantics follow core.Options.Workers: 0 keeps the legacy serial
-	// training path, ≥ 1 uses the deterministic chunked path (results
-	// bit-identical across worker counts), negative means one per CPU.
+	// Workers parallelises featurization, training and labeling;
+	// negative means one worker per CPU. At 0 featurization and training
+	// use all CPUs and labeling runs serially. Results are bit-identical
+	// for every value: both phases train on nn.TrainKernel, whose
+	// gradient order does not depend on the worker count.
 	Workers int
 }
 
@@ -263,7 +264,6 @@ func (l *Labeler) Train(ctx context.Context, d *dataset.Dataset) error {
 		return fmt.Errorf("tapon: %w", err)
 	}
 	cfg.Seed = l.opts.Seed + 1
-	cfg.Optimizer = nn.NewAdam() // optimizer state is per-network
 	if _, err := net2.Fit(ctx, xs2, ys, cfg); err != nil {
 		return fmt.Errorf("tapon: phase 2: %w", err)
 	}
