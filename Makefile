@@ -63,14 +63,16 @@ test-chaos:
 	$(GO) test -race -count=1 ./internal/chaos ./internal/client
 	$(GO) test -race -count=1 -run 'Chaos|ReloadFailure|Admission|DeadlineHeader' ./internal/serve
 
-# Short fuzz pass over the dataset loaders and the serving JSON API;
-# extend -fuzztime for real runs.
+# Short fuzz pass over the dataset loaders, the serving JSON API and
+# the pair distances (against their string oracle); extend -fuzztime for
+# real runs.
 fuzz:
 	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadJSON$$' -fuzztime=10s
 	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadJSONQuarantine$$' -fuzztime=10s
 	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadInstancesCSV$$' -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzMatchRequest$$' -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzMatchAllRequest$$' -fuzztime=10s
+	$(GO) test ./internal/text -run='^$$' -fuzz='^FuzzNameDistances$$' -fuzztime=10s
 
 # Machine-readable performance baselines for the serving, training,
 # parallel and blocking pipelines (committed as BENCH_*.json).

@@ -315,20 +315,38 @@ func BenchmarkInstanceFeatures(b *testing.B) {
 	}
 }
 
+// BenchmarkPairVector builds the pair vector of every cross-source pair
+// of cameras-lite through Pairer.PairVectorScratch — the one path
+// training, Explain, classification and serving share — and reports the
+// cost per pair.
 func BenchmarkPairVector(b *testing.B) {
-	store, _ := benchSetup(b)
+	store, data := benchSetup(b)
+	d := data["cameras-lite"]
 	ex := features.NewExtractor(store)
 	pairer, err := features.NewPairer(ex, features.FullConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	p1 := ex.PropertyFeatures("camera resolution", []string{"24.2 MP", "45 megapixels"})
-	p2 := ex.PropertyFeatures("effective pixels", []string{"20 MP", "61.0 Mpix"})
+	values := d.InstancesByProperty()
+	props := map[dataset.Key]*features.Prop{}
+	for _, p := range d.Props {
+		props[p.Key()] = ex.PropertyFeatures(p.Name, values[p.Key()])
+	}
+	var as, bs []*features.Prop
+	dataset.CrossSourcePairs(d.Props, func(x, y dataset.Property) bool {
+		as = append(as, props[x.Key()])
+		bs = append(bs, props[y.Key()])
+		return true
+	})
 	dst := make([]float64, pairer.Dim())
+	var es text.EditScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairer.PairVector(dst, p1, p2)
+		for k := range as {
+			pairer.PairVectorScratch(dst, as[k], bs[k], &es)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(as)), "ns/pair")
 }
 
 func BenchmarkMatchThroughput(b *testing.B) {
@@ -384,6 +402,8 @@ func BenchmarkNNTraining(b *testing.B) {
 	}
 }
 
+// BenchmarkStringDistances times the string-taking distance functions,
+// the oracle NameDistances is tested against, on one fixed pair.
 func BenchmarkStringDistances(b *testing.B) {
 	a, c := "camera resolution", "effective pixels"
 	b.ResetTimer()

@@ -45,8 +45,8 @@ type SeededFunc struct {
 
 // Seeded is the list of functions that must be annotated. A var so the
 // fixture tests can retarget it; the production list covers the flat
-// kernels, the quantised kernels, the Scorer score paths and the
-// batcher span loop.
+// kernels, the quantised kernels, the pair vector and its name
+// distances, the Scorer score paths and the batcher span loop.
 var Seeded = []SeededFunc{
 	{Pkg: "leapme/internal/nn", Recv: "Kernel", Name: "Forward"},
 	{Pkg: "leapme/internal/nn", Recv: "Kernel", Name: "PositiveScore"},
@@ -59,7 +59,9 @@ var Seeded = []SeededFunc{
 	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "accumLayerGrads"},
 	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "reduceGrads"},
 	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "optStep"},
+	{Pkg: "leapme/internal/text", Name: "NameDistances"},
 	{Pkg: "leapme/internal/features", Recv: "Extractor", Name: "accumulateInstances"},
+	{Pkg: "leapme/internal/features", Recv: "Pairer", Name: "PairVectorScratch"},
 	{Pkg: "leapme/internal/core", Recv: "Scorer", Name: "Score"},
 	{Pkg: "leapme/internal/core", Recv: "Scorer", Name: "ScoreBatch"},
 	{Pkg: "leapme/internal/serve", Recv: "batcher", Name: "runBatch"},

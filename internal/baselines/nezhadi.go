@@ -34,23 +34,32 @@ func NewNezhadi() *Nezhadi {
 // Name implements Matcher.
 func (n *Nezhadi) Name() string { return "Nezhadi" }
 
-// featureVector computes the 10 string-similarity features of a pair.
-func nezhadiFeatures(a, b dataset.Property) []float64 {
-	na, nb := text.NormalizeName(a.Name), text.NormalizeName(b.Name)
-	ta, tb := text.Tokenize(a.Name), text.Tokenize(b.Name)
-	f := make([]float64, 0, 10)
-	f = append(f,
-		text.NormalizedOSA(na, nb),
-		text.NormalizedLevenshtein(na, nb),
-		text.NormalizedDamerauLevenshtein(na, nb),
-		text.NormalizedLCSubstring(na, nb),
-		text.TriGramDistance(na, nb),
-		text.TriGramCosineDistance(na, nb),
-		text.TriGramJaccardDistance(na, nb),
-		text.JaroWinklerDistance(na, nb),
-		1-tokenJaccard(ta, tb),
-		1-lcsSimilarity(na, nb),
-	)
+// nezhadiName is what the features need about one property name,
+// computed once per property rather than once per pair.
+type nezhadiName struct {
+	norm string           // normalised name
+	toks []string         // name tokens
+	prof text.NameProfile // profile of norm for the shared distance block
+}
+
+// nezhadiNames profiles every property name, keyed by property.
+func nezhadiNames(props []dataset.Property) map[dataset.Key]*nezhadiName {
+	out := make(map[dataset.Key]*nezhadiName, len(props))
+	for _, p := range props {
+		norm := text.NormalizeName(p.Name)
+		out[p.Key()] = &nezhadiName{norm: norm, toks: text.Tokenize(p.Name), prof: text.NewNameProfile(norm)}
+	}
+	return out
+}
+
+// nezhadiFeatures computes the 10 string-similarity features of a pair:
+// the eight name distances LEAPME shares (text.NameDistances), then the
+// token-overlap and longest-common-subsequence dissimilarities.
+func nezhadiFeatures(a, b *nezhadiName, es *text.EditScratch) []float64 {
+	f := make([]float64, text.NumNameDistances+2)
+	text.NameDistances(f, &a.prof, &b.prof, es)
+	f[text.NumNameDistances] = 1 - tokenJaccard(a.toks, b.toks)
+	f[text.NumNameDistances+1] = 1 - lcsSimilarity(a.norm, b.norm)
 	return f
 }
 
@@ -62,20 +71,18 @@ func (n *Nezhadi) Train(in Input, positives, negatives []dataset.Pair) error {
 	if n.Classifier == nil {
 		n.Classifier = &ml.AdaBoost{Rounds: 60}
 	}
-	props := map[dataset.Key]dataset.Property{}
-	for _, p := range in.Props {
-		props[p.Key()] = p
-	}
+	names := nezhadiNames(in.Props)
+	var es text.EditScratch
 	var xs [][]float64
 	var ys []int
 	add := func(pairs []dataset.Pair, label int) error {
 		for _, pr := range pairs {
-			a, okA := props[pr.A]
-			b, okB := props[pr.B]
+			a, okA := names[pr.A]
+			b, okB := names[pr.B]
 			if !okA || !okB {
 				return fmt.Errorf("baselines: training pair references unknown property %v/%v", pr.A, pr.B)
 			}
-			xs = append(xs, nezhadiFeatures(a, b))
+			xs = append(xs, nezhadiFeatures(a, b, &es))
 			ys = append(ys, label)
 		}
 		return nil
@@ -102,9 +109,11 @@ func (n *Nezhadi) Match(in Input) ([]Match, error) {
 	if th <= 0 {
 		th = 0.5
 	}
+	names := nezhadiNames(in.Props)
+	var es text.EditScratch
 	var out []Match
 	dataset.CrossSourcePairs(in.Props, func(a, b dataset.Property) bool {
-		p := n.Classifier.PredictProba(nezhadiFeatures(a, b))
+		p := n.Classifier.PredictProba(nezhadiFeatures(names[a.Key()], names[b.Key()], &es))
 		if p >= th {
 			out = append(out, Match{
 				Pair:  dataset.Pair{A: a.Key(), B: b.Key()}.Canonical(),

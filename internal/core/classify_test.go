@@ -12,6 +12,7 @@ import (
 	"leapme/internal/guard"
 	"leapme/internal/mathx"
 	"leapme/internal/nn"
+	"leapme/internal/text"
 )
 
 // quickMatcher trains a matcher on d for one epoch: the classification
@@ -50,7 +51,8 @@ func oracleScore(t *testing.T, m *Matcher, a, b dataset.Key) float64 {
 		t.Fatal(err)
 	}
 	vec := make([]float64, m.pairer.Dim())
-	m.pairer.PairVector(vec, pa, pb)
+	var es text.EditScratch
+	m.pairer.PairVectorScratch(vec, pa, pb, &es)
 	m.standardize(vec)
 	p, err := m.net.Forward(vec)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"leapme/internal/dataset"
+	"leapme/internal/text"
 )
 
 // BlockContribution is one feature group's influence on a match decision.
@@ -50,7 +51,8 @@ func (m *Matcher) Explain(a, b dataset.Key) (Explanation, error) {
 		return Explanation{}, err
 	}
 	full := make([]float64, m.pairer.Dim())
-	m.pairer.PairVector(full, pa, pb)
+	var es text.EditScratch
+	m.pairer.PairVectorScratch(full, pa, pb, &es)
 	m.standardize(full)
 	kern, scratch := m.sc.kern, m.sc.scratch
 	score := kern.PositiveScore(full, scratch)

@@ -29,6 +29,7 @@ import (
 	"math"
 
 	"leapme/internal/nn"
+	"leapme/internal/text"
 )
 
 // Options configures a Matcher.
@@ -273,6 +274,7 @@ func (m *Matcher) Train(ctx context.Context, pairs []LabeledPair) (float64, erro
 	dim := m.pairer.Dim()
 	flat := make([]float64, len(pairs)*dim)
 	ys := make([]int, len(pairs))
+	var es text.EditScratch
 	for i, lp := range pairs {
 		a, err := m.prop(lp.A)
 		if err != nil {
@@ -282,7 +284,7 @@ func (m *Matcher) Train(ctx context.Context, pairs []LabeledPair) (float64, erro
 		if err != nil {
 			return 0, err
 		}
-		m.pairer.PairVector(flat[i*dim:(i+1)*dim], a, b)
+		m.pairer.PairVectorScratch(flat[i*dim:(i+1)*dim], a, b, &es)
 		if lp.Match {
 			ys[i] = 1
 		}

@@ -196,25 +196,16 @@ func (p *Pairer) Dim() int { return p.dim }
 // Config returns the configuration the Pairer was built with.
 func (p *Pairer) Config() Config { return p.cfg }
 
-// PairVector writes the pair features of (a, b) into dst (length Dim) —
-// the paper's ppFeatures. The difference block uses the absolute
-// element-wise difference so the vector is symmetric in (a, b).
-func (p *Pairer) PairVector(dst []float64, a, b *Prop) {
-	for k, i := range p.diffIdx {
-		d := a.Vec[i] - b.Vec[i]
-		if d < 0 {
-			d = -d
-		}
-		dst[k] = d
-	}
-	if p.distances {
-		PairDistances(dst[len(p.diffIdx):], a, b)
-	}
-}
-
-// PairVectorScratch is PairVector with an EditScratch threaded through
-// the string-distance block, the serving hot path's allocation-free
-// variant. Results are bit-identical to PairVector.
+// PairVectorScratch writes the pair features of (a, b) into dst (length
+// Dim) — the paper's ppFeatures. The difference block uses the absolute
+// element-wise difference so the vector is symmetric in (a, b); the
+// string-distance block is text.NameDistances over the two name
+// profiles, with es as its scratch, bit-identical to the string-taking
+// distance functions (TestNameDistancesMatchOracle). It serves
+// training, Explain, classification and serving alike, and with a warm
+// es it performs no heap allocations.
+//
+//lint:hotpath gated by TestPairVectorScratchZeroAllocs
 func (p *Pairer) PairVectorScratch(dst []float64, a, b *Prop, es *text.EditScratch) {
 	for k, i := range p.diffIdx {
 		d := a.Vec[i] - b.Vec[i]
@@ -224,13 +215,6 @@ func (p *Pairer) PairVectorScratch(dst []float64, a, b *Prop, es *text.EditScrat
 		dst[k] = d
 	}
 	if p.distances {
-		PairDistancesScratch(dst[len(p.diffIdx):], a, b, es)
+		text.NameDistances(dst[len(p.diffIdx):], &a.prof, &b.prof, es)
 	}
-}
-
-// NewPairVector allocates and fills a pair vector.
-func (p *Pairer) NewPairVector(a, b *Prop) []float64 {
-	dst := make([]float64, p.dim)
-	p.PairVector(dst, a, b)
-	return dst
 }

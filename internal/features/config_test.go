@@ -2,7 +2,17 @@ package features
 
 import (
 	"testing"
+
+	"leapme/internal/text"
 )
+
+// pairVector allocates and fills the pair vector of (a, b).
+func pairVector(p *Pairer, a, b *Prop) []float64 {
+	dst := make([]float64, p.Dim())
+	var es text.EditScratch
+	p.PairVectorScratch(dst, a, b, &es)
+	return dst
+}
 
 func TestAllConfigsCount(t *testing.T) {
 	cfgs := AllConfigs()
@@ -119,8 +129,8 @@ func TestPairVectorSymmetry(t *testing.T) {
 	}
 	a := e.PropertyFeatures("camera resolution", []string{"24 megapixels"})
 	b := e.PropertyFeatures("weight", []string{"500 grams"})
-	ab := p.NewPairVector(a, b)
-	ba := p.NewPairVector(b, a)
+	ab := pairVector(p, a, b)
+	ba := pairVector(p, b, a)
 	for i := range ab {
 		if ab[i] != ba[i] {
 			t.Fatalf("pair vector not symmetric at %d: %v vs %v", i, ab[i], ba[i])
@@ -132,7 +142,7 @@ func TestPairVectorSelfIsZero(t *testing.T) {
 	e := NewExtractor(testStore(t))
 	p, _ := NewPairer(e, FullConfig())
 	a := e.PropertyFeatures("resolution", []string{"24"})
-	v := p.NewPairVector(a, a)
+	v := pairVector(p, a, a)
 	for i, x := range v {
 		if x != 0 {
 			t.Fatalf("self pair vector nonzero at %d: %v", i, x)
@@ -148,8 +158,8 @@ func TestPairVectorDiscriminates(t *testing.T) {
 	res1 := e.PropertyFeatures("resolution", []string{"24"})
 	res2 := e.PropertyFeatures("megapixels", []string{"24"})
 	wgt := e.PropertyFeatures("weight", []string{"500"})
-	near := p.NewPairVector(res1, res2)
-	far := p.NewPairVector(res1, wgt)
+	near := pairVector(p, res1, res2)
+	far := pairVector(p, res1, wgt)
 	var nearSum, farSum float64
 	for i := range near {
 		nearSum += near[i]
@@ -157,5 +167,31 @@ func TestPairVectorDiscriminates(t *testing.T) {
 	}
 	if nearSum >= farSum {
 		t.Errorf("matching pair mass %v >= non-matching %v", nearSum, farSum)
+	}
+}
+
+// TestPairVectorScratchZeroAllocs is the dynamic half of
+// PairVectorScratch's //lint:hotpath contract: a warm call allocates
+// nothing, for ASCII names (the word-size path) and non-ASCII names
+// (the rune DPs) alike.
+func TestPairVectorScratchZeroAllocs(t *testing.T) {
+	e := NewExtractor(testStore(t))
+	p, err := NewPairer(e, FullConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := [][2]*Prop{
+		{e.PropertyFeatures("camera resolution", []string{"24 megapixels"}), e.PropertyFeatures("weight", []string{"500 grams"})},
+		{e.PropertyFeatures("Größe", []string{"24"}), e.PropertyFeatures("Auflösung", []string{"500"})},
+	}
+	dst := make([]float64, p.Dim())
+	var es text.EditScratch
+	for _, pr := range pairs {
+		p.PairVectorScratch(dst, pr[0], pr[1], &es) // warm the scratch
+		if n := testing.AllocsPerRun(100, func() {
+			p.PairVectorScratch(dst, pr[0], pr[1], &es)
+		}); n != 0 {
+			t.Errorf("PairVectorScratch(%q, %q) allocates %.1f times per run", pr[0].Name, pr[1].Name, n)
+		}
 	}
 }

@@ -27,6 +27,13 @@
 // distances are normalised by max string length so all features share the
 // [0, 1] scale regardless of name length.
 //
+// A Prop is one featurised property: its vector (rows 5–6) and a
+// text.NameProfile of its normalised name, built once when the property
+// is featurised. Pairer.PairVectorScratch is the one pair-vector path —
+// training, Explain, classification and serving all call it — and its
+// distance block is text.NameDistances over the two profiles, threaded
+// with the caller's text.EditScratch so a warm call allocates nothing.
+//
 // # Parallelism and determinism
 //
 // Setting Extractor.Workers > 1 fans the per-value instance featurisation

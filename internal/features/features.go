@@ -14,8 +14,9 @@ import (
 // MetaDim is the number of non-embedding instance features (rows 1–3).
 const MetaDim = 18 + 10 + 1
 
-// NumPairDistances is the number of name string distances (rows 8–15).
-const NumPairDistances = 8
+// NumPairDistances is the number of name string distances (rows 8–15),
+// the values text.NameDistances writes.
+const NumPairDistances = text.NumNameDistances
 
 // Extractor computes Table I feature vectors against an embedding store.
 type Extractor struct {
@@ -157,16 +158,16 @@ func trimSpace(s string) string {
 }
 
 // Prop bundles everything pair featurisation needs about one property:
-// its aggregated feature vector and cached name artefacts.
+// its aggregated feature vector and the profile of its normalised name.
 type Prop struct {
 	Name string
 	// Vec is the property feature vector (rows 5–6): mean instance
 	// features followed by the name embedding. Length 29 + 2D.
 	Vec []float64
 
-	norm  string            // normalised name for string distances
-	runes []rune            // norm as runes, converted once at featurise time
-	tri   text.NGramProfile // cached 3-gram profile of the normalised name
+	// prof profiles text.NormalizeName(Name) once, at featurise time,
+	// for the string distances of every pair the property takes part in.
+	prof text.NameProfile
 }
 
 // PropertyFeatures computes the property-level vector (rows 5–6), the
@@ -204,8 +205,7 @@ func (e *Extractor) PropertyFeaturesInto(dst []float64, name string, values []st
 		mathx.ScaleTo(instPart, instPart, 1/float64(len(values)))
 	}
 	e.store.EncodePhraseInto(dst[e.InstanceDim():], name, &sc.toks)
-	norm := text.NormalizeName(name)
-	return &Prop{Name: name, Vec: dst, norm: norm, runes: []rune(norm), tri: text.TriGrams(norm)}
+	return &Prop{Name: name, Vec: dst, prof: text.NewNameProfile(text.NormalizeName(name))}
 }
 
 // accumulateInstances sums the instance-feature vector of every value
@@ -261,38 +261,4 @@ func (e *Extractor) sumInstanceFeatures(dst []float64, values []string, workers 
 			mathx.AddTo(dst, dst, buf[i*dim:(i+1)*dim])
 		}
 	}
-}
-
-// PairDistances computes the eight name string distances (rows 8–15) into
-// dst, which must have length NumPairDistances. Order: OSA, Levenshtein,
-// full Damerau–Levenshtein, longest common substring, 3-gram, 3-gram
-// cosine, 3-gram Jaccard, Jaro–Winkler; the first four are normalised.
-func PairDistances(dst []float64, a, b *Prop) {
-	dst[0] = text.NormalizedOSA(a.norm, b.norm)
-	dst[1] = text.NormalizedLevenshtein(a.norm, b.norm)
-	dst[2] = text.NormalizedDamerauLevenshtein(a.norm, b.norm)
-	dst[3] = text.NormalizedLCSubstring(a.norm, b.norm)
-	dst[4] = text.NormalizedQGramDistance(a.tri, b.tri)
-	dst[5] = a.tri.CosineDistance(b.tri)
-	dst[6] = a.tri.JaccardDistance(b.tri)
-	dst[7] = text.JaroWinklerDistance(a.norm, b.norm)
-}
-
-// PairDistancesScratch is PairDistances over the properties' cached rune
-// slices, threading an EditScratch through the edit-distance family so a
-// warm caller computes all eight distances with zero heap allocations.
-// Values are bit-identical to PairDistances; the features tests
-// cross-check the two paths.
-//
-// The rune cache is filled by PropertyFeatures alongside norm, so the
-// two are always consistent (norm is unexported and set nowhere else).
-func PairDistancesScratch(dst []float64, a, b *Prop, es *text.EditScratch) {
-	dst[0] = text.NormalizedOSARunes(a.runes, b.runes, es)
-	dst[1] = text.NormalizedLevenshteinRunes(a.runes, b.runes, es)
-	dst[2] = text.NormalizedDamerauLevenshteinRunes(a.runes, b.runes, es)
-	dst[3] = text.NormalizedLCSubstringRunes(a.runes, b.runes, es)
-	dst[4] = text.NormalizedQGramDistance(a.tri, b.tri)
-	dst[5] = a.tri.CosineDistance(b.tri)
-	dst[6] = a.tri.JaccardDistance(b.tri)
-	dst[7] = text.JaroWinklerDistanceRunes(a.runes, b.runes, es)
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"leapme/internal/embedding"
+	"leapme/internal/text"
 )
 
 func testStore(t *testing.T) *embedding.Store {
@@ -189,7 +190,8 @@ func TestPairDistancesIdenticalNames(t *testing.T) {
 	a := e.PropertyFeatures("Camera Resolution", []string{"24"})
 	b := e.PropertyFeatures("camera_resolution", []string{"500"})
 	dst := make([]float64, NumPairDistances)
-	PairDistances(dst, a, b)
+	var es text.EditScratch
+	text.NameDistances(dst, &a.prof, &b.prof, &es)
 	// Names normalise identically → all distances 0.
 	for i, d := range dst {
 		if math.Abs(d) > 1e-12 {
@@ -200,6 +202,7 @@ func TestPairDistancesIdenticalNames(t *testing.T) {
 
 func TestPairDistancesBounds(t *testing.T) {
 	e := NewExtractor(testStore(t))
+	var es text.EditScratch
 	f := func(na, nb string) bool {
 		if len(na) > 30 {
 			na = na[:30]
@@ -210,7 +213,7 @@ func TestPairDistancesBounds(t *testing.T) {
 		a := e.PropertyFeatures(na, nil)
 		b := e.PropertyFeatures(nb, nil)
 		dst := make([]float64, NumPairDistances)
-		PairDistances(dst, a, b)
+		text.NameDistances(dst, &a.prof, &b.prof, &es)
 		for _, d := range dst {
 			if d < -1e-12 || d > 1+1e-12 || math.IsNaN(d) {
 				return false

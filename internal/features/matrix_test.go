@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -48,12 +49,9 @@ func TestFeatureMatrixMatchesPropertyFeatures(t *testing.T) {
 					math.Float64bits(got.Vec[j]), math.Float64bits(want.Vec[j]))
 			}
 		}
-		// Cached name artefacts must survive the Into path identically.
-		var d1, d2 [NumPairDistances]float64
-		PairDistances(d1[:], got, m.Props[(i+1)%len(items)])
-		PairDistances(d2[:], want, ref.PropertyFeatures(items[(i+1)%len(items)].Name, items[(i+1)%len(items)].Values))
-		if d1 != d2 {
-			t.Fatalf("row %d: pair distances diverge: %v vs %v", i, d1, d2)
+		// The name profile must survive the Into path identically.
+		if !reflect.DeepEqual(got.prof, want.prof) {
+			t.Fatalf("row %d: name profile %+v, want %+v", i, got.prof, want.prof)
 		}
 	}
 }

@@ -34,7 +34,7 @@ func TestBatcherPoisonIsolation(t *testing.T) {
 
 	good := somePairs(t, 4)
 	ctx := context.Background()
-	// A Prop with a truncated feature vector panics inside PairVector —
+	// A Prop with a truncated feature vector panics inside PairVectorScratch —
 	// the guard must turn that into an error for that pair alone.
 	poison := &features.Prop{Name: "poison", Vec: []float64{1}}
 

@@ -1,28 +1,37 @@
 package text
 
-// This file is the allocation-free face of the edit-distance family.
-// The original string-based functions each convert both arguments to
-// []rune and allocate fresh DP rows per call — fine for training, but
-// the serving hot path computes ~16 distances per property pair and the
-// conversions dominated its allocation profile. The *Runes variants
-// below take pre-converted rune slices and an EditScratch that owns
-// every buffer the algorithms need, so a warm scorer computes all pair
-// distances with zero heap allocations.
+// This file holds the scratch-backed rune DPs of the edit-distance
+// family. NameDistances (profile.go) runs them for every pair outside
+// its word-size path: a non-ASCII name, or a name longer than 64 runes.
+// Each takes pre-converted rune slices and an EditScratch that owns
+// every buffer, so a warm caller computes the distances with zero heap
+// allocations.
 //
-// Equivalence contract: for any inputs, FRunes(ra, rb, s) returns
+// Equivalence contract: for any inputs, fRunes(ra, rb, s) returns
 // exactly the same value as F(string(ra), string(rb)) — same algorithm,
-// same arithmetic, only the buffer lifetimes differ. The features
-// package's distance tests cross-check the two families.
+// same arithmetic, only the buffer lifetimes differ.
+// TestNameDistancesMatchOracle cross-checks NameDistances, and with it
+// these DPs, against the string functions bit for bit.
 
-// EditScratch owns the working buffers for the rune-based metric
-// variants. The zero value is ready to use; buffers grow on demand and
-// are retained for reuse. An EditScratch is not safe for concurrent
-// use — each scoring worker owns one.
+// EditScratch owns the working buffers of NameDistances. The zero value
+// is ready to use; buffers grow on demand and are retained for reuse.
+// An EditScratch is not safe for concurrent use — each scoring worker
+// owns one.
 type EditScratch struct {
 	r0, r1, r2 []int        // rolling DP rows
 	d          []int        // Damerau–Levenshtein full table
 	lastRow    map[rune]int // Damerau–Levenshtein alphabet index
 	ma, mb     []bool       // Jaro match flags
+
+	// Tables of the word-size path (ASCII names of up to 64 runes).
+	// peqA and peqB (each name's match masks) and last
+	// (Damerau–Levenshtein's last-occurrence row) are all zero between
+	// calls; cols holds lcsWord's levels and dl the Damerau–Levenshtein
+	// table.
+	peqA, peqB [128]uint64
+	last       [128]int
+	cols       [maxWordRunes]uint64
+	dl         [(maxWordRunes + 2) * (maxWordRunes + 2)]int32
 }
 
 // rows3 returns three DP rows of length n, growing the retained buffers
@@ -71,8 +80,8 @@ func (s *EditScratch) alphabet() map[rune]int {
 	return s.lastRow
 }
 
-// LevenshteinRunes is Levenshtein over pre-converted rune slices.
-func LevenshteinRunes(ra, rb []rune, s *EditScratch) int {
+// levenshteinRunes is Levenshtein over pre-converted rune slices.
+func levenshteinRunes(ra, rb []rune, s *EditScratch) int {
 	la, lb := len(ra), len(rb)
 	if la == 0 {
 		return lb
@@ -98,8 +107,8 @@ func LevenshteinRunes(ra, rb []rune, s *EditScratch) int {
 	return prev[lb]
 }
 
-// OSARunes is OSA over pre-converted rune slices.
-func OSARunes(ra, rb []rune, s *EditScratch) int {
+// osaRunes is OSA over pre-converted rune slices.
+func osaRunes(ra, rb []rune, s *EditScratch) int {
 	la, lb := len(ra), len(rb)
 	if la == 0 {
 		return lb
@@ -131,9 +140,9 @@ func OSARunes(ra, rb []rune, s *EditScratch) int {
 	return prev[lb]
 }
 
-// DamerauLevenshteinRunes is DamerauLevenshtein over pre-converted rune
-// slices.
-func DamerauLevenshteinRunes(ra, rb []rune, s *EditScratch) int {
+// damerauLevenshteinRunes is DamerauLevenshtein over pre-converted rune
+// slices, with the alphabet in a map since the runes may be any.
+func damerauLevenshteinRunes(ra, rb []rune, s *EditScratch) int {
 	la, lb := len(ra), len(rb)
 	if la == 0 {
 		return lb
@@ -144,16 +153,14 @@ func DamerauLevenshteinRunes(ra, rb []rune, s *EditScratch) int {
 	inf := la + lb + 1
 	w := lb + 2
 	d := s.table((la + 2) * w)
-	at := func(i, j int) int { return d[i*w+j] }
-	set := func(i, j, v int) { d[i*w+j] = v }
-	set(0, 0, inf)
+	d[0] = inf
 	for i := 0; i <= la; i++ {
-		set(i+1, 0, inf)
-		set(i+1, 1, i)
+		d[(i+1)*w] = inf
+		d[(i+1)*w+1] = i
 	}
 	for j := 0; j <= lb; j++ {
-		set(0, j+1, inf)
-		set(1, j+1, j)
+		d[j+1] = inf
+		d[w+j+1] = j
 	}
 	lastRow := s.alphabet()
 	for i := 1; i <= la; i++ {
@@ -166,23 +173,23 @@ func DamerauLevenshteinRunes(ra, rb []rune, s *EditScratch) int {
 				cost = 0
 				lastCol = j
 			}
-			sub := at(i, j) + cost
-			ins := at(i+1, j) + 1
-			del := at(i, j+1) + 1
+			sub := d[i*w+j] + cost
+			ins := d[(i+1)*w+j] + 1
+			del := d[i*w+j+1] + 1
 			trans := inf
 			if i1 > 0 && j1 > 0 {
-				trans = at(i1, j1) + (i - i1 - 1) + 1 + (j - j1 - 1)
+				trans = d[i1*w+j1] + (i - i1 - 1) + 1 + (j - j1 - 1)
 			}
-			set(i+1, j+1, min4(sub, ins, del, trans))
+			d[(i+1)*w+j+1] = min4(sub, ins, del, trans)
 		}
 		lastRow[ra[i-1]] = i
 	}
-	return at(la+1, lb+1)
+	return d[(la+1)*w+lb+1]
 }
 
-// LongestCommonSubstringRunes is LongestCommonSubstring over
+// longestCommonSubstringRunes is LongestCommonSubstring over
 // pre-converted rune slices.
-func LongestCommonSubstringRunes(ra, rb []rune, s *EditScratch) int {
+func longestCommonSubstringRunes(ra, rb []rune, s *EditScratch) int {
 	if len(ra) == 0 || len(rb) == 0 {
 		return 0
 	}
@@ -211,18 +218,8 @@ func LongestCommonSubstringRunes(ra, rb []rune, s *EditScratch) int {
 	return best
 }
 
-// LCSubstringDistanceRunes is LCSubstringDistance over pre-converted
-// rune slices.
-func LCSubstringDistanceRunes(ra, rb []rune, s *EditScratch) int {
-	m := len(ra)
-	if len(rb) > m {
-		m = len(rb)
-	}
-	return m - LongestCommonSubstringRunes(ra, rb, s)
-}
-
-// JaroRunes is Jaro over pre-converted rune slices.
-func JaroRunes(ra, rb []rune, s *EditScratch) float64 {
+// jaroRunes is Jaro over pre-converted rune slices.
+func jaroRunes(ra, rb []rune, s *EditScratch) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
 		return 1
@@ -269,47 +266,16 @@ func JaroRunes(ra, rb []rune, s *EditScratch) float64 {
 	return (m/float64(la) + m/float64(lb) + (m-float64(trans)/2)/m) / 3
 }
 
-// JaroWinklerRunes is JaroWinkler over pre-converted rune slices.
-func JaroWinklerRunes(ra, rb []rune, s *EditScratch) float64 {
-	j := JaroRunes(ra, rb, s)
+// jaroWinklerRunes is JaroWinkler over pre-converted rune slices.
+func jaroWinklerRunes(ra, rb []rune, s *EditScratch) float64 {
+	return winkler(jaroRunes(ra, rb, s), ra, rb)
+}
+
+// winkler is JaroWinkler's prefix boost of the Jaro similarity j.
+func winkler(j float64, ra, rb []rune) float64 {
 	prefix := 0
 	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
 		prefix++
 	}
 	return j + float64(prefix)*0.1*(1-j)
-}
-
-// JaroWinklerDistanceRunes is JaroWinklerDistance over pre-converted
-// rune slices.
-func JaroWinklerDistanceRunes(ra, rb []rune, s *EditScratch) float64 {
-	return 1 - JaroWinklerRunes(ra, rb, s)
-}
-
-// NormalizedLevenshteinRunes is NormalizedLevenshtein over rune slices.
-func NormalizedLevenshteinRunes(ra, rb []rune, s *EditScratch) float64 {
-	return normalizeByMaxLenRunes(LevenshteinRunes(ra, rb, s), ra, rb)
-}
-
-// NormalizedOSARunes is NormalizedOSA over rune slices.
-func NormalizedOSARunes(ra, rb []rune, s *EditScratch) float64 {
-	return normalizeByMaxLenRunes(OSARunes(ra, rb, s), ra, rb)
-}
-
-// NormalizedDamerauLevenshteinRunes is NormalizedDamerauLevenshtein over
-// rune slices.
-func NormalizedDamerauLevenshteinRunes(ra, rb []rune, s *EditScratch) float64 {
-	return normalizeByMaxLenRunes(DamerauLevenshteinRunes(ra, rb, s), ra, rb)
-}
-
-// NormalizedLCSubstringRunes is NormalizedLCSubstring over rune slices.
-func NormalizedLCSubstringRunes(ra, rb []rune, s *EditScratch) float64 {
-	return normalizeByMaxLenRunes(LCSubstringDistanceRunes(ra, rb, s), ra, rb)
-}
-
-func normalizeByMaxLenRunes(d int, ra, rb []rune) float64 {
-	m := max2(len(ra), len(rb))
-	if m == 0 {
-		return 0
-	}
-	return float64(d) / float64(m)
 }
