@@ -422,37 +422,12 @@ func benchServe(fx *benchFixture, rep *benchReport, quick bool) error {
 	}
 	rep.Results = append(rep.Results, resultOf("scorer_single_library", 1, r))
 
-	// Quantised scorer: the opt-in int8/float32 kernel over the same
-	// model and pairs (quantised at load, as Options.Quantized would).
-	qm, err := core.NewMatcher(fx.store, core.DefaultOptions(fx.seed))
-	if err != nil {
-		return err
-	}
-	if err := qm.ReadModel(bytes.NewReader(fx.model)); err != nil {
-		return err
-	}
-	if err := qm.Quantize(); err != nil {
-		return err
-	}
-	qsc, err := qm.NewScorer()
-	if err != nil {
-		return err
-	}
-	r, err = benchOp(quick, func() error { return qsc.ScoreBatch(dst, as, bs) })
-	if err != nil {
-		return err
-	}
-	batchQuant := resultOf("scorer_batch_quant", len(as), r)
-	rep.Results = append(rep.Results, batchQuant)
-
 	rep.Derived = map[string]float64{
 		// How much the feature cache buys on repeated property content:
 		// identical requests, cache off vs on.
 		"feature_cache_speedup": cold.NsPerOp / warm.NsPerOp,
 		// HTTP+batching overhead versus the raw library scorer.
 		"http_overhead_x": warm.NsPerOp / batchLib.NsPerOp,
-		// Quantised kernel versus the float64 reference on the batch path.
-		"quant_speedup": batchLib.NsPerOp / batchQuant.NsPerOp,
 	}
 	return nil
 }

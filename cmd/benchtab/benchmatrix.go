@@ -20,7 +20,6 @@ type matrixCell struct {
 	Procs       int     `json:"gomaxprocs"`
 	Workers     int     `json:"workers"`
 	Batch       int     `json:"batch"`
-	Quantized   bool    `json:"quantized,omitempty"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	PairsPerSec float64 `json:"pairs_per_sec"`
@@ -43,9 +42,8 @@ func matrixDims() (procs, workers, batches []int) {
 }
 
 // benchMatrix appends the GOMAXPROCS × workers × batch scorer throughput
-// matrix to the report: the float64 kernel across the full grid, plus a
-// quantised arm at the largest configuration. Quick mode runs one
-// iteration per cell; otherwise each cell runs for at least ~200ms.
+// matrix to the report. Quick mode runs one iteration per cell;
+// otherwise each cell runs for at least ~200ms.
 func benchMatrix(fx *benchFixture, rep *benchReport, quick bool) error {
 	m, err := core.NewMatcher(fx.store, core.DefaultOptions(fx.seed))
 	if err != nil {
@@ -55,20 +53,6 @@ func benchMatrix(fx *benchFixture, rep *benchReport, quick bool) error {
 		return err
 	}
 	sc, err := m.NewScorer()
-	if err != nil {
-		return err
-	}
-	qm, err := core.NewMatcher(fx.store, core.DefaultOptions(fx.seed))
-	if err != nil {
-		return err
-	}
-	if err := qm.ReadModel(bytes.NewReader(fx.model)); err != nil {
-		return err
-	}
-	if err := qm.Quantize(); err != nil {
-		return err
-	}
-	qsc, err := qm.NewScorer()
 	if err != nil {
 		return err
 	}
@@ -87,10 +71,10 @@ func benchMatrix(fx *benchFixture, rep *benchReport, quick bool) error {
 
 	// runCell executes iters rounds: each of w workers scores one b-pair
 	// batch per round on its own clone. Returns wall time for all rounds.
-	runCell := func(ref *core.Scorer, w, b, iters int) (time.Duration, error) {
+	runCell := func(w, b, iters int) (time.Duration, error) {
 		clones := make([]*core.Scorer, w)
 		for i := range clones {
-			clones[i] = ref.Clone()
+			clones[i] = sc.Clone()
 		}
 		dsts := make([][]float64, w)
 		for i := range dsts {
@@ -122,11 +106,11 @@ func benchMatrix(fx *benchFixture, rep *benchReport, quick bool) error {
 		return d, nil
 	}
 
-	measure := func(ref *core.Scorer, procs, w, b int, quantized bool) (matrixCell, error) {
+	measure := func(procs, w, b int) (matrixCell, error) {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
 		iters := 1
-		d, err := runCell(ref, w, b, iters) // warm clones, then measure
+		d, err := runCell(w, b, iters) // warm clones, then measure
 		if err != nil {
 			return matrixCell{}, err
 		}
@@ -137,13 +121,13 @@ func benchMatrix(fx *benchFixture, rep *benchReport, quick bool) error {
 					iters = n
 				}
 			}
-			if d, err = runCell(ref, w, b, iters); err != nil {
+			if d, err = runCell(w, b, iters); err != nil {
 				return matrixCell{}, err
 			}
 		}
 		ns := float64(d.Nanoseconds()) / float64(iters)
 		cell := matrixCell{
-			Procs: procs, Workers: w, Batch: b, Quantized: quantized,
+			Procs: procs, Workers: w, Batch: b,
 			Iterations: iters, NsPerOp: ns,
 		}
 		if ns > 0 {
@@ -156,7 +140,7 @@ func benchMatrix(fx *benchFixture, rep *benchReport, quick bool) error {
 	for _, p := range procsSet {
 		for _, w := range workersSet {
 			for _, b := range batchSet {
-				cell, err := measure(sc, p, w, b, false)
+				cell, err := measure(p, w, b)
 				if err != nil {
 					return err
 				}
@@ -164,20 +148,9 @@ func benchMatrix(fx *benchFixture, rep *benchReport, quick bool) error {
 			}
 		}
 	}
-	// Quantised arm at the largest configuration only — the grid shape
-	// is pinned by the float64 kernel; this row tracks the int8 path.
-	pMax := procsSet[len(procsSet)-1]
-	wMax := workersSet[len(workersSet)-1]
-	bMax := batchSet[len(batchSet)-1]
-	cell, err := measure(qsc, pMax, wMax, bMax, true)
-	if err != nil {
-		return err
-	}
-	rep.Matrix = append(rep.Matrix, cell)
-
 	var best float64
 	for _, c := range rep.Matrix {
-		if !c.Quantized && c.PairsPerSec > best {
+		if c.PairsPerSec > best {
 			best = c.PairsPerSec
 		}
 	}

@@ -30,8 +30,8 @@ func TestBenchtabUnknownTable(t *testing.T) {
 // TestBenchParallelMatrixSmoke runs the parallel suite at GOMAXPROCS=2
 // with the 1-iteration budget — the CI gate that the bench matrix
 // plumbing works on multi-proc settings: degraded_env must be false, the
-// matrix must be complete (full float64 grid + the quantised arm), every
-// cell must have measured throughput, and -stamp=false must keep the
+// matrix must be the complete grid, every cell must have measured
+// throughput, and -stamp=false must keep the
 // timestamp out of the report.
 func TestBenchParallelMatrixSmoke(t *testing.T) {
 	if testing.Short() {
@@ -58,22 +58,15 @@ func TestBenchParallelMatrixSmoke(t *testing.T) {
 		t.Errorf("-stamp=false leaked timestamp %q into the report", rep.Timestamp)
 	}
 	procs, workers, batches := matrixDims()
-	want := len(procs)*len(workers)*len(batches) + 1 // + the quantised arm
+	want := len(procs) * len(workers) * len(batches)
 	if len(rep.Matrix) != want {
-		t.Fatalf("matrix has %d cells, want %d (%v procs × %v workers × %v batches + quant)",
+		t.Fatalf("matrix has %d cells, want %d (%v procs × %v workers × %v batches)",
 			len(rep.Matrix), want, procs, workers, batches)
 	}
-	quant := 0
 	for i, c := range rep.Matrix {
 		if c.PairsPerSec <= 0 || c.NsPerOp <= 0 || c.Iterations < 1 {
 			t.Errorf("matrix cell %d unmeasured: %+v", i, c)
 		}
-		if c.Quantized {
-			quant++
-		}
-	}
-	if quant != 1 {
-		t.Errorf("matrix has %d quantised cells, want 1", quant)
 	}
 	if len(rep.Results) == 0 {
 		t.Error("parallel suite emitted no results")

@@ -105,7 +105,7 @@ func usage() {
   leapme eval    -data DIR -store store.bin [-frac 0.8] [-runs 5] [-features both/all] [-seed 1]
   leapme cluster -data DIR -store store.bin -train src1,src2 [-scheme components|star|correlation]
   leapme label   -data DIR -store store.bin -category cameras -train src1,src2 [-top 20]
-  leapme index   -data DIR -store store.bin -out index.leapme [-backend lsh|hnsw] [-seed 1]
+  leapme index   -data DIR -store store.bin -out index.leapme [-seed 1]
 
 train/match/eval/cluster/label/index also accept:
   -lenient       quarantine malformed dataset records instead of failing the load
@@ -510,7 +510,7 @@ func cmdCluster(ctx context.Context, args []string) error {
 	return nil
 }
 
-// cmdIndex builds an ANN index snapshot over a dataset's properties and
+// cmdIndex builds an LSH index snapshot over a dataset's properties and
 // saves it for leapme-serve's -index flag: /v1/match/all "ann" blocking
 // then answers from the snapshot instead of building an index per
 // request.
@@ -519,7 +519,6 @@ func cmdIndex(ctx context.Context, args []string) error {
 	dataDir := fs.String("data", "", "dataset directory (from datagen)")
 	storePath := fs.String("store", "", "embedding store file (from embed)")
 	out := fs.String("out", "index.leapme", "output snapshot file")
-	backend := fs.String("backend", index.BackendLSH, "index backend: lsh or hnsw")
 	seed := fs.Int64("seed", 1, "seed")
 	workers := fs.Int("workers", -1, "parallelism: N = deterministic N-worker build, -1 = all CPUs")
 	lenient := fs.Bool("lenient", false, "quarantine malformed dataset records instead of failing")
@@ -539,7 +538,6 @@ func cmdIndex(ctx context.Context, args []string) error {
 		return err
 	}
 	snap, err := index.BuildSnapshot(ctx, store, d.Props, index.Options{
-		Backend: *backend,
 		Seed:    *seed,
 		Workers: *workers,
 	})
@@ -549,8 +547,8 @@ func cmdIndex(ctx context.Context, args []string) error {
 	if err := snap.WriteFile(*out); err != nil {
 		return err
 	}
-	fmt.Printf("indexed %d properties (%s backend, dim %d) → %s\n",
-		snap.Len(), *backend, store.Dim(), *out)
+	fmt.Printf("indexed %d properties (lsh, dim %d) → %s\n",
+		snap.Len(), store.Dim(), *out)
 	fmt.Printf("serve it: leapme-serve -store %s -model model.leapme -index %s\n", *storePath, *out)
 	return nil
 }

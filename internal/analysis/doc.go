@@ -33,7 +33,8 @@
 //	             features.MetaDim and the Extractor/Pairer dimension
 //	             methods.
 //	hotalloc     functions annotated //lint:hotpath — plus the seeded
-//	             kernel list (nn.Kernel / nn.QuantKernel forward paths,
+//	             kernel list (nn.Kernel forward paths, nn.TrainKernel
+//	             batch steps, the pair vector and its name distances,
 //	             core.Scorer score paths, the batcher span loop) — must
 //	             be statically allocation-free: no make/new, map/slice
 //	             literals, growing append, closures, fmt,

@@ -45,15 +45,12 @@ type SeededFunc struct {
 
 // Seeded is the list of functions that must be annotated. A var so the
 // fixture tests can retarget it; the production list covers the flat
-// kernels, the quantised kernels, the pair vector and its name
+// inference and training kernels, the pair vector and its name
 // distances, the Scorer score paths and the batcher span loop.
 var Seeded = []SeededFunc{
 	{Pkg: "leapme/internal/nn", Recv: "Kernel", Name: "Forward"},
 	{Pkg: "leapme/internal/nn", Recv: "Kernel", Name: "PositiveScore"},
 	{Pkg: "leapme/internal/nn", Recv: "Kernel", Name: "ForwardBatch"},
-	{Pkg: "leapme/internal/nn", Recv: "QuantKernel", Name: "Forward"},
-	{Pkg: "leapme/internal/nn", Recv: "QuantKernel", Name: "PositiveScore"},
-	{Pkg: "leapme/internal/nn", Recv: "QuantKernel", Name: "ForwardBatch"},
 	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "runBatch"},
 	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "chunkGrads"},
 	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "accumLayerGrads"},
@@ -185,7 +182,7 @@ func localCallee(pass *lintkit.Pass, call *ast.CallExpr, decls map[[2]string]*as
 		for key, fd := range decls {
 			if key[1] == fun.Sel.Name && key[0] != "" && fd.Name.Name == obj.Name() {
 				// Match on receiver type name too, so Kernel.Forward and
-				// QuantKernel.Forward resolve distinctly.
+				// Network.Forward resolve distinctly.
 				if recvTypeName(pass, fun) == key[0] {
 					return fd
 				}

@@ -23,8 +23,7 @@ type ANNBlocker struct {
 	K int
 	// MinSim drops neighbours below this cosine similarity (default 0.3).
 	MinSim float64
-	// Opts configures the underlying index (backend, seed, workers,
-	// backend geometry). The zero value selects LSH with defaults.
+	// Opts configures the underlying index (seed, workers).
 	Opts index.Options
 	// Snapshot, when non-nil, serves queries from a prebuilt index
 	// instead of building one per call. Candidates falls back to an
@@ -34,19 +33,13 @@ type ANNBlocker struct {
 }
 
 // NewANNBlocker returns an ANNBlocker matching NewEmbeddingBlocker's
-// proposal parameters, with the default (LSH) index backend.
+// proposal parameters.
 func NewANNBlocker(store *embedding.Store, opts index.Options) *ANNBlocker {
 	return &ANNBlocker{Store: store, K: 10, MinSim: 0.3, Opts: opts}
 }
 
 // Name implements Blocker.
-func (b *ANNBlocker) Name() string {
-	o := b.Opts
-	if o.Backend == "" {
-		o.Backend = index.BackendLSH
-	}
-	return "ann-" + o.Backend
-}
+func (b *ANNBlocker) Name() string { return "ann-lsh" }
 
 // Candidates implements Blocker.
 func (b *ANNBlocker) Candidates(props []dataset.Property) []dataset.Pair {

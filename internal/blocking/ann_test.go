@@ -27,50 +27,43 @@ func pairOverlap(got, want []dataset.Pair) float64 {
 	return float64(hit) / float64(len(want))
 }
 
-func annBackends() []index.Options {
-	return []index.Options{
-		{Backend: index.BackendLSH, Seed: 17},
-		{Backend: index.BackendHNSW, Seed: 17, ShardSize: 256},
-	}
-}
+// annOpts is the index configuration the ANN blocker tests share. The
+// tests run as subtest "lsh", the name they had beside a second
+// backend, so their IDs stay stable.
+var annOpts = index.Options{Seed: 17}
 
 func TestANNBlockerMatchesExactOracle(t *testing.T) {
 	_, props := genProps(t, 6)
 	store := getStore(t)
 	exact := NewEmbeddingBlocker(store).Candidates(props)
-	for _, opts := range annBackends() {
-		opts := opts
-		t.Run(opts.Backend, func(t *testing.T) {
-			b := NewANNBlocker(store, opts)
-			cands := b.Candidates(props)
-			for _, c := range cands {
-				if c.A.Source == c.B.Source {
-					t.Fatal("same-source candidate")
-				}
-				if c.Canonical() != c {
-					t.Fatalf("non-canonical pair %v", c)
-				}
+	t.Run("lsh", func(t *testing.T) {
+		b := NewANNBlocker(store, annOpts)
+		cands := b.Candidates(props)
+		for _, c := range cands {
+			if c.A.Source == c.B.Source {
+				t.Fatal("same-source candidate")
 			}
-			rec := pairOverlap(cands, exact)
-			t.Logf("%s: %d candidates vs %d exact, recall_vs_exact=%.3f", b.Name(), len(cands), len(exact), rec)
-			if rec < 0.9 {
-				t.Errorf("recall vs exact oracle = %.3f, want ≥ 0.9", rec)
+			if c.Canonical() != c {
+				t.Fatalf("non-canonical pair %v", c)
 			}
-			q := Measure(cands, props)
-			if q.PairCompleteness < 0.6 {
-				t.Errorf("pair completeness = %.3f, want ≥ 0.6", q.PairCompleteness)
-			}
-		})
-	}
+		}
+		rec := pairOverlap(cands, exact)
+		t.Logf("%d candidates vs %d exact, recall_vs_exact=%.3f", len(cands), len(exact), rec)
+		if rec < 0.9 {
+			t.Errorf("recall vs exact oracle = %.3f, want ≥ 0.9", rec)
+		}
+		q := Measure(cands, props)
+		if q.PairCompleteness < 0.6 {
+			t.Errorf("pair completeness = %.3f, want ≥ 0.6", q.PairCompleteness)
+		}
+	})
 }
 
+// TestANNBlockerName pins the name that labels the ANN rows of
+// BENCH_blocking.json.
 func TestANNBlockerName(t *testing.T) {
-	store := getStore(t)
-	if got := NewANNBlocker(store, index.Options{}).Name(); got != "ann-lsh" {
-		t.Errorf("default name = %q, want ann-lsh", got)
-	}
-	if got := NewANNBlocker(store, index.Options{Backend: index.BackendHNSW}).Name(); got != "ann-hnsw" {
-		t.Errorf("hnsw name = %q, want ann-hnsw", got)
+	if got := NewANNBlocker(getStore(t), index.Options{}).Name(); got != "ann-lsh" {
+		t.Errorf("name = %q, want ann-lsh", got)
 	}
 }
 
@@ -91,7 +84,7 @@ func TestANNBlockerEmptyAndCancelled(t *testing.T) {
 func TestANNBlockerSnapshotPath(t *testing.T) {
 	_, props := genProps(t, 8)
 	store := getStore(t)
-	opts := index.Options{Backend: index.BackendLSH, Seed: 3}
+	opts := index.Options{Seed: 3}
 
 	snap, err := index.BuildSnapshot(context.Background(), store, props, opts)
 	if err != nil {
@@ -146,21 +139,17 @@ func TestANNBlockerUnionWithToken(t *testing.T) {
 func TestDeterminismANNBlocker(t *testing.T) {
 	_, props := genProps(t, 10)
 	store := getStore(t)
-	for _, base := range annBackends() {
-		base := base
-		t.Run(base.Backend, func(t *testing.T) {
-			var prev []dataset.Pair
-			for _, workers := range []int{1, 8} {
-				opts := base
-				opts.Workers = workers
-				b := NewANNBlocker(store, opts)
-				cands := b.Candidates(props)
-				if prev != nil && fmt.Sprint(prev) != fmt.Sprint(cands) {
-					t.Fatalf("%s candidates differ between workers=1 and workers=8 (%d vs %d pairs)",
-						b.Name(), len(prev), len(cands))
-				}
-				prev = cands
+	t.Run("lsh", func(t *testing.T) {
+		var prev []dataset.Pair
+		for _, workers := range []int{1, 8} {
+			opts := annOpts
+			opts.Workers = workers
+			cands := NewANNBlocker(store, opts).Candidates(props)
+			if prev != nil && fmt.Sprint(prev) != fmt.Sprint(cands) {
+				t.Fatalf("candidates differ between workers=1 and workers=8 (%d vs %d pairs)",
+					len(prev), len(cands))
 			}
-		})
-	}
+			prev = cands
+		}
+	})
 }

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
 
 	"leapme/internal/features"
-	"leapme/internal/nn"
 )
 
 // ModelInfo describes a model file without instantiating a matcher: the
@@ -31,9 +29,6 @@ type ModelInfo struct {
 	// Standardized reports whether the file carries fitted z-score
 	// parameters for the pair features.
 	Standardized bool
-	// Quantized reports whether the file embeds an int8 quantised kernel
-	// (v3+ descriptor flag); the float64 network is always present too.
-	Quantized bool
 	// InDim is the classifier input (pair-vector) dimension.
 	InDim int
 	// Hidden lists the hidden-layer widths.
@@ -53,60 +48,37 @@ func (i ModelInfo) String() string {
 	if i.HasDescriptor {
 		feat = i.Features.String()
 	}
-	quant := ""
-	if i.Quantized {
-		quant = " quantized"
-	}
-	return fmt.Sprintf("v%d features=%s embed=%d in=%d hidden=%v out=%d crc=%08x%s",
-		i.FormatVersion, feat, i.EmbeddingDim, i.InDim, i.Hidden, i.OutDim, i.CRC, quant)
+	return fmt.Sprintf("v%d features=%s embed=%d in=%d hidden=%v out=%d crc=%08x",
+		i.FormatVersion, feat, i.EmbeddingDim, i.InDim, i.Hidden, i.OutDim, i.CRC)
 }
 
 // LoadInfo reads a model file's metadata — format version, feature
 // configuration, dimensions, checksum — without building a matcher or
-// retaining the weights. The whole payload is read so the checksum is
-// verified exactly as ReadModel would; corrupt files are rejected here
+// retaining the weights. The whole payload is decoded exactly as
+// ReadModel would, so a file LoadInfo accepts loads into a matcher
+// configured to its descriptor, and corrupt files are rejected here
 // rather than surfacing later at load time.
 func LoadInfo(r io.Reader) (ModelInfo, error) {
 	version, payload, crc, err := readEnvelope(r)
 	if err != nil {
 		return ModelInfo{}, err
 	}
-	info := ModelInfo{
-		FormatVersion: version,
-		PayloadBytes:  len(payload),
-		CRC:           crc,
-	}
-	pr := bytes.NewReader(payload)
-	if version >= 3 {
-		fc, embedDim, quantized, err := readDescriptor(pr)
-		if err != nil {
-			return ModelInfo{}, err
-		}
-		info.HasDescriptor = true
-		info.Features = fc
-		info.EmbeddingDim = embedDim
-		info.Quantized = quantized
-	}
-	mean, _, err := readStandardiser(pr, -1)
+	mf, err := decodeModel(version, payload)
 	if err != nil {
 		return ModelInfo{}, err
 	}
-	info.Standardized = mean != nil
-	if info.Quantized {
-		// Parse (not just skip) the block so LoadInfo rejects a corrupt
-		// quantised kernel exactly as ReadModel would.
-		if _, err := readQuantBlock(pr); err != nil {
-			return ModelInfo{}, err
-		}
-	}
-	net, err := nn.Read(pr)
-	if err != nil {
-		return ModelInfo{}, fmt.Errorf("core: reading network: %w", err)
-	}
-	info.InDim = net.InDim()
-	info.Hidden = net.Hidden()
-	info.OutDim = net.OutDim()
-	return info, nil
+	return ModelInfo{
+		FormatVersion: version,
+		HasDescriptor: mf.hasDescriptor,
+		Features:      mf.features,
+		EmbeddingDim:  mf.embedDim,
+		Standardized:  mf.mean != nil,
+		InDim:         mf.net.InDim(),
+		Hidden:        mf.net.Hidden(),
+		OutDim:        mf.net.OutDim(),
+		PayloadBytes:  len(payload),
+		CRC:           crc,
+	}, nil
 }
 
 // LoadInfoFile is LoadInfo over a file path.

@@ -51,14 +51,6 @@ type Options struct {
 	// values regularise the network's overconfidence on small training
 	// sets; see the ablation bench.
 	WeightDecay float64
-	// Quantized additionally builds an int8 quantised kernel after
-	// training and embeds it in saved models (the v3 descriptor flag).
-	// Scorers taken from a quantised matcher run the int8/float32
-	// forward pass. The matcher's own scoring — Score, MatchAll,
-	// MatchWhere, MatchCandidates, Explain — always runs the float64
-	// kernel, bit-identical to the trained network, and training never
-	// sees the int8 weights. Off by default.
-	Quantized bool
 	// NoStandardize disables z-score standardisation of pair features
 	// (fitted on the training pairs, applied everywhere). Standardisation
 	// is on by default: the meta-feature counts live on a ~30× larger
@@ -119,10 +111,6 @@ type Matcher struct {
 	// stays warm.
 	sc       *Scorer
 	workerSc []*Scorer
-	// qk is the optional int8 serving kernel, built when opts.Quantized
-	// is set (or loaded from a quantised model file). Never used by the
-	// matcher's own scoring paths — only NewScorer snapshots read it.
-	qk *nn.QuantKernel
 
 	// Standardisation parameters fitted on the training pairs.
 	featMean, featInvStd []float64
@@ -169,21 +157,6 @@ func NewMatcher(store *embedding.Store, opts Options) (*Matcher, error) {
 
 // Options returns the matcher's effective options.
 func (m *Matcher) Options() Options { return m.opts }
-
-// Quantize builds the opt-in int8 serving kernel from the trained
-// network and marks the model quantised: subsequent WriteModel calls
-// embed the kernel and NewScorer runs it. It is the post-hoc form of
-// Options.Quantized for a model that was trained or loaded without the
-// flag. Quantisation is deterministic, so quantising the same model
-// twice yields identical kernels (and identical saved bytes).
-func (m *Matcher) Quantize() error {
-	if m.net == nil {
-		return errors.New("core: Quantize on untrained matcher")
-	}
-	m.qk = nn.NewQuantKernel(m.net)
-	m.opts.Quantized = true
-	return nil
-}
 
 // PairDim returns the classifier input dimension under the configured
 // features.
@@ -318,21 +291,16 @@ func (m *Matcher) Train(ctx context.Context, pairs []LabeledPair) (float64, erro
 	if err != nil {
 		return 0, fmt.Errorf("core: training: %w", err)
 	}
-	var qk *nn.QuantKernel
-	if m.opts.Quantized {
-		qk = nn.NewQuantKernel(net)
-	}
-	m.setModel(net, qk)
+	m.setModel(net)
 	return loss, nil
 }
 
 // setModel installs a trained network whose input dimension matches the
-// pair dimension and which has at least two classes, together with its
-// optional int8 serving kernel, and takes the float64 scoring snapshot
-// the matcher's own inference runs through.
-func (m *Matcher) setModel(net *nn.Network, qk *nn.QuantKernel) {
-	m.net, m.qk = net, qk
-	m.sc = m.newScorer(nn.NewKernel(net), nil)
+// pair dimension and which has at least two classes, and takes the
+// scoring snapshot all inference runs through.
+func (m *Matcher) setModel(net *nn.Network) {
+	m.net = net
+	m.sc = m.newScorer(nn.NewKernel(net))
 	m.workerSc = nil
 }
 

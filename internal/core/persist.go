@@ -24,15 +24,16 @@ import (
 //
 // v3 payload = uint32 feature bits | uint32 embedding dim |
 // uint32 standardiser length n | n × (mean f64, invStd f64) |
-// [uint64 quant block length | quantised kernel] | the nn serialisation.
-// The quantised-kernel block is present exactly when the feature-bits
-// word carries featBitQuantized; the float64 network always follows it,
-// so the reference path survives in every file. The v2 payload is the
-// same without the leading descriptor (feature bits, embedding dim) or
-// quant block; v2 files remain readable but cannot be described by
-// LoadInfo beyond their network shape. The length prefix and trailing
-// checksum let ReadModel reject truncated or bit-flipped files with a
-// descriptive error instead of loading garbage weights.
+// the nn serialisation, and nothing after it. The v2 payload is the
+// same without the leading descriptor (feature bits, embedding dim); v2
+// files remain readable but cannot be described by LoadInfo beyond
+// their network shape. The length prefix and trailing checksum let
+// ReadModel reject truncated or bit-flipped files with a descriptive
+// error instead of loading garbage weights.
+//
+// Files written with the retired int8 kernel set featBitQuantized and
+// carry a length-prefixed quantised block before the network. Both
+// loaders reject them with ErrQuantizedModel.
 
 const (
 	matcherMagic = "LEAPMEMD"
@@ -56,6 +57,7 @@ const (
 	featBitNonEmbeddings
 	// featBitQuantized marks a payload that embeds an int8 quantised
 	// kernel block between the standardiser and the float64 network.
+	// This build writes no such files and rejects them on read.
 	featBitQuantized
 )
 
@@ -65,6 +67,12 @@ const (
 // than silently dropping whatever the bit gated.
 const knownFeatBits = featBitInstances | featBitNames | featBitEmbeddings |
 	featBitNonEmbeddings | featBitQuantized
+
+// ErrQuantizedModel is the load error for a model file whose descriptor
+// sets the int8 quantisation bit. Such files also hold the float64
+// network, but loading it would silently serve other scores than the
+// file was saved to serve; retrain and re-save the model instead.
+var ErrQuantizedModel = errors.New("core: model file embeds an int8 quantised kernel, which this build no longer serves; retrain and re-save it")
 
 func featBits(c features.Config) uint32 {
 	var b uint32
@@ -103,11 +111,7 @@ func (m *Matcher) WriteModel(w io.Writer) error {
 	// checksum are known before anything hits w.
 	var payload bytes.Buffer
 	buf := make([]byte, 8)
-	bits := featBits(m.opts.Features)
-	if m.qk != nil {
-		bits |= featBitQuantized
-	}
-	binary.LittleEndian.PutUint32(buf[:4], bits)
+	binary.LittleEndian.PutUint32(buf[:4], featBits(m.opts.Features))
 	payload.Write(buf[:4])
 	binary.LittleEndian.PutUint32(buf[:4], uint32(m.ex.EmbeddingDim()))
 	payload.Write(buf[:4])
@@ -122,15 +126,6 @@ func (m *Matcher) WriteModel(w io.Writer) error {
 		payload.Write(buf)
 		binary.LittleEndian.PutUint64(buf, math.Float64bits(m.featInvStd[i]))
 		payload.Write(buf)
-	}
-	if m.qk != nil {
-		var qbuf bytes.Buffer
-		if _, err := m.qk.WriteTo(&qbuf); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(buf, uint64(qbuf.Len()))
-		payload.Write(buf)
-		payload.Write(qbuf.Bytes())
 	}
 	if _, err := m.net.WriteTo(&payload); err != nil {
 		return err
@@ -197,74 +192,89 @@ func readEnvelope(r io.Reader) (version int, payload []byte, crc uint32, err err
 	return v, payload, want, nil
 }
 
-// readDescriptor parses the v3 payload descriptor off the front of pr.
-// Unknown descriptor bits are a hard error: they gate payload content
-// this build cannot parse, and guessing would corrupt everything after.
-func readDescriptor(pr *bytes.Reader) (fc features.Config, embedDim int, quantized bool, err error) {
-	buf := make([]byte, 4)
-	if _, err := io.ReadFull(pr, buf); err != nil {
-		return fc, 0, false, fmt.Errorf("core: reading model feature config: %w", err)
-	}
-	bits := binary.LittleEndian.Uint32(buf)
-	if unknown := bits &^ knownFeatBits; unknown != 0 {
-		return fc, 0, false, fmt.Errorf("core: model descriptor has unknown feature bits %#x (written by a newer format?)", unknown)
-	}
-	fc = featConfig(bits)
-	quantized = bits&featBitQuantized != 0
-	if _, err := io.ReadFull(pr, buf); err != nil {
-		return fc, 0, false, fmt.Errorf("core: reading model embedding dim: %w", err)
-	}
-	embedDim = int(binary.LittleEndian.Uint32(buf))
-	if embedDim < 0 || embedDim > 1<<20 {
-		return fc, 0, false, fmt.Errorf("core: implausible model embedding dim %d", embedDim)
-	}
-	return fc, embedDim, quantized, nil
+// modelFile is a decoded model payload.
+type modelFile struct {
+	hasDescriptor bool
+	features      features.Config
+	embedDim      int
+	mean, invStd  []float64 // nil when the model is not standardised
+	net           *nn.Network
 }
 
-// readQuantBlock parses the length-prefixed quantised-kernel block off
-// the front of pr. The block is parsed in isolation so a malformed or
-// trailing-garbage kernel is rejected exactly at its boundary.
-func readQuantBlock(pr *bytes.Reader) (*nn.QuantKernel, error) {
-	buf := make([]byte, 8)
-	if _, err := io.ReadFull(pr, buf); err != nil {
-		return nil, fmt.Errorf("core: reading quantised block length: %w", err)
+// decodeModel parses a checksum-verified payload of the given format
+// version: the descriptor (v3), the standardiser and the network, with
+// no bytes left over. ReadModel and LoadInfo both decode through it, so
+// they accept exactly the same files.
+func decodeModel(version int, payload []byte) (*modelFile, error) {
+	pr := bytes.NewReader(payload)
+	mf := &modelFile{}
+	if version >= 3 {
+		fc, embedDim, err := readDescriptor(pr)
+		if err != nil {
+			return nil, err
+		}
+		mf.hasDescriptor, mf.features, mf.embedDim = true, fc, embedDim
 	}
-	blen := binary.LittleEndian.Uint64(buf)
-	if blen > maxModelPayload || int(blen) > pr.Len() {
-		return nil, fmt.Errorf("core: implausible quantised block length %d", blen)
-	}
-	block := make([]byte, blen)
-	if _, err := io.ReadFull(pr, block); err != nil {
-		return nil, fmt.Errorf("core: quantised block truncated: %w", err)
-	}
-	br := bytes.NewReader(block)
-	qk, err := nn.ReadQuantKernel(br)
+	mean, invStd, err := readStandardiser(pr)
 	if err != nil {
-		return nil, fmt.Errorf("core: reading quantised kernel: %w", err)
+		return nil, err
 	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes after quantised kernel", br.Len())
+	net, err := nn.Read(pr)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading network: %w", err)
 	}
-	return qk, nil
+	if pr.Len() != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes after the network", pr.Len())
+	}
+	if mean != nil && len(mean) != net.InDim() {
+		return nil, fmt.Errorf("core: model standardiser dim %d does not match network input dim %d", len(mean), net.InDim())
+	}
+	if net.OutDim() < 2 {
+		return nil, fmt.Errorf("core: model has %d output classes, scoring needs at least 2", net.OutDim())
+	}
+	mf.mean, mf.invStd, mf.net = mean, invStd, net
+	return mf, nil
+}
+
+// readDescriptor parses the v3 payload descriptor off the front of pr.
+// The quantisation bit and unknown descriptor bits are hard errors: they
+// gate payload content this build does not parse, and guessing would
+// corrupt everything after.
+func readDescriptor(pr *bytes.Reader) (fc features.Config, embedDim int, err error) {
+	buf := make([]byte, 4)
+	if _, err := io.ReadFull(pr, buf); err != nil {
+		return fc, 0, fmt.Errorf("core: reading model feature config: %w", err)
+	}
+	bits := binary.LittleEndian.Uint32(buf)
+	if bits&featBitQuantized != 0 {
+		return fc, 0, ErrQuantizedModel
+	}
+	if unknown := bits &^ knownFeatBits; unknown != 0 {
+		return fc, 0, fmt.Errorf("core: model descriptor has unknown feature bits %#x (written by a newer format?)", unknown)
+	}
+	fc = featConfig(bits)
+	if _, err := io.ReadFull(pr, buf); err != nil {
+		return fc, 0, fmt.Errorf("core: reading model embedding dim: %w", err)
+	}
+	embedDim = int(binary.LittleEndian.Uint32(buf))
+	if embedDim > 1<<20 {
+		return fc, 0, fmt.Errorf("core: implausible model embedding dim %d", embedDim)
+	}
+	return fc, embedDim, nil
 }
 
 // readStandardiser parses the standardiser block off the front of pr.
-// wantDim < 0 skips the dimension check (LoadInfo has no matcher to
-// compare against).
-func readStandardiser(pr *bytes.Reader, wantDim int) (mean, invStd []float64, err error) {
+func readStandardiser(pr *bytes.Reader) (mean, invStd []float64, err error) {
 	buf := make([]byte, 8)
 	if _, err := io.ReadFull(pr, buf[:4]); err != nil {
 		return nil, nil, fmt.Errorf("core: reading standardiser length: %w", err)
 	}
 	n := int(binary.LittleEndian.Uint32(buf[:4]))
-	if n < 0 || n > 1<<24 {
+	if n > pr.Len()/16 {
 		return nil, nil, fmt.Errorf("core: implausible standardiser length %d", n)
 	}
 	if n == 0 {
 		return nil, nil, nil
-	}
-	if wantDim >= 0 && n != wantDim {
-		return nil, nil, fmt.Errorf("core: model standardiser dim %d does not match pair dim %d", n, wantDim)
 	}
 	mean = make([]float64, n)
 	invStd = make([]float64, n)
@@ -286,59 +296,32 @@ func readStandardiser(pr *bytes.Reader, wantDim int) (mean, invStd []float64, er
 // dimension and feature configuration as the saved model; self-describing
 // (v3) files verify both explicitly, and the network input dimension is
 // always checked against the matcher's pair dimension. Unknown format
-// versions and truncated or corrupt payloads (checksum mismatch) are
-// rejected with a descriptive error; the matcher is left unmodified on
-// any failure.
+// versions, truncated or corrupt payloads (checksum mismatch) and
+// quantised files (ErrQuantizedModel) are rejected with a descriptive
+// error; the matcher is left unmodified on any failure.
 func (m *Matcher) ReadModel(r io.Reader) error {
 	version, payload, _, err := readEnvelope(r)
 	if err != nil {
 		return err
 	}
-	pr := bytes.NewReader(payload)
-	quantized := false
-	if version >= 3 {
-		fc, embedDim, q, err := readDescriptor(pr)
-		if err != nil {
-			return err
-		}
-		if fc != m.opts.Features {
-			return fmt.Errorf("core: model was trained with features %s, matcher configured for %s",
-				fc, m.opts.Features)
-		}
-		if embedDim != m.ex.EmbeddingDim() {
-			return fmt.Errorf("core: model embedding dim %d does not match store dim %d",
-				embedDim, m.ex.EmbeddingDim())
-		}
-		quantized = q
-	}
-	mean, invStd, err := readStandardiser(pr, m.pairer.Dim())
+	mf, err := decodeModel(version, payload)
 	if err != nil {
 		return err
 	}
-	var qk *nn.QuantKernel
-	if quantized {
-		if qk, err = readQuantBlock(pr); err != nil {
-			return err
+	if mf.hasDescriptor {
+		if mf.features != m.opts.Features {
+			return fmt.Errorf("core: model was trained with features %s, matcher configured for %s",
+				mf.features, m.opts.Features)
+		}
+		if mf.embedDim != m.ex.EmbeddingDim() {
+			return fmt.Errorf("core: model embedding dim %d does not match store dim %d",
+				mf.embedDim, m.ex.EmbeddingDim())
 		}
 	}
-	net, err := nn.Read(pr)
-	if err != nil {
-		return fmt.Errorf("core: reading network: %w", err)
+	if mf.net.InDim() != m.pairer.Dim() {
+		return fmt.Errorf("core: model input dim %d does not match pair dim %d", mf.net.InDim(), m.pairer.Dim())
 	}
-	if net.InDim() != m.pairer.Dim() {
-		return fmt.Errorf("core: model input dim %d does not match pair dim %d", net.InDim(), m.pairer.Dim())
-	}
-	if net.OutDim() < 2 {
-		return fmt.Errorf("core: model has %d output classes, scoring needs at least 2", net.OutDim())
-	}
-	if qk != nil {
-		if qk.InDim() != net.InDim() || qk.OutDim() != net.OutDim() {
-			return fmt.Errorf("core: quantised kernel shape %d→%d does not match network %d→%d",
-				qk.InDim(), qk.OutDim(), net.InDim(), net.OutDim())
-		}
-	}
-	m.featMean, m.featInvStd = mean, invStd
-	m.setModel(net, qk)
-	m.opts.Quantized = qk != nil
+	m.featMean, m.featInvStd = mf.mean, mf.invStd
+	m.setModel(mf.net)
 	return nil
 }

@@ -3,6 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
 	"strings"
 	"testing"
 
@@ -72,8 +76,9 @@ func TestReadModelGarbage(t *testing.T) {
 }
 
 // TestReadModelCorruption drives ReadModel through every rejection path
-// of the v2 format: wrong magic, unknown version, truncation at each
-// section boundary, and a bit flip caught by the checksum. A failed read
+// of the envelope: wrong magic, unknown version, truncation at each
+// section boundary, a bit flip caught by the checksum, and a payload
+// that continues past the network. A failed read
 // must never leave the matcher partially loaded.
 func TestReadModelCorruption(t *testing.T) {
 	d := smallDataset(t, 23)
@@ -124,6 +129,7 @@ func TestReadModelCorruption(t *testing.T) {
 			}
 			return b
 		}), "implausible"},
+		{"trailing bytes after the network", rebuildEnvelope(append(modelPayload(t, good), 0), modelVersion), "trailing"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -186,5 +192,130 @@ func TestReadModelDimMismatch(t *testing.T) {
 	m3, _ := NewMatcher(store, DefaultOptions(1))
 	if err := m3.ReadModel(&buf); err == nil || m3.Trained() {
 		t.Errorf("one-class model accepted (err %v)", err)
+	}
+}
+
+// modelPayload strips the envelope (magic, version, length) and trailing
+// CRC from a serialised model, returning a mutable payload copy.
+func modelPayload(t testing.TB, data []byte) []byte {
+	t.Helper()
+	head := len(matcherMagic) + 4 + 8
+	if len(data) < head+4 {
+		t.Fatalf("model file too short: %d bytes", len(data))
+	}
+	return append([]byte(nil), data[head:len(data)-4]...)
+}
+
+// rebuildEnvelope re-wraps a (possibly mutated) payload with a format
+// version and a correct length and CRC, so corruption tests exercise the
+// descriptor and block parsers rather than the checksum.
+func rebuildEnvelope(payload []byte, version uint32) []byte {
+	var out bytes.Buffer
+	out.WriteString(matcherMagic)
+	buf := make([]byte, 8)
+	binary.LittleEndian.PutUint32(buf[:4], version)
+	out.Write(buf[:4])
+	binary.LittleEndian.PutUint64(buf, uint64(len(payload)))
+	out.Write(buf)
+	out.Write(payload)
+	binary.LittleEndian.PutUint32(buf[:4], crc32.ChecksumIEEE(payload))
+	out.Write(buf[:4])
+	return out.Bytes()
+}
+
+// TestQuantDescriptorFailsClosed: a file whose descriptor sets the
+// quantisation bit is rejected with ErrQuantizedModel by ReadModel AND
+// LoadInfo, whatever follows the descriptor, and never loads the float64
+// network it may also carry. An unknown bit is rejected too.
+func TestQuantDescriptorFailsClosed(t *testing.T) {
+	plain := goldenMatcher(t)
+	var pbuf bytes.Buffer
+	if err := plain.WriteModel(&pbuf); err != nil {
+		t.Fatal(err)
+	}
+	quant, err := os.ReadFile(goldenPath("model_v3q.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Payload offsets: 8-byte descriptor, 4-byte standardiser length,
+	// dim×16 standardiser, then the 8-byte quant block length prefix.
+	quantLenOff := 8 + 4 + plain.PairDim()*16
+	quantBlockOff := quantLenOff + 8
+
+	cases := []struct {
+		name    string
+		data    []byte
+		wantErr error  // matched with errors.Is when set
+		wantSub string // matched against the message otherwise
+	}{
+		{
+			name: "quant bit set without a block",
+			data: func() []byte {
+				p := modelPayload(t, pbuf.Bytes())
+				p[0] |= featBitQuantized
+				return rebuildEnvelope(p, modelVersion)
+			}(),
+			wantErr: ErrQuantizedModel,
+		},
+		{
+			name: "unknown descriptor bit",
+			data: func() []byte {
+				p := modelPayload(t, pbuf.Bytes())
+				p[0] |= 1 << 5
+				return rebuildEnvelope(p, modelVersion)
+			}(),
+			wantSub: "unknown feature bits",
+		},
+		{
+			name: "implausible quant block length",
+			data: func() []byte {
+				p := modelPayload(t, quant)
+				binary.LittleEndian.PutUint64(p[quantLenOff:], 1<<40)
+				return rebuildEnvelope(p, modelVersion)
+			}(),
+			wantErr: ErrQuantizedModel,
+		},
+		{
+			name: "corrupt quant kernel magic",
+			data: func() []byte {
+				p := modelPayload(t, quant)
+				p[quantBlockOff] ^= 0xff
+				return rebuildEnvelope(p, modelVersion)
+			}(),
+			wantErr: ErrQuantizedModel,
+		},
+		{
+			name: "quant block truncating the kernel",
+			data: func() []byte {
+				p := modelPayload(t, quant)
+				blen := binary.LittleEndian.Uint64(p[quantLenOff:])
+				binary.LittleEndian.PutUint64(p[quantLenOff:], blen-2)
+				return rebuildEnvelope(p, modelVersion)
+			}(),
+			wantErr: ErrQuantizedModel,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(what string, err error) {
+				t.Helper()
+				switch {
+				case err == nil:
+					t.Errorf("%s accepted the file", what)
+				case tc.wantErr != nil && !errors.Is(err, tc.wantErr):
+					t.Errorf("%s error %q is not %q", what, err, tc.wantErr)
+				case tc.wantErr == nil && !strings.Contains(err.Error(), tc.wantSub):
+					t.Errorf("%s error %q does not contain %q", what, err, tc.wantSub)
+				}
+			}
+			_, err := LoadInfo(bytes.NewReader(tc.data))
+			check("LoadInfo", err)
+			fresh := goldenMatcher(t)
+			net, sc := fresh.net, fresh.sc
+			check("ReadModel", fresh.ReadModel(bytes.NewReader(tc.data)))
+			if fresh.net != net || fresh.sc != sc {
+				t.Error("matcher modified by a failed load")
+			}
+		})
 	}
 }

@@ -20,53 +20,47 @@ import (
 // clone; each Scorer owns only its scratch arenas (pair-vector buffer,
 // batch-major feature arena, activation scratch, string-distance
 // scratch), so a warm Score or ScoreBatch performs zero heap allocations
-// per pair. For models carrying the quantised descriptor flag the scorer
-// runs the int8/float32 kernel instead; the float64 kernel remains the
-// reference path and the default.
+// per pair.
 //
 // Featurize is safe for concurrent use (the extractor and embedding
 // store are read-only). Score and ScoreBatch are NOT: they reuse the
 // scorer's arenas. Concurrent scoring takes one Clone per worker —
-// clones share the kernels and cost only their scratch.
+// clones share the kernel and cost only their scratch.
 type Scorer struct {
 	ex         *features.Extractor
 	pairer     *features.Pairer
-	kern       *nn.Kernel      // shared float64 inference kernel
-	qkern      *nn.QuantKernel // shared int8 kernel; nil unless the model is quantised
+	kern       *nn.Kernel // shared inference kernel
 	featMean   []float64
 	featInvStd []float64
 	threshold  float64
 	fc         features.Config
 
 	// Per-scorer scratch arenas. Never shared between clones.
-	edit     text.EditScratch
-	vec      []float64 // one pair vector (Score)
-	xs       []float64 // batch-major pair vectors (ScoreBatch), grows to the largest batch seen
-	probs    []float64 // batch softmax outputs
-	scratch  []float64 // float64 kernel activations
-	qscratch []float32 // quantised kernel activations
+	edit    text.EditScratch
+	vec     []float64 // one pair vector (Score)
+	xs      []float64 // batch-major pair vectors (ScoreBatch), grows to the largest batch seen
+	probs   []float64 // batch softmax outputs
+	scratch []float64 // kernel activations
 }
 
 // NewScorer snapshots the matcher's trained state. The snapshot shares
-// the matcher's immutable float64 kernel and, for a quantised model, its
-// int8 kernel; the featurizer and standardiser are shared too (all
-// read-only). A later Train or ReadModel on the matcher installs new
-// kernels and leaves snapshots already taken untouched.
+// the matcher's immutable kernel, featurizer and standardiser (all
+// read-only). A later Train or ReadModel on the matcher installs a new
+// kernel and leaves snapshots already taken untouched.
 func (m *Matcher) NewScorer() (*Scorer, error) {
 	if m.sc == nil {
 		return nil, errors.New("core: NewScorer on untrained matcher")
 	}
-	return m.newScorer(m.sc.kern, m.qk), nil
+	return m.newScorer(m.sc.kern), nil
 }
 
-// newScorer builds a snapshot over the given kernels and the matcher's
+// newScorer builds a snapshot over the given kernel and the matcher's
 // featurizer, standardiser and threshold.
-func (m *Matcher) newScorer(kern *nn.Kernel, qk *nn.QuantKernel) *Scorer {
+func (m *Matcher) newScorer(kern *nn.Kernel) *Scorer {
 	s := &Scorer{
 		ex:         m.ex,
 		pairer:     m.pairer,
 		kern:       kern,
-		qkern:      qk,
 		featMean:   m.featMean,
 		featInvStd: m.featInvStd,
 		threshold:  m.opts.Threshold,
@@ -81,12 +75,9 @@ func (m *Matcher) newScorer(kern *nn.Kernel, qk *nn.QuantKernel) *Scorer {
 func (s *Scorer) initScratch() {
 	s.vec = make([]float64, s.pairer.Dim())
 	s.scratch = make([]float64, s.kern.ScratchLen())
-	if s.qkern != nil {
-		s.qscratch = make([]float32, s.qkern.ScratchLen())
-	}
 }
 
-// Clone returns an independent copy sharing the (read-only) kernels,
+// Clone returns an independent copy sharing the (read-only) kernel,
 // featurizer and standardiser but owning fresh scratch arenas, so clones
 // can score concurrently with each other and the original.
 func (s *Scorer) Clone() *Scorer {
@@ -105,9 +96,6 @@ func (s *Scorer) Threshold() float64 { return s.threshold }
 
 // Features returns the feature configuration the model was trained with.
 func (s *Scorer) Features() features.Config { return s.fc }
-
-// Quantized reports whether this scorer runs the int8 kernel.
-func (s *Scorer) Quantized() bool { return s.qkern != nil }
 
 // Featurize computes the property feature vector for a property given by
 // name and instance values — the serving-path equivalent of
@@ -137,9 +125,6 @@ func (s *Scorer) Score(a, b *features.Prop) (float64, error) {
 	}
 	s.pairer.PairVectorScratch(s.vec, a, b, &s.edit)
 	s.standardizeInto(s.vec)
-	if s.qkern != nil {
-		return s.qkern.PositiveScore(s.vec, s.qscratch), nil
-	}
 	return s.kern.PositiveScore(s.vec, s.scratch), nil
 }
 
@@ -156,11 +141,7 @@ func (s *Scorer) ensureBatch(n int) {
 	if need := n * s.kern.OutDim(); cap(s.probs) < need {
 		s.probs = make([]float64, need)
 	}
-	if s.qkern != nil {
-		if need := s.qkern.BatchScratchLen(n); cap(s.qscratch) < need {
-			s.qscratch = make([]float32, need)
-		}
-	} else if need := s.kern.BatchScratchLen(n); cap(s.scratch) < need {
+	if need := s.kern.BatchScratchLen(n); cap(s.scratch) < need {
 		s.scratch = make([]float64, need)
 	}
 }
@@ -197,11 +178,7 @@ func (s *Scorer) ScoreBatch(dst []float64, as, bs []*features.Prop) error {
 	}
 	outDim := s.kern.OutDim()
 	probs := s.probs[:n*outDim]
-	if s.qkern != nil {
-		s.qkern.ForwardBatch(probs, xs, n, s.qscratch[:s.qkern.BatchScratchLen(n)])
-	} else {
-		s.kern.ForwardBatch(probs, xs, n, s.scratch[:s.kern.BatchScratchLen(n)])
-	}
+	s.kern.ForwardBatch(probs, xs, n, s.scratch[:s.kern.BatchScratchLen(n)])
 	for i := 0; i < n; i++ {
 		dst[i] = probs[i*outDim+1]
 	}

@@ -312,3 +312,47 @@ func TestReadModelFeatureMismatch(t *testing.T) {
 		t.Errorf("error %q does not mention features", err)
 	}
 }
+
+// TestScorerZeroAllocs pins the warm library scoring path at zero heap
+// allocations per call — the core half of the scorer's alloc gate (the
+// serve package pins the batcher on top of this).
+func TestScorerZeroAllocs(t *testing.T) {
+	m, pairs := trainedScorerMatcher(t, 53)
+	n := 32
+	as := make([]*features.Prop, 0, n)
+	bs := make([]*features.Prop, 0, n)
+	for i := 0; i < n; i++ {
+		lp := pairs[i%len(pairs)]
+		pa, _ := m.prop(lp.A)
+		pb, _ := m.prop(lp.B)
+		as, bs = append(as, pa), append(bs, pb)
+	}
+	dst := make([]float64, n)
+	sc, err := m.NewScorer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm: first calls grow the batch arenas and the edit scratch to
+	// the longest names in the batch; after that the path must stay off
+	// the heap entirely.
+	if _, err := sc.Score(as[0], bs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.ScoreBatch(dst, as, bs); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := sc.Score(as[0], bs[0]); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm Score allocates %v times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := sc.ScoreBatch(dst, as, bs); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm ScoreBatch allocates %v times per %d-pair batch, want 0", allocs, n)
+	}
+}

@@ -7,24 +7,14 @@
 // probing a precomputed structure instead, trading a bounded amount of
 // recall for orders of magnitude fewer distance evaluations.
 //
-// Two interchangeable backends implement the Index interface:
-//
-//   - LSH (Options.Backend "lsh"): seeded random-hyperplane signatures.
-//     Each of Tables hash tables assigns every vector a Bits-bit signature
-//     (one bit per hyperplane: the sign of the projection). Vectors
-//     sharing a signature land in one bucket; a query probes its own
-//     bucket per table plus Probes query-directed multiprobe buckets
-//     (flipping the bits with the smallest projection margin). Collected
-//     candidates are ranked by exact cosine.
-//
-//   - HNSW (Options.Backend "hnsw"): a hierarchical navigable-small-world
-//     graph, built as fixed-size shards (Options.ShardSize) so the build
-//     parallelises. Each shard is an independent HNSW over a contiguous
-//     id range: seeded geometric level assignment, greedy descent from the
-//     entry point, beam search (EfBuild/EfSearch) at each level. A query
-//     searches every shard and merges, which keeps per-query work
-//     O(shards · ef · M) — sub-linear in n for any fixed shard count
-//     budget, and embarrassingly parallel if ever needed.
+// The index is seeded random-hyperplane LSH. Each of 12 hash tables
+// assigns every vector a signature of about log2(n/4) bits, clamped to
+// [6, 14] (one bit per hyperplane: the sign of the projection), so
+// bucket occupancy stays in the low single digits at any corpus size. Vectors sharing a signature
+// land in one bucket; a query probes its own bucket per table plus 4
+// query-directed multiprobe buckets (flipping the bits with the
+// smallest projection margin). Collected candidates are ranked by exact
+// cosine.
 //
 // # Determinism
 //
@@ -34,15 +24,13 @@
 // determinism analyzer (internal/analysis) covers this package; the
 // specific constraints are:
 //
-//   - All randomness is seeded: LSH hyperplanes draw from
+//   - All randomness is seeded: hyperplanes draw from
 //     mathx.NewRand(parallel.SeedStream(seed, plane)), one decorrelated
 //     stream per hyperplane, so plane p's coefficients never depend on
-//     who generated plane p-1. HNSW node levels come from a SplitMix64
-//     hash of (seed, id), not from an RNG consumed in insertion order.
-//   - Insertion order is fixed: HNSW shards insert ids ascending;
-//     LSH buckets append ids ascending. Worker count only changes who
-//     computes a value, never where it lands (parallel.Map's ordered
-//     merge).
+//     who generated plane p-1.
+//   - Insertion order is fixed: buckets append ids ascending. Worker
+//     count only changes who computes a value, never where it lands
+//     (parallel.Map's ordered merge).
 //   - Ties break on id: every neighbour ranking orders by
 //     (similarity desc, id asc). Float comparison for the tie-break is
 //     exact on purpose — a tolerance comparator is not a strict weak
@@ -51,8 +39,8 @@
 //     gathered into slices in probe order, deduplicated with a visited
 //     array, and fully sorted before truncation.
 //
-// Serialized indexes (see Write/Read and Snapshot) carry the same
-// versioned magic + length + CRC-32 envelope as model files, so a serve
-// replica can load a prebuilt index and reject truncated or bit-flipped
-// files instead of probing garbage.
+// Snapshots (an index plus the property keys behind its ids) carry the
+// same versioned magic + length + CRC-32 envelope as model files, so a
+// serve replica can load a prebuilt index and reject truncated or
+// bit-flipped files instead of probing garbage.
 package index

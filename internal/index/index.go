@@ -17,95 +17,14 @@ type Candidate struct {
 	Sim float64
 }
 
-// Index answers approximate nearest-neighbour queries over a fixed set of
-// vectors. Implementations are immutable after Build and safe for
-// concurrent readers.
-type Index interface {
-	// Query returns up to k candidates nearest q by cosine similarity,
-	// best-first with ties broken by ascending id. q need not be
-	// normalized.
-	Query(q []float64, k int) []Candidate
-	// Len returns the number of indexed vectors.
-	Len() int
-	// Dim returns the vector dimensionality.
-	Dim() int
-	// Vector returns the stored (unit-normalized) vector for id. The
-	// returned slice must not be modified.
-	Vector(id int) []float64
-	// Name identifies the backend ("lsh" or "hnsw").
-	Name() string
-}
-
-// Backend names.
-const (
-	BackendLSH  = "lsh"
-	BackendHNSW = "hnsw"
-)
-
-// Options configures Build. The zero value selects the LSH backend with
-// the defaults below.
+// Options configures Build.
 type Options struct {
-	// Backend selects the index structure: BackendLSH (default) or
-	// BackendHNSW.
-	Backend string
-	// Seed drives every stochastic choice (hyperplanes, level
-	// assignment). Same seed + same vectors → bit-identical index.
+	// Seed drives the hyperplane draws. Same seed + same vectors →
+	// bit-identical index.
 	Seed int64
 	// Workers parallelises the build (≤0 = GOMAXPROCS). The result is
 	// bit-identical for every value.
 	Workers int
-
-	// Tables is the number of LSH hash tables (default 12).
-	Tables int
-	// Bits is the signature width per table (max 32). When unset, Build
-	// scales it to the corpus: roughly log2(n/4), clamped to [6, 14], so
-	// bucket occupancy stays in the low single digits at any size.
-	Bits int
-	// Probes is the number of extra multiprobe buckets per table: the
-	// query's signature with its lowest-margin bits flipped one at a
-	// time (default 4).
-	Probes int
-
-	// M is the HNSW out-degree target per node per level (default 12).
-	M int
-	// EfBuild is the construction beam width (default 80).
-	EfBuild int
-	// EfSearch is the query beam width (default 48).
-	EfSearch int
-	// ShardSize is the number of vectors per independently-built HNSW
-	// shard (default 4096). Smaller shards build with more parallelism;
-	// larger shards query faster.
-	ShardSize int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Backend == "" {
-		o.Backend = BackendLSH
-	}
-	if o.Tables <= 0 {
-		o.Tables = 12
-	}
-	if o.Bits > 32 {
-		o.Bits = 32
-	}
-	if o.Probes < 0 {
-		o.Probes = 0
-	} else if o.Probes == 0 {
-		o.Probes = 4
-	}
-	if o.M <= 0 {
-		o.M = 12
-	}
-	if o.EfBuild <= 0 {
-		o.EfBuild = 80
-	}
-	if o.EfSearch <= 0 {
-		o.EfSearch = 48
-	}
-	if o.ShardSize <= 0 {
-		o.ShardSize = 4096
-	}
-	return o
 }
 
 // Build constructs an index over vecs. All vectors must share one
@@ -113,11 +32,7 @@ func (o Options) withDefaults() Options {
 // the caller's slices are never retained or modified. Building is
 // parallel across Options.Workers but bit-deterministic for any worker
 // count.
-func Build(ctx context.Context, vecs [][]float64, opts Options) (Index, error) {
-	opts = opts.withDefaults()
-	if opts.Bits <= 0 {
-		opts.Bits = adaptiveBits(len(vecs))
-	}
+func Build(ctx context.Context, vecs [][]float64, opts Options) (*Index, error) {
 	if len(vecs) == 0 {
 		return nil, errors.New("index: no vectors")
 	}
@@ -134,14 +49,7 @@ func Build(ctx context.Context, vecs [][]float64, opts Options) (Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch opts.Backend {
-	case BackendLSH:
-		return buildLSH(ctx, normed, dim, opts)
-	case BackendHNSW:
-		return buildHNSW(ctx, normed, dim, opts)
-	default:
-		return nil, fmt.Errorf("index: unknown backend %q (want %s or %s)", opts.Backend, BackendLSH, BackendHNSW)
-	}
+	return buildLSH(ctx, normed, dim, opts)
 }
 
 // adaptiveBits picks an LSH signature width for a corpus of n vectors so
@@ -217,15 +125,70 @@ func rank(vecs [][]float64, q []float64, ids []int, k int) []Candidate {
 	for _, id := range ids {
 		c := Candidate{ID: id, Sim: mathx.Dot(q, vecs[id])}
 		if beam.len() < k {
-			beam.push(c, true)
+			beam.push(c)
 		} else if worse(beam.peek(), c) {
-			beam.pop(true)
-			beam.push(c, true)
+			beam.pop()
+			beam.push(c)
 		}
 	}
 	out := make([]Candidate, beam.len())
 	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = beam.pop(true)
+		out[i] = beam.pop()
 	}
 	return out
+}
+
+// worse reports whether a ranks strictly after b in (sim desc, id asc)
+// order, the total order every ranking here uses.
+func worse(a, b Candidate) bool {
+	//lint:allow floateq heap ordering must be an exact total order; a tolerance comparator breaks the heap invariant
+	if a.Sim != b.Sim {
+		return a.Sim < b.Sim
+	}
+	return a.ID > b.ID
+}
+
+// candHeap is a worst-first binary heap of Candidates: rank's bounded
+// beam evicts its weakest member. The comparator is the exact (sim, id)
+// total order, so the heap's shape is deterministic.
+type candHeap struct{ s []Candidate }
+
+func (h *candHeap) len() int        { return len(h.s) }
+func (h *candHeap) peek() Candidate { return h.s[0] }
+
+func (h *candHeap) push(c Candidate) {
+	h.s = append(h.s, c)
+	i := len(h.s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !worse(h.s[i], h.s[p]) {
+			break
+		}
+		h.s[i], h.s[p] = h.s[p], h.s[i]
+		i = p
+	}
+}
+
+func (h *candHeap) pop() Candidate {
+	top := h.s[0]
+	last := len(h.s) - 1
+	h.s[0] = h.s[last]
+	h.s = h.s[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		worst := i
+		if l < last && worse(h.s[l], h.s[worst]) {
+			worst = l
+		}
+		if r < last && worse(h.s[r], h.s[worst]) {
+			worst = r
+		}
+		if worst == i {
+			break
+		}
+		h.s[i], h.s[worst] = h.s[worst], h.s[i]
+		i = worst
+	}
+	return top
 }

@@ -64,46 +64,52 @@ func overlap(a, b []Candidate) float64 {
 	return float64(hit) / float64(len(b))
 }
 
-func backends() []Options {
-	return []Options{
-		{Backend: BackendLSH, Seed: 42},
-		{Backend: BackendHNSW, Seed: 42, ShardSize: 512},
+// testOpts is the build configuration the index tests share. The tests
+// run as subtest "lsh", the name they had beside a second backend, so
+// their IDs stay stable.
+var testOpts = Options{Seed: 42}
+
+// roundTrip serialises ix as a snapshot's index part and reads it back.
+func roundTrip(t *testing.T, ix *Index) (*Index, []byte) {
+	t.Helper()
+	raw := indexPayload(ix)
+	loaded, err := indexFromPayload(&binReader{r: bytes.NewReader(raw)})
+	if err != nil {
+		t.Fatalf("indexFromPayload: %v", err)
 	}
+	return loaded, raw
 }
 
 func TestQueryRecallOnClusters(t *testing.T) {
 	vecs := clusteredVecs(7, 150, 8, 24, 0.15)
-	for _, opts := range backends() {
-		opts := opts
-		t.Run(opts.Backend, func(t *testing.T) {
-			ix, err := Build(context.Background(), vecs, opts)
-			if err != nil {
-				t.Fatalf("Build: %v", err)
-			}
-			if ix.Len() != len(vecs) || ix.Dim() != 24 {
-				t.Fatalf("Len/Dim = %d/%d, want %d/24", ix.Len(), ix.Dim(), len(vecs))
-			}
-			const k = 8
-			var total float64
-			queries := 100
-			for qi := 0; qi < queries; qi++ {
-				q := vecs[qi*11%len(vecs)]
-				got := ix.Query(q, k)
-				want := bruteTopK(vecs, q, k)
-				total += overlap(got, want)
-				for i := 1; i < len(got); i++ {
-					if got[i].Sim > got[i-1].Sim {
-						t.Fatalf("query %d results not sorted: %v", qi, got)
-					}
+	t.Run("lsh", func(t *testing.T) {
+		ix, err := Build(context.Background(), vecs, testOpts)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		if ix.Len() != len(vecs) || ix.Dim() != 24 {
+			t.Fatalf("Len/Dim = %d/%d, want %d/24", ix.Len(), ix.Dim(), len(vecs))
+		}
+		const k = 8
+		var total float64
+		queries := 100
+		for qi := 0; qi < queries; qi++ {
+			q := vecs[qi*11%len(vecs)]
+			got := ix.Query(q, k)
+			want := bruteTopK(vecs, q, k)
+			total += overlap(got, want)
+			for i := 1; i < len(got); i++ {
+				if got[i].Sim > got[i-1].Sim {
+					t.Fatalf("query %d results not sorted: %v", qi, got)
 				}
 			}
-			recall := total / float64(queries)
-			if recall < 0.85 {
-				t.Fatalf("%s recall@%d = %.3f, want >= 0.85", opts.Backend, k, recall)
-			}
-			t.Logf("%s recall@%d = %.3f", opts.Backend, k, recall)
-		})
-	}
+		}
+		recall := total / float64(queries)
+		if recall < 0.85 {
+			t.Fatalf("recall@%d = %.3f, want >= 0.85", k, recall)
+		}
+		t.Logf("recall@%d = %.3f", k, recall)
+	})
 }
 
 func TestBuildRejectsBadInput(t *testing.T) {
@@ -117,112 +123,100 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	if _, err := Build(ctx, [][]float64{{1, 2}, {1, 2, 3}}, Options{}); err == nil {
 		t.Fatal("Build accepted mismatched dims")
 	}
-	if _, err := Build(ctx, [][]float64{{1, 2}}, Options{Backend: "voronoi"}); err == nil {
-		t.Fatal("Build accepted unknown backend")
-	}
 }
 
 func TestQueryEdgeCases(t *testing.T) {
 	vecs := clusteredVecs(3, 4, 3, 8, 0.1)
 	vecs = append(vecs, make([]float64, 8)) // a fully-OOV zero vector
-	for _, opts := range backends() {
-		opts := opts
-		t.Run(opts.Backend, func(t *testing.T) {
-			ix, err := Build(context.Background(), vecs, opts)
-			if err != nil {
-				t.Fatalf("Build: %v", err)
+	t.Run("lsh", func(t *testing.T) {
+		ix, err := Build(context.Background(), vecs, testOpts)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		if got := ix.Query(vecs[0], 0); got != nil {
+			t.Fatalf("k=0 returned %v", got)
+		}
+		if got := ix.Query(vecs[0][:3], 5); got != nil {
+			t.Fatalf("dim-mismatched query returned %v", got)
+		}
+		if got := ix.Query(vecs[0], 10*len(vecs)); len(got) > len(vecs) {
+			t.Fatalf("k>n returned %d > %d candidates", len(got), len(vecs))
+		}
+		// A zero-vector query must not panic or produce NaN sims.
+		for _, c := range ix.Query(make([]float64, 8), 5) {
+			if c.Sim != c.Sim {
+				t.Fatalf("zero query produced NaN sim for id %d", c.ID)
 			}
-			if got := ix.Query(vecs[0], 0); got != nil {
-				t.Fatalf("k=0 returned %v", got)
-			}
-			if got := ix.Query(vecs[0][:3], 5); got != nil {
-				t.Fatalf("dim-mismatched query returned %v", got)
-			}
-			if got := ix.Query(vecs[0], 10*len(vecs)); len(got) > len(vecs) {
-				t.Fatalf("k>n returned %d > %d candidates", len(got), len(vecs))
-			}
-			// A zero-vector query must not panic or produce NaN sims.
-			for _, c := range ix.Query(make([]float64, 8), 5) {
-				if c.Sim != c.Sim {
-					t.Fatalf("zero query produced NaN sim for id %d", c.ID)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestSerializeRoundTrip(t *testing.T) {
 	vecs := clusteredVecs(11, 40, 5, 16, 0.2)
-	for _, opts := range backends() {
-		opts := opts
-		t.Run(opts.Backend, func(t *testing.T) {
-			ix, err := Build(context.Background(), vecs, opts)
-			if err != nil {
-				t.Fatalf("Build: %v", err)
+	t.Run("lsh", func(t *testing.T) {
+		ix, err := Build(context.Background(), vecs, testOpts)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		loaded, first := roundTrip(t, ix)
+		if loaded.Len() != ix.Len() || loaded.Dim() != ix.Dim() {
+			t.Fatalf("loaded index differs: %d/%d vs %d/%d", loaded.Len(), loaded.Dim(), ix.Len(), ix.Dim())
+		}
+		for qi := 0; qi < 20; qi++ {
+			q := vecs[qi*7%len(vecs)]
+			a, b := ix.Query(q, 6), loaded.Query(q, 6)
+			if fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Fatalf("query %d differs after round trip:\n  built:  %v\n  loaded: %v", qi, a, b)
 			}
-			var buf bytes.Buffer
-			if err := Write(&buf, ix); err != nil {
-				t.Fatalf("Write: %v", err)
-			}
-			first := append([]byte(nil), buf.Bytes()...)
-
-			loaded, err := Read(bytes.NewReader(first))
-			if err != nil {
-				t.Fatalf("Read: %v", err)
-			}
-			if loaded.Name() != ix.Name() || loaded.Len() != ix.Len() || loaded.Dim() != ix.Dim() {
-				t.Fatalf("loaded index differs: %s/%d/%d vs %s/%d/%d",
-					loaded.Name(), loaded.Len(), loaded.Dim(), ix.Name(), ix.Len(), ix.Dim())
-			}
-			for qi := 0; qi < 20; qi++ {
-				q := vecs[qi*7%len(vecs)]
-				a, b := ix.Query(q, 6), loaded.Query(q, 6)
-				if fmt.Sprint(a) != fmt.Sprint(b) {
-					t.Fatalf("query %d differs after round trip:\n  built:  %v\n  loaded: %v", qi, a, b)
-				}
-			}
-
-			// Re-serialising the loaded index must reproduce the bytes.
-			var again bytes.Buffer
-			if err := Write(&again, loaded); err != nil {
-				t.Fatalf("re-Write: %v", err)
-			}
-			if !bytes.Equal(first, again.Bytes()) {
-				t.Fatal("serialisation is not a fixed point: bytes differ after load+save")
-			}
-		})
-	}
+		}
+		// Re-serialising the loaded index must reproduce the bytes.
+		if !bytes.Equal(first, indexPayload(loaded)) {
+			t.Fatal("serialisation is not a fixed point: bytes differ after load+save")
+		}
+	})
 }
 
 func TestReadRejectsCorruption(t *testing.T) {
-	vecs := clusteredVecs(3, 10, 4, 8, 0.2)
-	ix, err := Build(context.Background(), vecs, Options{Seed: 1})
+	snap, err := BuildSnapshot(context.Background(), testStore(t, 8), snapshotTestProps(), Options{Seed: 1})
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("BuildSnapshot: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, ix); err != nil {
+	if err := snap.Write(&buf); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	raw := buf.Bytes()
 
 	flipped := append([]byte(nil), raw...)
 	flipped[len(flipped)/2] ^= 0x40
-	if _, err := Read(bytes.NewReader(flipped)); err == nil {
-		t.Fatal("Read accepted a bit-flipped payload")
+	if _, err := ReadSnapshot(bytes.NewReader(flipped)); err == nil {
+		t.Fatal("ReadSnapshot accepted a bit-flipped payload")
 	} else if !strings.Contains(err.Error(), "CRC") {
 		t.Fatalf("corruption error does not mention the checksum: %v", err)
 	}
-
-	if _, err := Read(bytes.NewReader(raw[:len(raw)-9])); err == nil {
-		t.Fatal("Read accepted a truncated file")
+	if _, err := ReadSnapshot(bytes.NewReader(raw[:len(raw)-9])); err == nil {
+		t.Fatal("ReadSnapshot accepted a truncated file")
 	}
-	if _, err := Read(bytes.NewReader([]byte("LEAPMEMD garbage"))); err == nil {
-		t.Fatal("Read accepted a model-file magic")
+	if _, err := ReadSnapshot(bytes.NewReader([]byte("LEAPMEMD garbage"))); err == nil {
+		t.Fatal("ReadSnapshot accepted a model-file magic")
+	}
+	payload := snapshotPayload(t, raw)
+	if _, err := ReadSnapshot(bytes.NewReader(sealSnapshot(append(payload, 0)))); err == nil {
+		t.Fatal("ReadSnapshot accepted a trailing byte after the index")
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(sealSnapshot(relabel(snap, payload, backendCodeLSH)))); err != nil {
+		t.Fatalf("re-sealed unchanged snapshot rejected: %v", err)
+	}
+	_, err = ReadSnapshot(bytes.NewReader(sealSnapshot(relabel(snap, payload, backendCodeHNSW))))
+	if err == nil || !strings.Contains(err.Error(), "HNSW") || !strings.Contains(err.Error(), "leapme index") {
+		t.Fatalf("HNSW snapshot error = %v, want one naming HNSW and leapme index", err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(sealSnapshot(relabel(snap, payload, 9)))); err == nil {
+		t.Fatal("ReadSnapshot accepted an unknown backend code")
 	}
 }
 
-func testStore(t *testing.T, dim int) *embedding.Store {
+func testStore(t testing.TB, dim int) *embedding.Store {
 	t.Helper()
 	words := []string{
 		"camera", "resolution", "zoom", "weight", "battery", "price",
@@ -243,22 +237,8 @@ func testStore(t *testing.T, dim int) *embedding.Store {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	st := testStore(t, 12)
-	var props []dataset.Property
-	names := []string{
-		"camera resolution", "sensor resolution", "optical zoom", "zoom",
-		"battery weight", "weight", "price", "screen resolution",
-		"video audio", "flash", "lens", "battery",
-	}
-	for si, src := range []string{"s1", "s2", "s3"} {
-		for ni, n := range names {
-			if (si+ni)%2 == 0 {
-				props = append(props, dataset.Property{Source: src, Name: n})
-			}
-		}
-	}
-	// A duplicate key must collapse to its first occurrence.
-	props = append(props, props[0])
-
+	// The last property duplicates the first; it must collapse.
+	props := snapshotTestProps()
 	snap, err := BuildSnapshot(context.Background(), st, props, Options{Seed: 5})
 	if err != nil {
 		t.Fatalf("BuildSnapshot: %v", err)
@@ -285,7 +265,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	var buf bytes.Buffer
 	if err := snap.Write(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
+		t.Fatalf("Write: %v", err)
 	}
 	loaded, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -301,6 +281,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if fmt.Sprint(loaded.Neighbors(0, 5)) != fmt.Sprint(nbrs) {
 		t.Fatal("Neighbors differ after round trip")
+	}
+	var again bytes.Buffer
+	if err := loaded.Write(&again); err != nil {
+		t.Fatalf("re-Write: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("snapshot load+save changed the bytes")
 	}
 
 	if _, err := BuildSnapshot(context.Background(), st, nil, Options{}); err == nil {

@@ -10,17 +10,34 @@ import (
 	"leapme/internal/parallel"
 )
 
-// lshIndex is the random-hyperplane LSH backend. Each table hashes a
-// vector to a Bits-bit signature — bit b is the sign of the projection
-// onto hyperplane (table, b) — and buckets vectors by signature. Cosine-
+// LSH geometry of every index Build makes. The signature width comes
+// from adaptiveBits. A loaded snapshot keeps the geometry its file
+// records.
+const (
+	// lshTables is the number of hash tables.
+	lshTables = 12
+	// lshProbes is the number of extra multiprobe buckets per table: the
+	// query's signature with its lowest-margin bits flipped one at a time.
+	lshProbes = 4
+)
+
+// Index answers approximate nearest-neighbour queries over a fixed set
+// of vectors with random-hyperplane LSH. Each table hashes a vector to
+// a bits-wide signature — bit b is the sign of the projection onto
+// hyperplane (table, b) — and buckets vectors by signature. Cosine-
 // similar vectors agree on most projections, so they collide with high
 // probability in at least one table; a query probes its own bucket per
 // table plus the lowest-margin single-bit flips (multiprobe), then ranks
-// the gathered candidates by exact cosine.
-type lshIndex struct {
+// the gathered candidates by exact cosine. An Index is immutable after
+// Build or ReadSnapshot and safe for concurrent readers.
+type Index struct {
 	dim  int
-	opts Options
-	vecs [][]float64 // unit-normalized, id order
+	seed int64
+	// tables, bits and probes are the hashing geometry: Build uses
+	// lshTables, adaptiveBits and lshProbes; a loaded snapshot keeps what
+	// its file records.
+	tables, bits, probes int
+	vecs                 [][]float64 // unit-normalized, id order
 	// center is the mean of the normalized vectors. Signatures hash
 	// *centered* vectors: embedding spaces are anisotropic (two unrelated
 	// phrases still share a sizeable cosine with the corpus mean), so
@@ -56,10 +73,14 @@ type lshScratch struct {
 	flip []int
 }
 
-func buildLSH(ctx context.Context, vecs [][]float64, dim int, opts Options) (*lshIndex, error) {
-	ix := &lshIndex{dim: dim, opts: opts, vecs: vecs}
+func buildLSH(ctx context.Context, vecs [][]float64, dim int, opts Options) (*Index, error) {
+	ix := &Index{
+		dim: dim, seed: opts.Seed,
+		tables: lshTables, bits: adaptiveBits(len(vecs)), probes: lshProbes,
+		vecs: vecs,
+	}
 	ix.center = mathx.MeanVectors(vecs)
-	ix.planes = makePlanes(dim, opts)
+	ix.planes = ix.makePlanes()
 	ix.initDerived()
 
 	// Signatures in parallel (chunked) with an ordered merge: sigs[i]
@@ -88,9 +109,9 @@ func buildLSH(ctx context.Context, vecs [][]float64, dim int, opts Options) (*ls
 	}
 
 	// Transpose to per-table and fill buckets in ascending id order.
-	ix.sigs = make([][]uint32, opts.Tables)
-	ix.buckets = make([]map[uint32][]int, opts.Tables)
-	for t := 0; t < opts.Tables; t++ {
+	ix.sigs = make([][]uint32, ix.tables)
+	ix.buckets = make([]map[uint32][]int, ix.tables)
+	for t := 0; t < ix.tables; t++ {
 		ix.sigs[t] = make([]uint32, len(vecs))
 		ix.buckets[t] = make(map[uint32][]int)
 	}
@@ -106,7 +127,7 @@ func buildLSH(ctx context.Context, vecs [][]float64, dim int, opts Options) (*ls
 // initDerived computes the state derived from (center, planes) — the
 // projection offsets and the scratch pool. Called by both buildLSH and
 // the deserializer.
-func (ix *lshIndex) initDerived() {
+func (ix *Index) initDerived() {
 	ix.offsets = make([]float64, len(ix.planes))
 	for p, plane := range ix.planes {
 		ix.offsets[p] = mathx.Dot(ix.center, plane)
@@ -114,8 +135,8 @@ func (ix *lshIndex) initDerived() {
 	ix.scratch.New = func() any {
 		return &lshScratch{
 			seen: make([]bool, len(ix.vecs)),
-			marg: make([]float64, ix.opts.Tables*ix.opts.Bits),
-			flip: make([]int, ix.opts.Bits),
+			marg: make([]float64, ix.tables*ix.bits),
+			flip: make([]int, ix.bits),
 		}
 	}
 }
@@ -123,11 +144,11 @@ func (ix *lshIndex) initDerived() {
 // makePlanes draws every hyperplane from its own SeedStream-derived RNG,
 // so plane p is a pure function of (seed, p) — not of how many planes
 // some worker generated before it.
-func makePlanes(dim int, opts Options) [][]float64 {
-	planes := make([][]float64, opts.Tables*opts.Bits)
+func (ix *Index) makePlanes() [][]float64 {
+	planes := make([][]float64, ix.tables*ix.bits)
 	for p := range planes {
-		planes[p] = make([]float64, dim)
-		mathx.FillNormal(planes[p], 0, 1, mathx.NewRand(parallel.SeedStream(opts.Seed, p)))
+		planes[p] = make([]float64, ix.dim)
+		mathx.FillNormal(planes[p], 0, 1, mathx.NewRand(parallel.SeedStream(ix.seed, p)))
 	}
 	return planes
 }
@@ -136,12 +157,12 @@ func makePlanes(dim int, opts Options) [][]float64 {
 // table; the centering is folded into the precomputed offsets. When
 // margins is non-nil it must have length tables*bits and receives
 // |projection| per plane — the multiprobe flip priorities.
-func (ix *lshIndex) signatures(q []float64, margins []float64) []uint32 {
-	sigs := make([]uint32, ix.opts.Tables)
-	for t := 0; t < ix.opts.Tables; t++ {
+func (ix *Index) signatures(q []float64, margins []float64) []uint32 {
+	sigs := make([]uint32, ix.tables)
+	for t := 0; t < ix.tables; t++ {
 		var sig uint32
-		for b := 0; b < ix.opts.Bits; b++ {
-			p := t*ix.opts.Bits + b
+		for b := 0; b < ix.bits; b++ {
+			p := t*ix.bits + b
 			proj := mathx.Dot(q, ix.planes[p]) - ix.offsets[p]
 			if proj >= 0 {
 				sig |= 1 << uint(b)
@@ -155,8 +176,10 @@ func (ix *lshIndex) signatures(q []float64, margins []float64) []uint32 {
 	return sigs
 }
 
-// Query implements Index.
-func (ix *lshIndex) Query(q []float64, k int) []Candidate {
+// Query returns up to k candidates nearest q by cosine similarity,
+// best-first with ties broken by ascending id. q need not be
+// normalized.
+func (ix *Index) Query(q []float64, k int) []Candidate {
 	if k <= 0 || len(q) != ix.dim {
 		return nil
 	}
@@ -173,11 +196,8 @@ func (ix *lshIndex) Query(q []float64, k int) []Candidate {
 			}
 		}
 	}
-	probes := ix.opts.Probes
-	if probes > ix.opts.Bits {
-		probes = ix.opts.Bits
-	}
-	for t := 0; t < ix.opts.Tables; t++ {
+	probes := min(ix.probes, ix.bits)
+	for t := 0; t < ix.tables; t++ {
 		gather(t, sigs[t])
 		if probes == 0 {
 			continue
@@ -187,7 +207,7 @@ func (ix *lshIndex) Query(q []float64, k int) []Candidate {
 		// neighbour. A manual partial selection (probes ≪ bits) with the
 		// bit position as tie-break keeps this deterministic and off the
 		// reflection-based sort path.
-		m := sc.marg[t*ix.opts.Bits : (t+1)*ix.opts.Bits]
+		m := sc.marg[t*ix.bits : (t+1)*ix.bits]
 		flip := sc.flip
 		for b := range flip {
 			flip[b] = b
@@ -213,14 +233,12 @@ func (ix *lshIndex) Query(q []float64, k int) []Candidate {
 	return out
 }
 
-// Len implements Index.
-func (ix *lshIndex) Len() int { return len(ix.vecs) }
+// Len returns the number of indexed vectors.
+func (ix *Index) Len() int { return len(ix.vecs) }
 
-// Dim implements Index.
-func (ix *lshIndex) Dim() int { return ix.dim }
+// Dim returns the vector dimensionality.
+func (ix *Index) Dim() int { return ix.dim }
 
-// Vector implements Index.
-func (ix *lshIndex) Vector(id int) []float64 { return ix.vecs[id] }
-
-// Name implements Index.
-func (ix *lshIndex) Name() string { return BackendLSH }
+// Vector returns the stored (unit-normalized) vector for id. The
+// returned slice must not be modified.
+func (ix *Index) Vector(id int) []float64 { return ix.vecs[id] }

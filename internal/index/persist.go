@@ -3,25 +3,26 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 )
 
-// Index and snapshot files carry the same envelope as model files
+// Snapshot files carry the same envelope as model files
 // (internal/core): magic | uint32 version | uint64 payloadLen | payload |
 // uint32 CRC-32 (IEEE) of payload, all little-endian. The length prefix
 // and trailing checksum let readers reject truncated or bit-flipped files
 // with a descriptive error instead of probing garbage buckets.
 //
-// Index v1 payload = uint32 backend code | int64 seed | uint32 dim |
-// uint64 n | n×dim float64 vectors | backend section. The LSH section is
-// tables/bits/probes + hyperplanes + per-table signatures (buckets are
-// rebuilt on load — they are a pure function of the signatures). The HNSW
-// section is M/efBuild/efSearch/shardSize + per-shard entry point, level
-// assignments, and adjacency lists.
+// The index part of a snapshot payload = uint32 backend code (1, LSH) |
+// int64 seed | uint32 dim | uint64 n | n×dim float64 vectors | uint32
+// tables | uint32 bits | uint32 probes | dim float64 center |
+// tables×bits×dim float64 hyperplanes | tables×n uint32 signatures.
+// Buckets are rebuilt on load: they are a pure function of the
+// signatures. Backend code 2 marked the retired HNSW graph; the reader
+// names it and asks for a rebuild.
 //
 // Because every serialized field is bit-deterministic for a fixed
 // (vectors, seed) — see doc.go — two builds of the same input produce
@@ -29,14 +30,14 @@ import (
 // the determinism gate diffs.
 
 const (
-	indexMagic    = "LEAPMEIX"
 	snapshotMagic = "LEAPMESX"
 	indexVersion  = 1
 	// maxIndexPayload bounds payload allocation when reading untrusted
 	// files: 1 GiB is orders of magnitude beyond any real index here.
 	maxIndexPayload = 1 << 30
 
-	backendCodeLSH  = 1
+	backendCodeLSH = 1
+	// backendCodeHNSW is recognised only to reject it by name.
 	backendCodeHNSW = 2
 )
 
@@ -145,9 +146,9 @@ func (r *binReader) vecs(n, dim int) ([][]float64, error) {
 
 // writeEnvelope frames payload with magic/version/length/CRC and writes
 // the whole file to w.
-func writeEnvelope(w io.Writer, magic string, payload []byte) error {
+func writeEnvelope(w io.Writer, payload []byte) error {
 	var tmp [8]byte
-	if _, err := io.WriteString(w, magic); err != nil {
+	if _, err := io.WriteString(w, snapshotMagic); err != nil {
 		return err
 	}
 	binary.LittleEndian.PutUint32(tmp[:4], indexVersion)
@@ -166,16 +167,16 @@ func writeEnvelope(w io.Writer, magic string, payload []byte) error {
 	return err
 }
 
-// readIndexEnvelope reads and verifies magic, version, length-prefixed
+// readEnvelope reads and verifies magic, version, length-prefixed
 // payload, and CRC-32, returning the verified payload bytes.
-func readIndexEnvelope(r io.Reader, magic string) ([]byte, error) {
+func readEnvelope(r io.Reader) ([]byte, error) {
 	var tmp [8]byte
-	got := make([]byte, len(magic))
+	got := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(r, got); err != nil {
 		return nil, fmt.Errorf("index: reading magic: %w", err)
 	}
-	if string(got) != magic {
-		return nil, fmt.Errorf("index: bad magic %q (want %q)", got, magic)
+	if string(got) != snapshotMagic {
+		return nil, fmt.Errorf("index: bad magic %q (want %q)", got, snapshotMagic)
 	}
 	if _, err := io.ReadFull(r, tmp[:4]); err != nil {
 		return nil, fmt.Errorf("index: reading version: %w", err)
@@ -204,83 +205,43 @@ func readIndexEnvelope(r io.Reader, magic string) ([]byte, error) {
 	return payload, nil
 }
 
-// Write serialises ix in the versioned index format.
-func Write(w io.Writer, ix Index) error {
-	payload, err := indexPayload(ix)
-	if err != nil {
-		return err
-	}
-	return writeEnvelope(w, indexMagic, payload)
-}
-
-func indexPayload(ix Index) ([]byte, error) {
+// indexPayload serialises ix as the index part of a snapshot payload.
+func indexPayload(ix *Index) []byte {
 	bw := &binWriter{}
-	switch t := ix.(type) {
-	case *lshIndex:
-		bw.u32(backendCodeLSH)
-		bw.u64(uint64(t.opts.Seed))
-		bw.u32(uint32(t.dim))
-		bw.u64(uint64(len(t.vecs)))
-		bw.vecs(t.vecs)
-		bw.u32(uint32(t.opts.Tables))
-		bw.u32(uint32(t.opts.Bits))
-		bw.u32(uint32(t.opts.Probes))
-		for _, x := range t.center {
-			bw.f64(x)
-		}
-		bw.vecs(t.planes)
-		for t2 := 0; t2 < t.opts.Tables; t2++ {
-			for _, s := range t.sigs[t2] {
-				bw.u32(s)
-			}
-		}
-	case *hnswIndex:
-		bw.u32(backendCodeHNSW)
-		bw.u64(uint64(t.opts.Seed))
-		bw.u32(uint32(t.dim))
-		bw.u64(uint64(len(t.vecs)))
-		bw.vecs(t.vecs)
-		bw.u32(uint32(t.opts.M))
-		bw.u32(uint32(t.opts.EfBuild))
-		bw.u32(uint32(t.opts.EfSearch))
-		bw.u32(uint32(t.opts.ShardSize))
-		bw.u32(uint32(len(t.shards)))
-		for _, sh := range t.shards {
-			bw.u64(uint64(int64(sh.entry)))
-			bw.u32(uint32(sh.maxLevel))
-			for _, l := range sh.levels {
-				bw.u32(uint32(l))
-			}
-			bw.u32(uint32(len(sh.links)))
-			for _, level := range sh.links {
-				for _, nbrs := range level {
-					bw.u32(uint32(len(nbrs)))
-					for _, nb := range nbrs {
-						bw.u32(uint32(nb))
-					}
-				}
-			}
-		}
-	default:
-		return nil, fmt.Errorf("index: cannot serialise backend %q", ix.Name())
+	bw.u32(backendCodeLSH)
+	bw.u64(uint64(ix.seed))
+	bw.u32(uint32(ix.dim))
+	bw.u64(uint64(len(ix.vecs)))
+	bw.vecs(ix.vecs)
+	bw.u32(uint32(ix.tables))
+	bw.u32(uint32(ix.bits))
+	bw.u32(uint32(ix.probes))
+	for _, x := range ix.center {
+		bw.f64(x)
 	}
-	return bw.buf.Bytes(), nil
+	bw.vecs(ix.planes)
+	for _, sigs := range ix.sigs {
+		for _, s := range sigs {
+			bw.u32(s)
+		}
+	}
+	return bw.buf.Bytes()
 }
 
-// Read loads an index written by Write. The loaded index answers queries
-// identically to the one serialised.
-func Read(r io.Reader) (Index, error) {
-	payload, err := readIndexEnvelope(r, indexMagic)
-	if err != nil {
-		return nil, err
-	}
-	return indexFromPayload(&binReader{r: bytes.NewReader(payload)})
-}
-
-func indexFromPayload(br *binReader) (Index, error) {
+// indexFromPayload reads the index part of a snapshot payload. Every
+// count is checked against the bytes left before anything is allocated
+// for it.
+func indexFromPayload(br *binReader) (*Index, error) {
 	code, err := br.u32()
 	if err != nil {
 		return nil, err
+	}
+	switch code {
+	case backendCodeLSH:
+	case backendCodeHNSW:
+		return nil, errors.New("index: snapshot holds an HNSW index, which this build no longer reads; rebuild it with leapme index")
+	default:
+		return nil, fmt.Errorf("index: unknown backend code %d", code)
 	}
 	seed, err := br.u64()
 	if err != nil {
@@ -298,7 +259,7 @@ func indexFromPayload(br *binReader) (Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n64*uint64(dim)*8 > uint64(br.r.Len()) {
+	if n64 == 0 || n64 > uint64(br.r.Len()/(8*dim)) {
 		return nil, fmt.Errorf("index: implausible vector count %d", n64)
 	}
 	n := int(n64)
@@ -306,18 +267,7 @@ func indexFromPayload(br *binReader) (Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch code {
-	case backendCodeLSH:
-		return readLSH(br, vecs, dim, int64(seed))
-	case backendCodeHNSW:
-		return readHNSW(br, vecs, dim, int64(seed))
-	default:
-		return nil, fmt.Errorf("index: unknown backend code %d", code)
-	}
-}
-
-func readLSH(br *binReader, vecs [][]float64, dim int, seed int64) (Index, error) {
-	tables, err := br.count(1, "table")
+	tables, err := br.u32()
 	if err != nil {
 		return nil, err
 	}
@@ -329,35 +279,31 @@ func readLSH(br *binReader, vecs [][]float64, dim int, seed int64) (Index, error
 	if err != nil {
 		return nil, err
 	}
-	if tables <= 0 || bits == 0 || bits > 32 {
+	if tables == 0 || bits == 0 || bits > 32 {
 		return nil, fmt.Errorf("index: implausible lsh geometry tables=%d bits=%d", tables, bits)
 	}
-	// The loaded Options never pass through withDefaults again — Query
-	// reads them verbatim — so a stored Probes of 0 stays "no multiprobe".
-	opts := Options{Backend: BackendLSH, Seed: seed, Tables: tables, Bits: int(bits), Probes: int(probes)}
-	ix := &lshIndex{dim: dim, opts: opts, vecs: vecs}
-	ix.center = make([]float64, dim)
-	for i := range ix.center {
-		v, err := br.f64()
-		if err != nil {
-			return nil, err
-		}
-		ix.center[i] = v
+	// center + planes + signatures; tables is at most 2^32 and the
+	// other factors are bounded above, so the product cannot overflow.
+	need := 8*dim + int(tables)*(8*int(bits)*dim+4*n)
+	if need > br.r.Len() {
+		return nil, fmt.Errorf("index: lsh geometry tables=%d bits=%d needs %d bytes, payload has %d",
+			tables, bits, need, br.r.Len())
 	}
-	ix.planes = make([][]float64, tables*int(bits))
-	for p := range ix.planes {
-		v, err := br.vecs(1, dim)
-		if err != nil {
-			return nil, err
-		}
-		ix.planes[p] = v[0]
+	ix := &Index{dim: dim, seed: int64(seed), tables: int(tables), bits: int(bits), probes: int(probes), vecs: vecs}
+	center, err := br.vecs(1, dim)
+	if err != nil {
+		return nil, err
 	}
-	ix.sigs = make([][]uint32, tables)
-	ix.buckets = make([]map[uint32][]int, tables)
-	for t := 0; t < tables; t++ {
-		ix.sigs[t] = make([]uint32, len(vecs))
+	ix.center = center[0]
+	if ix.planes, err = br.vecs(ix.tables*ix.bits, dim); err != nil {
+		return nil, err
+	}
+	ix.sigs = make([][]uint32, ix.tables)
+	ix.buckets = make([]map[uint32][]int, ix.tables)
+	for t := range ix.sigs {
+		ix.sigs[t] = make([]uint32, n)
 		ix.buckets[t] = make(map[uint32][]int)
-		for i := range vecs {
+		for i := range ix.sigs[t] {
 			s, err := br.u32()
 			if err != nil {
 				return nil, err
@@ -367,131 +313,5 @@ func readLSH(br *binReader, vecs [][]float64, dim int, seed int64) (Index, error
 		}
 	}
 	ix.initDerived()
-	return ix, nil
-}
-
-func readHNSW(br *binReader, vecs [][]float64, dim int, seed int64) (Index, error) {
-	m, err := br.u32()
-	if err != nil {
-		return nil, err
-	}
-	efBuild, err := br.u32()
-	if err != nil {
-		return nil, err
-	}
-	efSearch, err := br.u32()
-	if err != nil {
-		return nil, err
-	}
-	shardSize, err := br.u32()
-	if err != nil {
-		return nil, err
-	}
-	numShards, err := br.count(8, "shard")
-	if err != nil {
-		return nil, err
-	}
-	if m == 0 || shardSize == 0 {
-		return nil, fmt.Errorf("index: implausible hnsw geometry m=%d shardSize=%d", m, shardSize)
-	}
-	ix := &hnswIndex{
-		dim: dim,
-		opts: Options{Backend: BackendHNSW, Seed: seed, M: int(m),
-			EfBuild: int(efBuild), EfSearch: int(efSearch), ShardSize: int(shardSize)},
-		vecs: vecs,
-	}
-	lo := 0
-	for s := 0; s < numShards; s++ {
-		hi := lo + int(shardSize)
-		if hi > len(vecs) {
-			hi = len(vecs)
-		}
-		if lo >= hi {
-			return nil, fmt.Errorf("index: shard %d is empty (%d vectors, shard size %d)", s, len(vecs), shardSize)
-		}
-		sh := &hnswShard{lo: lo, hi: hi}
-		entry, err := br.u64()
-		if err != nil {
-			return nil, err
-		}
-		sh.entry = int(int64(entry))
-		if sh.entry >= 0 && (sh.entry < lo || sh.entry >= hi) {
-			return nil, fmt.Errorf("index: shard %d entry %d outside [%d,%d)", s, sh.entry, lo, hi)
-		}
-		maxLevel, err := br.u32()
-		if err != nil {
-			return nil, err
-		}
-		sh.maxLevel = int(maxLevel)
-		sh.levels = make([]int, hi-lo)
-		for i := range sh.levels {
-			l, err := br.u32()
-			if err != nil {
-				return nil, err
-			}
-			sh.levels[i] = int(l)
-		}
-		numLevels, err := br.count(1, "level")
-		if err != nil {
-			return nil, err
-		}
-		sh.links = make([][][]int32, numLevels)
-		for l := range sh.links {
-			sh.links[l] = make([][]int32, hi-lo)
-			for i := range sh.links[l] {
-				deg, err := br.count(4, "neighbour")
-				if err != nil {
-					return nil, err
-				}
-				if deg == 0 {
-					continue
-				}
-				nbrs := make([]int32, deg)
-				for d := range nbrs {
-					nb, err := br.u32()
-					if err != nil {
-						return nil, err
-					}
-					if int(nb) < lo || int(nb) >= hi {
-						return nil, fmt.Errorf("index: shard %d neighbour %d outside [%d,%d)", s, nb, lo, hi)
-					}
-					nbrs[d] = int32(nb)
-				}
-				sh.links[l][i] = nbrs
-			}
-		}
-		ix.shards = append(ix.shards, sh)
-		lo = hi
-	}
-	if lo != len(vecs) {
-		return nil, fmt.Errorf("index: shards cover %d of %d vectors", lo, len(vecs))
-	}
-	return ix, nil
-}
-
-// WriteFile writes ix to path via Write, creating or truncating the file.
-func WriteFile(path string, ix Index) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Write(f, ix); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadFile loads an index file written by WriteFile.
-func ReadFile(path string) (Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	ix, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
 	return ix, nil
 }

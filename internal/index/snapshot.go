@@ -20,13 +20,13 @@ import (
 // index analogue of a trained model file.
 //
 // Snapshot v1 payload = uint32 nKeys | nKeys × (source string, name
-// string) | the index payload, framed in the same magic/version/CRC
-// envelope as bare index files (magic "LEAPMESX").
+// string) | the index payload (see persist.go), framed in a
+// magic/version/length/CRC envelope (magic "LEAPMESX").
 type Snapshot struct {
 	// Keys holds the property identity for every vector id, in id order.
 	Keys []dataset.Key
 
-	idx   Index
+	idx   *Index
 	byKey map[dataset.Key]int
 }
 
@@ -77,7 +77,7 @@ func BuildSnapshot(ctx context.Context, store *embedding.Store, props []dataset.
 }
 
 // Index returns the underlying vector index.
-func (s *Snapshot) Index() Index { return s.idx }
+func (s *Snapshot) Index() *Index { return s.idx }
 
 // Len returns the number of snapshot properties.
 func (s *Snapshot) Len() int { return len(s.Keys) }
@@ -112,23 +112,21 @@ func (s *Snapshot) Neighbors(id, k int) []Candidate {
 // io.WriterTo contract returns a byte count this envelope writer does
 // not track.)
 func (s *Snapshot) Write(w io.Writer) error {
-	ixPayload, err := indexPayload(s.idx)
-	if err != nil {
-		return err
-	}
 	bw := &binWriter{}
 	bw.u32(uint32(len(s.Keys)))
 	for _, k := range s.Keys {
 		bw.str(k.Source)
 		bw.str(k.Name)
 	}
-	bw.buf.Write(ixPayload)
-	return writeEnvelope(w, snapshotMagic, bw.buf.Bytes())
+	bw.buf.Write(indexPayload(s.idx))
+	return writeEnvelope(w, bw.buf.Bytes())
 }
 
-// ReadSnapshot loads a snapshot written by Write.
+// ReadSnapshot loads a snapshot written by Write. It accepts only what
+// Write can produce: distinct keys, one vector per key and no bytes
+// after the index, so a loaded snapshot re-saves to the same bytes.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	payload, err := readIndexEnvelope(r, snapshotMagic)
+	payload, err := readEnvelope(r)
 	if err != nil {
 		return nil, err
 	}
@@ -147,8 +145,12 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Keys[i] = dataset.Key{Source: src, Name: name}
-		s.byKey[s.Keys[i]] = i
+		k := dataset.Key{Source: src, Name: name}
+		if _, dup := s.byKey[k]; dup {
+			return nil, fmt.Errorf("index: snapshot key %s appears twice", k)
+		}
+		s.Keys[i] = k
+		s.byKey[k] = i
 	}
 	ix, err := indexFromPayload(br)
 	if err != nil {
@@ -156,6 +158,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	if ix.Len() != len(s.Keys) {
 		return nil, fmt.Errorf("index: snapshot has %d keys but %d vectors", len(s.Keys), ix.Len())
+	}
+	if br.r.Len() != 0 {
+		return nil, fmt.Errorf("index: %d trailing bytes after the snapshot index", br.r.Len())
 	}
 	s.idx = ix
 	return s, nil

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -223,155 +222,5 @@ func TestKernelZeroAllocs(t *testing.T) {
 	bscratch := make([]float64, k.BatchScratchLen(batch))
 	if n := testing.AllocsPerRun(100, func() { k.ForwardBatch(probs, xs, batch, bscratch) }); n != 0 {
 		t.Errorf("Kernel.ForwardBatch allocates %v times per call, want 0", n)
-	}
-
-	q := NewQuantKernel(net)
-	qscratch := make([]float32, q.BatchScratchLen(batch))
-	if n := testing.AllocsPerRun(100, func() { q.Forward(dst, x, qscratch) }); n != 0 {
-		t.Errorf("QuantKernel.Forward allocates %v times per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { _ = q.PositiveScore(x, qscratch) }); n != 0 {
-		t.Errorf("QuantKernel.PositiveScore allocates %v times per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { q.ForwardBatch(probs, xs, batch, qscratch) }); n != 0 {
-		t.Errorf("QuantKernel.ForwardBatch allocates %v times per call, want 0", n)
-	}
-}
-
-// quantTol is the documented equivalence tolerance for the int8 path:
-// per-row symmetric quantisation bounds each weight's relative error by
-// 1/254, and for the paper's topology the resulting softmax probability
-// shift stays well under this bound on random networks and trained
-// models alike (the core suite re-checks it on a real trained model).
-const quantTol = 0.05
-
-// TestQuantKernelEquivalence checks the int8 path against the float64
-// reference over seeded random networks: probabilities within quantTol
-// (via mathx.VecAlmostEqual), batch path bit-identical to the quant
-// single path, and determinism of quantisation itself.
-func TestQuantKernelEquivalence(t *testing.T) {
-	for _, cfg := range inferTopologies {
-		net, err := New(cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		k := NewKernel(net)
-		q := NewQuantKernel(net)
-		if q.InDim() != k.InDim() || q.OutDim() != k.OutDim() {
-			t.Fatalf("quant dims %d→%d, want %d→%d", q.InDim(), q.OutDim(), k.InDim(), k.OutDim())
-		}
-		scratch := make([]float64, k.ScratchLen())
-		qscratch := make([]float32, q.ScratchLen())
-		ref := make([]float64, k.OutDim())
-		got := make([]float64, q.OutDim())
-		for _, x := range randInputs(cfg, 50, cfg.Seed+300) {
-			k.Forward(ref, x, scratch)
-			q.Forward(got, x, qscratch)
-			if !mathx.VecAlmostEqual(got, ref, quantTol) {
-				t.Fatalf("cfg %+v: quant probs %v diverge from reference %v beyond %v", cfg, got, ref, quantTol)
-			}
-			if p := q.PositiveScore(x, qscratch); !mathx.AlmostEqual(p, got[1], 1e-15) {
-				t.Fatalf("cfg %+v: quant PositiveScore %v vs Forward[1] %v", cfg, p, got[1])
-			}
-		}
-		// Batch vs single: the quant batch path must agree bit-for-bit
-		// with the quant single path (same reassociated dot per pair).
-		inputs := randInputs(cfg, 9, cfg.Seed+400)
-		n := len(inputs)
-		xs := make([]float64, 0, n*q.InDim())
-		for _, x := range inputs {
-			xs = append(xs, x...)
-		}
-		probs := make([]float64, n*q.OutDim())
-		q.ForwardBatch(probs, xs, n, make([]float32, q.BatchScratchLen(n)))
-		for i, x := range inputs {
-			q.Forward(got, x, qscratch)
-			for j := range got {
-				if math.Float64bits(probs[i*q.OutDim()+j]) != math.Float64bits(got[j]) {
-					t.Fatalf("cfg %+v: quant batch pair %d diverges from single", cfg, i)
-				}
-			}
-		}
-	}
-}
-
-// TestQuantKernelRoundTrip proves serialisation is lossless: a reloaded
-// quant kernel produces bit-identical outputs, and quantising the same
-// network twice yields byte-identical bytes (deterministic
-// quantisation).
-func TestQuantKernelRoundTrip(t *testing.T) {
-	cfg := inferTopologies[0]
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	q := NewQuantKernel(net)
-	var buf bytes.Buffer
-	if _, err := q.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	var buf2 bytes.Buffer
-	if _, err := NewQuantKernel(net).WriteTo(&buf2); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("quantising the same network twice produced different bytes")
-	}
-	q2, err := ReadQuantKernel(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadQuantKernel: %v", err)
-	}
-	scratch := make([]float32, q.ScratchLen())
-	got := make([]float64, q.OutDim())
-	want := make([]float64, q.OutDim())
-	for _, x := range randInputs(cfg, 20, 77) {
-		q.Forward(want, x, scratch)
-		q2.Forward(got, x, scratch)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("reloaded quant kernel diverges: %v vs %v", got, want)
-			}
-		}
-	}
-}
-
-// TestReadQuantKernelRejectsCorruption walks structural corruptions
-// through ReadQuantKernel; every one must be a load error.
-func TestReadQuantKernelRejectsCorruption(t *testing.T) {
-	net, err := New(inferTopologies[1])
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	var buf bytes.Buffer
-	if _, err := NewQuantKernel(net).WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	good := buf.Bytes()
-
-	if _, err := ReadQuantKernel(bytes.NewReader(good[:len(good)-3])); err == nil {
-		t.Error("truncated quant kernel accepted")
-	}
-	if _, err := ReadQuantKernel(bytes.NewReader(good[:4])); err == nil {
-		t.Error("truncated magic accepted")
-	}
-	bad := append([]byte(nil), good...)
-	bad[0] ^= 0xff
-	if _, err := ReadQuantKernel(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic accepted")
-	}
-	bad = append([]byte(nil), good...)
-	bad[len(quantMagic)] = 0xff // implausible layer count
-	if _, err := ReadQuantKernel(bytes.NewReader(bad)); err == nil {
-		t.Error("implausible layer count accepted")
-	}
-	bad = append([]byte(nil), good...)
-	bad[len(quantMagic)+4] = 0 // first layer rows = 0
-	if _, err := ReadQuantKernel(bytes.NewReader(bad)); err == nil {
-		t.Error("zero-row layer accepted")
-	}
-	bad = append([]byte(nil), good...)
-	bad[len(quantMagic)+12] = 0xee // first layer activation
-	if _, err := ReadQuantKernel(bytes.NewReader(bad)); err == nil {
-		t.Error("unknown activation accepted")
 	}
 }

@@ -178,6 +178,12 @@ func (n *Network) Clone() *Network {
 	return c
 }
 
+// zeroRand satisfies the initialiser interface with zeros; Clone
+// overwrites all weights anyway.
+type zeroRand struct{}
+
+func (zeroRand) Float64() float64 { return 0 }
+
 // Hidden returns the hidden-layer widths (all layers but the output).
 func (n *Network) Hidden() []int {
 	out := make([]int, 0, len(n.layers)-1)

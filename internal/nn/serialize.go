@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"leapme/internal/mathx"
 )
 
 // Binary model format: magic, layer count, then per layer
@@ -59,28 +61,26 @@ func (n *Network) WriteTo(w io.Writer) (int64, error) {
 	return written, bw.Flush()
 }
 
-// Read deserialises a network written by WriteTo.
+// Read deserialises a network written by WriteTo. It consumes exactly
+// the network's bytes from r, with no read-ahead, so the caller can
+// check what follows. Weights are read in fixed-size chunks and their
+// slices grow only as bytes arrive: a header claiming a layer larger
+// than r holds fails at end of input, having allocated about as much as
+// it read.
 func Read(r io.Reader) (*Network, error) {
-	br := bufio.NewReader(r)
 	magic := make([]byte, len(modelMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("nn: reading magic: %w", err)
 	}
 	if string(magic) != modelMagic {
 		return nil, fmt.Errorf("nn: bad magic %q", magic)
 	}
-	buf := make([]byte, 8)
+	var buf [4]byte
 	readU32 := func() (int, error) {
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
+		if _, err := io.ReadFull(r, buf[:]); err != nil {
 			return 0, err
 		}
-		return int(binary.LittleEndian.Uint32(buf[:4])), nil
-	}
-	readF64 := func() (float64, error) {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(buf)), nil
+		return int(binary.LittleEndian.Uint32(buf[:])), nil
 	}
 	nLayers, err := readU32()
 	if err != nil {
@@ -109,29 +109,45 @@ func Read(r io.Reader) (*Network, error) {
 		if actI > int(ActIdentity) {
 			return nil, fmt.Errorf("nn: unknown activation %d in layer %d", actI, li)
 		}
-		l := newLayer(cols, rows, Activation(actI), zeroRand{})
-		for i := range l.w.Data {
-			if l.w.Data[i], err = readF64(); err != nil {
-				return nil, fmt.Errorf("nn: layer %d weights: %w", li, err)
-			}
-		}
-		for i := range l.b {
-			if l.b[i], err = readF64(); err != nil {
-				return nil, fmt.Errorf("nn: layer %d biases: %w", li, err)
-			}
-		}
 		if li == 0 {
 			n.inDim = cols
 		} else if prev := n.layers[li-1]; prev.w.Rows != cols {
 			return nil, fmt.Errorf("nn: layer %d input dim %d does not match previous output %d", li, cols, prev.w.Rows)
 		}
-		n.layers = append(n.layers, l)
+		w, err := readFloats(r, rows*cols)
+		if err != nil {
+			return nil, fmt.Errorf("nn: layer %d weights: %w", li, err)
+		}
+		b, err := readFloats(r, rows)
+		if err != nil {
+			return nil, fmt.Errorf("nn: layer %d biases: %w", li, err)
+		}
+		n.layers = append(n.layers, &layer{
+			w:   &mathx.Matrix{Rows: rows, Cols: cols, Data: w},
+			b:   b,
+			act: Activation(actI),
+			out: make([]float64, rows),
+		})
 	}
 	return n, nil
 }
 
-// zeroRand satisfies the initialiser interface with zeros; Read overwrites
-// all weights anyway.
-type zeroRand struct{}
+// readChunk is the number of float64s readFloats reads per call to r.
+const readChunk = 512
 
-func (zeroRand) Float64() float64 { return 0 }
+// readFloats reads count little-endian float64s from r, readChunk at a
+// time, appending each chunk only after it has arrived.
+func readFloats(r io.Reader, count int) ([]float64, error) {
+	var buf [8 * readChunk]byte
+	out := make([]float64, 0, min(count, readChunk))
+	for len(out) < count {
+		k := min(count-len(out), readChunk)
+		if _, err := io.ReadFull(r, buf[:8*k]); err != nil {
+			return nil, err
+		}
+		for i := 0; i < k; i++ {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
+		}
+	}
+	return out, nil
+}

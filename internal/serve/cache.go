@@ -65,10 +65,14 @@ func (c *featureCache) Get(key [sha256.Size]byte) (*features.Prop, bool) {
 		c.misses.Add(1)
 		return nil, false
 	}
+	// The entry's prop is read under the lock: Put refreshes it in place
+	// when two requests insert the same key.
 	c.mu.Lock()
+	var p *features.Prop
 	el, ok := c.items[key]
 	if ok {
 		c.order.MoveToFront(el)
+		p = el.Value.(*cacheEntry).prop
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -76,7 +80,7 @@ func (c *featureCache) Get(key [sha256.Size]byte) (*features.Prop, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*cacheEntry).prop, true
+	return p, true
 }
 
 // Put inserts features under key, evicting the least recently used entry

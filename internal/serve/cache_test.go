@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"leapme/internal/features"
@@ -13,11 +14,11 @@ func TestPropDigestFraming(t *testing.T) {
 		name   string
 		values []string
 	}{
-		{"a", []string{"bc"}},            // boundary shifted between name and value
-		{"ab", []string{"c", ""}},        // trailing empty value
-		{"ab", nil},                      // no values
-		{"abc", nil},                     // values folded into name
-		{"ab", []string{"cx"}},           // different content
+		{"a", []string{"bc"}},     // boundary shifted between name and value
+		{"ab", []string{"c", ""}}, // trailing empty value
+		{"ab", nil},               // no values
+		{"abc", nil},              // values folded into name
+		{"ab", []string{"cx"}},    // different content
 	}
 	for _, c := range cases {
 		if propDigest(c.name, c.values) == base {
@@ -82,4 +83,28 @@ func TestFeatureCacheDisabled(t *testing.T) {
 	if c.Len() != 0 {
 		t.Error("disabled cache stored an entry")
 	}
+}
+
+// TestFeatureCacheConcurrentRefresh: requests that featurize the same
+// property at once both Put it, refreshing the entry while others Get
+// it. Under -race this fails if Get reads the entry outside the lock.
+func TestFeatureCacheConcurrentRefresh(t *testing.T) {
+	c := newFeatureCache(4)
+	key := propDigest("zoom", nil)
+	c.Put(key, &features.Prop{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				c.Put(key, &features.Prop{})
+				if _, ok := c.Get(key); !ok {
+					t.Error("refreshed entry missing")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -97,6 +97,7 @@ func FuzzMatchAllRequest(f *testing.F) {
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
 	f.Add([]byte("\xef\xbb\xbf{}"))
+	f.Add([]byte(`{"sources":{"00":[],"":[]}}`)) // blocking yields no pair
 	f.Fuzz(func(t *testing.T, body []byte) {
 		postFuzz(t, ts, "/v1/match/all", body)
 	})

@@ -676,8 +676,23 @@ func (s *Server) handleMatchAll(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	if !s.adm.tryAcquire(len(cands)) {
-		s.shed(w, len(cands))
+	n := len(cands)
+	resp := matchAllResponse{
+		Model:      md.Name,
+		Properties: len(props),
+		Candidates: n,
+		Matches:    []matchAllMatch{},
+	}
+	if n == 0 {
+		// Blocking proposed no pair: the answer is complete without
+		// admission or the batcher, which takes only non-empty spans.
+		s.met.MatchAllRequests.Add(1)
+		resp.Cache = cacheOf(md)
+		writeJSON(w, resp)
+		return
+	}
+	if !s.adm.tryAcquire(n) {
+		s.shed(w, n)
 		return
 	}
 	s.met.MatchAllRequests.Add(1)
@@ -686,7 +701,6 @@ func (s *Server) handleMatchAll(w http.ResponseWriter, r *http.Request) {
 	if req.Threshold != nil {
 		threshold = *req.Threshold
 	}
-	n := len(cands)
 	as := make([]*features.Prop, n)
 	bs := make([]*features.Prop, n)
 	for i, c := range cands {
@@ -700,11 +714,6 @@ func (s *Server) handleMatchAll(w http.ResponseWriter, r *http.Request) {
 		s.adm.release(n) // nothing entered the pipeline
 		s.enqueueFail(w, err, 0, n)
 		return
-	}
-	resp := matchAllResponse{
-		Model:      md.Name,
-		Properties: len(props),
-		Candidates: n,
 	}
 	received := 0
 	for received < n {

@@ -219,6 +219,39 @@ func TestMatchAllEndpoint(t *testing.T) {
 	}
 }
 
+// TestMatchAllNoCandidates: a valid request for which blocking proposes
+// no pair is answered 200 with zero candidates and an empty match list,
+// not turned away by admission or the batcher.
+func TestMatchAllNoCandidates(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct{ name, body string }{
+		{"no properties", `{"sources":{"00":[],"":[]}}`},
+		{"one source without properties", `{"sources":{"s1":[{"name":"zoom"}],"s2":[]}}`},
+		{"token blocking, no shared token", `{"sources":{"s1":[{"name":"zoom"}],"s2":[{"name":"weight"}]},"blocking":"token"}`},
+		{"ann blocking, no near name", `{"sources":{"s1":[{"name":"zoom"}],"s2":[{"name":"qqqq xxxx"}]},"blocking":"ann"}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, raw := postJSON(t, ts, "/v1/match/all", json.RawMessage(tc.body))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, raw)
+			}
+			var mar matchAllResponse
+			if err := json.Unmarshal(raw, &mar); err != nil {
+				t.Fatal(err)
+			}
+			if mar.Candidates != 0 || mar.Scored != 0 || mar.Failures != 0 {
+				t.Errorf("candidates/scored/failures = %d/%d/%d, want 0/0/0", mar.Candidates, mar.Scored, mar.Failures)
+			}
+			if !bytes.Contains(raw, []byte(`"matches":[]`)) {
+				t.Errorf("body %s has no empty matches array", raw)
+			}
+		})
+	}
+}
+
 func ptr[T any](v T) *T { return &v }
 
 func TestModelsEndpoint(t *testing.T) {
