@@ -64,12 +64,12 @@ test-chaos:
 	$(GO) test -race -count=1 -run 'Chaos|ReloadFailure|Admission|DeadlineHeader' ./internal/serve
 
 # Short fuzz pass over the dataset loaders, the serving JSON API, the
-# pair distances (against their string oracle) and the model and index
-# snapshot loaders (mutated payloads re-sealed past their CRC); extend
-# -fuzztime for real runs. The loader targets skip minimisation: their
-# inputs are kilobytes long, and minimising each new-coverage input
-# would spend most of a 10 s budget (and can outlast it, losing a
-# failure the run found).
+# pair distances (against their string oracle), the model and index
+# snapshot loaders (mutated payloads re-sealed past their CRC) and the
+# embedding store loader; extend -fuzztime for real runs. The binary
+# loader targets skip minimisation: their inputs are kilobytes long,
+# and minimising each new-coverage input would spend most of a 10 s
+# budget (and can outlast it, losing a failure the run found).
 fuzz:
 	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadJSON$$' -fuzztime=10s
 	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadJSONQuarantine$$' -fuzztime=10s
@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test ./internal/text -run='^$$' -fuzz='^FuzzNameDistances$$' -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzReadModel$$' -fuzztime=10s -fuzzminimizetime=0
 	$(GO) test ./internal/index -run='^$$' -fuzz='^FuzzReadSnapshot$$' -fuzztime=10s -fuzzminimizetime=0
+	$(GO) test ./internal/embedding -run='^$$' -fuzz='^FuzzReadStore$$' -fuzztime=10s -fuzzminimizetime=0
 
 # Machine-readable performance baselines for the serving, training,
 # parallel and blocking pipelines (committed as BENCH_*.json).

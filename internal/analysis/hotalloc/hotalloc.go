@@ -48,7 +48,6 @@ type SeededFunc struct {
 // inference and training kernels, the pair vector and its name
 // distances, the Scorer score paths and the batcher span loop.
 var Seeded = []SeededFunc{
-	{Pkg: "leapme/internal/nn", Recv: "Kernel", Name: "Forward"},
 	{Pkg: "leapme/internal/nn", Recv: "Kernel", Name: "PositiveScore"},
 	{Pkg: "leapme/internal/nn", Recv: "Kernel", Name: "ForwardBatch"},
 	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "runBatch"},
@@ -181,8 +180,9 @@ func localCallee(pass *lintkit.Pass, call *ast.CallExpr, decls map[[2]string]*as
 		}
 		for key, fd := range decls {
 			if key[1] == fun.Sel.Name && key[0] != "" && fd.Name.Name == obj.Name() {
-				// Match on receiver type name too, so Kernel.Forward and
-				// Network.Forward resolve distinctly.
+				// Match on receiver type name too, so same-named methods
+				// of different types (Scorer.Score, Matcher.Score)
+				// resolve distinctly.
 				if recvTypeName(pass, fun) == key[0] {
 					return fd
 				}

@@ -37,9 +37,10 @@ func quickMatcher(t *testing.T, d *dataset.Dataset) *Matcher {
 }
 
 // oracleScore is the per-pair classification path the batched rounds
-// replaced: one pair vector, standardised, through nn.Network.Forward.
-// It survives here as the reference the batched path must match bit
-// for bit.
+// replaced: one pair vector, standardised, through the single-input
+// Kernel.PositiveScore — a code path separate from the 8-lane
+// ForwardBatch the rounds run on. It survives here as the reference the
+// batched path must match bit for bit.
 func oracleScore(t *testing.T, m *Matcher, a, b dataset.Key) float64 {
 	t.Helper()
 	pa, err := m.prop(a)
@@ -54,11 +55,8 @@ func oracleScore(t *testing.T, m *Matcher, a, b dataset.Key) float64 {
 	var es text.EditScratch
 	m.pairer.PairVectorScratch(vec, pa, pb, &es)
 	m.standardize(vec)
-	p, err := m.net.Forward(vec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p[1]
+	k := nn.NewKernel(m.net)
+	return k.PositiveScore(vec, make([]float64, k.ScratchLen()))
 }
 
 // TestMatchWhereDeterminismAcrossWorkerCounts: classification yields the

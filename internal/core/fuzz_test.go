@@ -9,8 +9,8 @@ import (
 )
 
 // allocLimit is the most one model load may allocate for an n-byte
-// file: the payload copy, the decoded weights, the inference kernel's
-// copy of them and its scratch, each a small multiple of the input.
+// file: the payload copy, the decoded weight slabs as they grow and the
+// scorer's scratch, each a small multiple of the input.
 func allocLimit(n int) uint64 { return 64*uint64(n) + 1<<20 }
 
 // allocated returns the bytes fn allocates on the heap.

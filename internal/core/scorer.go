@@ -16,11 +16,13 @@ import (
 // the source matcher does not affect snapshots already taken, which is
 // what makes hot-swapping a model under live traffic safe.
 //
-// The weights live in a flat, immutable inference kernel shared by every
-// clone; each Scorer owns only its scratch arenas (pair-vector buffer,
-// batch-major feature arena, activation scratch, string-distance
-// scratch), so a warm Score or ScoreBatch performs zero heap allocations
-// per pair.
+// The weights live in the trained network's flat slabs, read through an
+// nn.Kernel view shared by every clone; the matcher never trains that
+// network again (Train and ReadModel each install a new one), so the
+// view is read-only for the snapshot's lifetime. Each Scorer owns only
+// its scratch arenas (pair-vector buffer, batch-major feature arena,
+// activation scratch, string-distance scratch), so a warm Score or
+// ScoreBatch performs zero heap allocations per pair.
 //
 // Featurize is safe for concurrent use (the extractor and embedding
 // store are read-only). Score and ScoreBatch are NOT: they reuse the
@@ -29,7 +31,7 @@ import (
 type Scorer struct {
 	ex         *features.Extractor
 	pairer     *features.Pairer
-	kern       *nn.Kernel // shared inference kernel
+	kern       *nn.Kernel // shared view of the network's weight slabs
 	featMean   []float64
 	featInvStd []float64
 	threshold  float64
@@ -44,8 +46,8 @@ type Scorer struct {
 }
 
 // NewScorer snapshots the matcher's trained state. The snapshot shares
-// the matcher's immutable kernel, featurizer and standardiser (all
-// read-only). A later Train or ReadModel on the matcher installs a new
+// the matcher's kernel, featurizer and standardiser (all read-only). A
+// later Train or ReadModel on the matcher installs a new network and
 // kernel and leaves snapshots already taken untouched.
 func (m *Matcher) NewScorer() (*Scorer, error) {
 	if m.sc == nil {

@@ -216,7 +216,17 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadStore deserialises a store written by WriteTo.
+// readChunk is the number of float64s ReadStore reads per call, and
+// the cap on the entry capacity it reserves from the header's count.
+const readChunk = 512
+
+// ReadStore deserialises a store written by WriteTo, reading r through a
+// buffer. What it allocates follows the bytes that arrive, not the
+// header's claims: the word and vector lists grow from a capped
+// capacity as entries are read, and each vector is read readChunk
+// floats at a time, so a header claiming more than r holds fails at end
+// of input having allocated about as much as it read. Bytes after the
+// last vector are an error.
 func ReadStore(r io.Reader) (*Store, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(storeMagic))
@@ -226,18 +236,18 @@ func ReadStore(r io.Reader) (*Store, error) {
 	if string(magic) != storeMagic {
 		return nil, fmt.Errorf("embedding: bad magic %q", magic)
 	}
-	hdr := make([]byte, 8)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	var buf [8 * readChunk]byte
+	if _, err := io.ReadFull(br, buf[:8]); err != nil {
 		return nil, fmt.Errorf("embedding: reading header: %w", err)
 	}
-	dim := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	n := int(binary.LittleEndian.Uint32(hdr[4:8]))
+	dim := int(binary.LittleEndian.Uint32(buf[0:4]))
+	n := int(binary.LittleEndian.Uint32(buf[4:8]))
 	if dim <= 0 || n <= 0 || dim > 1<<20 || n > 1<<28 {
 		return nil, fmt.Errorf("embedding: implausible header dim=%d n=%d", dim, n)
 	}
-	words := make([]string, n)
-	vectors := make([][]float64, n)
-	buf := make([]byte, 8)
+	words := make([]string, 0, min(n, readChunk))
+	vectors := make([][]float64, 0, min(n, readChunk))
+	var wb []byte // word bytes, reused across words
 	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(br, buf[:4]); err != nil {
 			return nil, fmt.Errorf("embedding: reading word %d length: %w", i, err)
@@ -246,19 +256,30 @@ func ReadStore(r io.Reader) (*Store, error) {
 		if wlen < 0 || wlen > 1<<16 {
 			return nil, fmt.Errorf("embedding: implausible word length %d", wlen)
 		}
-		wb := make([]byte, wlen)
-		if _, err := io.ReadFull(br, wb); err != nil {
+		if cap(wb) < wlen {
+			wb = make([]byte, wlen)
+		}
+		if _, err := io.ReadFull(br, wb[:wlen]); err != nil {
 			return nil, fmt.Errorf("embedding: reading word %d: %w", i, err)
 		}
-		words[i] = string(wb)
-		vec := make([]float64, dim)
-		for j := 0; j < dim; j++ {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, fmt.Errorf("embedding: reading vector %d[%d]: %w", i, j, err)
+		vec := make([]float64, 0, min(dim, readChunk))
+		for len(vec) < dim {
+			k := min(dim-len(vec), readChunk)
+			if _, err := io.ReadFull(br, buf[:8*k]); err != nil {
+				return nil, fmt.Errorf("embedding: reading vector %d[%d]: %w", i, len(vec), err)
 			}
-			vec[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+			for j := 0; j < k; j++ {
+				vec = append(vec, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:])))
+			}
 		}
-		vectors[i] = vec
+		words = append(words, string(wb[:wlen]))
+		vectors = append(vectors, vec)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		if err == nil {
+			return nil, errors.New("embedding: trailing bytes after the last vector")
+		}
+		return nil, fmt.Errorf("embedding: reading past the last vector: %w", err)
 	}
 	return NewStore(words, vectors)
 }

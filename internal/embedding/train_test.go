@@ -238,6 +238,9 @@ func TestReadStoreBadInput(t *testing.T) {
 	if _, err := ReadStore(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated input should error")
 	}
+	if _, err := ReadStore(bytes.NewReader(append(buf.Bytes(), 0))); err == nil {
+		t.Error("trailing bytes after the last vector should error")
+	}
 }
 
 func TestUnigramSampler(t *testing.T) {

@@ -17,37 +17,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// MatrixFromRows builds a matrix from row slices, which must all share the
-// same length. The data is copied.
-func MatrixFromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("mathx: MatrixFromRows ragged input: row %d has %d cols, want %d", i, len(r), m.Cols))
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
-// At returns the element at (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns row i as a mutable slice view into the matrix.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
 
 // Zero resets all elements of m to 0.
 func (m *Matrix) Zero() { Zero(m.Data) }
@@ -84,29 +55,6 @@ func (m *Matrix) MulVecT(dst, x []float64) {
 	Zero(dst)
 	for i := 0; i < m.Rows; i++ {
 		AxpyTo(dst, x[i], m.Row(i))
-	}
-}
-
-// Gemm computes c = a · b. The receiver-free form keeps call sites explicit
-// about which operand is which. It panics on shape mismatch. The kernel is
-// the classic ikj loop order, which is cache-friendly for row-major data.
-func Gemm(c, a, b *Matrix) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("mathx: Gemm shape mismatch: %dx%d · %dx%d into %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	c.Zero()
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			AxpyTo(crow, aik, brow)
-		}
 	}
 }
 

@@ -8,47 +8,32 @@ import (
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
-	m.Set(0, 0, 1)
-	m.Set(1, 2, 6)
-	if m.At(0, 0) != 1 || m.At(1, 2) != 6 || m.At(0, 1) != 0 {
-		t.Error("At/Set broken")
+	if m.Rows != 2 || m.Cols != 3 || len(m.Data) != 6 {
+		t.Fatalf("NewMatrix = %+v", m)
 	}
 	r := m.Row(1)
 	r[0] = 42
-	if m.At(1, 0) != 42 {
+	if m.Data[3] != 42 {
 		t.Error("Row must be a view, not a copy")
 	}
-}
-
-func TestMatrixFromRows(t *testing.T) {
-	m := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	if m.Rows != 2 || m.Cols != 2 || m.At(1, 0) != 3 {
-		t.Errorf("MatrixFromRows = %+v", m)
-	}
-	empty := MatrixFromRows(nil)
-	if empty.Rows != 0 || empty.Cols != 0 {
-		t.Error("empty MatrixFromRows should be 0x0")
-	}
-}
-
-func TestMatrixFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on ragged rows")
+	m.Zero()
+	for _, v := range m.Data {
+		if v != 0 {
+			t.Fatalf("Zero left %v", m.Data)
 		}
-	}()
-	MatrixFromRows([][]float64{{1, 2}, {3}})
+	}
 }
 
 func TestTranspose(t *testing.T) {
-	m := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := NewMatrix(2, 3)
+	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
 	tr := m.T()
 	if tr.Rows != 3 || tr.Cols != 2 {
 		t.Fatalf("T dims = %dx%d", tr.Rows, tr.Cols)
 	}
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
-			if m.At(i, j) != tr.At(j, i) {
+			if m.Row(i)[j] != tr.Row(j)[i] {
 				t.Errorf("T mismatch at (%d,%d)", i, j)
 			}
 		}
@@ -56,7 +41,8 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	m := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	m := NewMatrix(2, 2)
+	copy(m.Data, []float64{1, 2, 3, 4})
 	dst := make([]float64, 2)
 	m.MulVec(dst, []float64{1, 1})
 	if dst[0] != 3 || dst[1] != 7 {
@@ -84,63 +70,26 @@ func TestMulVecTMatchesTranspose(t *testing.T) {
 	}
 }
 
-func TestGemm(t *testing.T) {
-	a := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b := MatrixFromRows([][]float64{{5, 6}, {7, 8}})
-	c := NewMatrix(2, 2)
-	Gemm(c, a, b)
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want[i][j] {
-				t.Errorf("Gemm (%d,%d) = %v, want %v", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestGemmIdentity(t *testing.T) {
-	a := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	id := NewMatrix(3, 3)
-	for i := 0; i < 3; i++ {
-		id.Set(i, i, 1)
-	}
-	c := NewMatrix(2, 3)
-	Gemm(c, a, id)
-	for i := range a.Data {
-		if c.Data[i] != a.Data[i] {
-			t.Fatal("A·I != A")
-		}
-	}
-}
-
-func TestGemmShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on Gemm shape mismatch")
-		}
-	}()
-	Gemm(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 3))
-}
-
 func TestAddOuterTo(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.AddOuterTo(2, []float64{1, 2}, []float64{3, 4})
 	// 2 * [1;2]·[3 4] = [[6,8],[12,16]]
-	if m.At(0, 0) != 6 || m.At(0, 1) != 8 || m.At(1, 0) != 12 || m.At(1, 1) != 16 {
+	if m.Data[0] != 6 || m.Data[1] != 8 || m.Data[2] != 12 || m.Data[3] != 16 {
 		t.Errorf("AddOuterTo = %v", m.Data)
 	}
 }
 
 func TestCloneAndScale(t *testing.T) {
-	m := MatrixFromRows([][]float64{{1, 2}})
-	c := m.Clone()
+	m := NewMatrix(1, 2)
+	copy(m.Data, []float64{1, 2})
+	c := NewMatrix(1, 2)
+	copy(c.Data, m.Data)
 	c.Scale(10)
-	if m.At(0, 0) != 1 || c.At(0, 0) != 10 {
-		t.Error("Clone/Scale interaction broken")
+	if m.Data[0] != 1 || c.Data[0] != 10 {
+		t.Error("Scale broken")
 	}
 	c.AddScaled(1, m)
-	if c.At(0, 1) != 22 {
+	if c.Data[1] != 22 {
 		t.Errorf("AddScaled = %v", c.Data)
 	}
 }

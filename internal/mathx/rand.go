@@ -1,9 +1,6 @@
 package mathx
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // NewRand returns a rand.Rand seeded deterministically. Every stochastic
 // component in this repository threads one of these through its API so
@@ -27,39 +24,7 @@ func FillNormal(v []float64, mean, std float64, rng *rand.Rand) {
 	}
 }
 
-// GlorotUniform fills a weight matrix with the Glorot/Xavier uniform
-// initialisation appropriate for a fanIn×fanOut dense layer. This is the
-// default initialiser Keras uses for Dense layers, matching the paper's
-// reference implementation.
-func GlorotUniform(m *Matrix, rng *rand.Rand) {
-	limit := glorotLimit(m.Cols, m.Rows)
-	FillUniform(m.Data, -limit, limit, rng)
-}
-
-func glorotLimit(fanIn, fanOut int) float64 {
-	n := float64(fanIn + fanOut)
-	if n == 0 {
-		return 0
-	}
-	return math.Sqrt(6 / n)
-}
-
 // Shuffle permutes idx in place using Fisher–Yates.
 func Shuffle(idx []int, rng *rand.Rand) {
 	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-}
-
-// Perm returns a permutation of [0, n).
-func Perm(n int, rng *rand.Rand) []int {
-	return rng.Perm(n)
-}
-
-// SampleWithoutReplacement returns k distinct indices drawn uniformly from
-// [0, n). It panics if k > n.
-func SampleWithoutReplacement(n, k int, rng *rand.Rand) []int {
-	if k > n {
-		panic("mathx: SampleWithoutReplacement k > n")
-	}
-	p := rng.Perm(n)
-	return p[:k]
 }

@@ -38,17 +38,3 @@ func AlmostEqual(a, b, tol float64) bool {
 	}
 	return math.Abs(a-b) <= tol*scale
 }
-
-// VecAlmostEqual reports element-wise AlmostEqual over equal-length
-// vectors; vectors of different lengths are never almost equal.
-func VecAlmostEqual(a, b []float64, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !AlmostEqual(a[i], b[i], tol) {
-			return false
-		}
-	}
-	return true
-}

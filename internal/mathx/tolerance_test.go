@@ -34,19 +34,3 @@ func TestAlmostEqual(t *testing.T) {
 		}
 	}
 }
-
-func TestVecAlmostEqual(t *testing.T) {
-	a := []float64{1, 2, 3}
-	if !VecAlmostEqual(a, []float64{1, 2, 3 + 1e-12}, DefaultTol) {
-		t.Error("near-identical vectors should compare almost equal")
-	}
-	if VecAlmostEqual(a, []float64{1, 2}, DefaultTol) {
-		t.Error("different lengths must never compare equal")
-	}
-	if VecAlmostEqual(a, []float64{1, 2, 4}, DefaultTol) {
-		t.Error("differing element must fail")
-	}
-	if !VecAlmostEqual(nil, nil, DefaultTol) {
-		t.Error("two empty vectors are equal")
-	}
-}

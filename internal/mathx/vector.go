@@ -1,6 +1,6 @@
 // Package mathx provides the small dense linear-algebra and statistics
-// kernels used throughout LEAPME: vector arithmetic, dense matrices with a
-// cache-friendly GEMM, reductions, and deterministic random initialisers.
+// kernels used throughout LEAPME: vector arithmetic, dense row-major
+// matrices, reductions, and deterministic random initialisers.
 //
 // All functions operate on []float64 and are allocation-conscious: the
 // mutating variants (AddTo, ScaleTo, ...) write into a caller-supplied
@@ -36,15 +36,6 @@ func Norm2(v []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Norm1 returns the L1 norm of v.
-func Norm1(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
 // CosineSimilarity returns the cosine of the angle between a and b.
 // If either vector has zero norm the similarity is defined as 0.
 func CosineSimilarity(a, b []float64) float64 {
@@ -53,11 +44,6 @@ func CosineSimilarity(a, b []float64) float64 {
 		return 0
 	}
 	return Dot(a, b) / (na * nb)
-}
-
-// CosineDistance returns 1 - CosineSimilarity(a, b).
-func CosineDistance(a, b []float64) float64 {
-	return 1 - CosineSimilarity(a, b)
 }
 
 // EuclideanDistance returns the L2 distance between a and b.
@@ -88,42 +74,6 @@ func AddTo(dst, a, b []float64) {
 	for i := range a {
 		dst[i] = a[i] + b[i]
 	}
-}
-
-// Sub returns a new vector a-b.
-func Sub(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	SubTo(out, a, b)
-	return out
-}
-
-// SubTo stores a-b into dst. dst may alias a or b.
-func SubTo(dst, a, b []float64) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("mathx: SubTo length mismatch")
-	}
-	for i := range a {
-		dst[i] = a[i] - b[i]
-	}
-}
-
-// AbsDiff returns |a-b| element-wise as a new vector.
-func AbsDiff(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("mathx: AbsDiff length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = math.Abs(a[i] - b[i])
-	}
-	return out
-}
-
-// Scale returns a new vector v*s.
-func Scale(v []float64, s float64) []float64 {
-	out := make([]float64, len(v))
-	ScaleTo(out, v, s)
-	return out
 }
 
 // ScaleTo stores v*s into dst. dst may alias v.
@@ -173,52 +123,6 @@ func Sum(v []float64) float64 {
 	return s
 }
 
-// Variance returns the population variance of v, or 0 for slices with
-// fewer than two elements.
-func Variance(v []float64) float64 {
-	if len(v) < 2 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(v))
-}
-
-// StdDev returns the population standard deviation of v.
-func StdDev(v []float64) float64 { return math.Sqrt(Variance(v)) }
-
-// Min returns the minimum element of v. It panics on an empty slice.
-func Min(v []float64) float64 {
-	if len(v) == 0 {
-		panic("mathx: Min of empty slice")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum element of v. It panics on an empty slice.
-func Max(v []float64) float64 {
-	if len(v) == 0 {
-		panic("mathx: Max of empty slice")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // ArgMax returns the index of the maximum element of v, or -1 for an
 // empty slice. Ties resolve to the lowest index.
 func ArgMax(v []float64) int {
@@ -246,17 +150,6 @@ func MeanVectors(vs [][]float64) []float64 {
 	}
 	ScaleTo(out, out, 1/float64(len(vs)))
 	return out
-}
-
-// Clamp limits x to the interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // Clone returns a copy of v.

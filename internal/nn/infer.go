@@ -2,22 +2,29 @@ package nn
 
 import "fmt"
 
-// Kernel is a Forward-only view of a trained Network laid out for the
-// serving hot path: all weights live in one flat row-major []float64 and
-// all biases in another, so a forward pass walks two contiguous arrays
-// instead of chasing per-layer *Matrix and per-neuron slices. A Kernel
-// holds no scratch of its own — callers thread an explicit scratch
-// buffer through every call — so one Kernel is immutable after
-// construction and safe to share across any number of goroutines.
+// Kernel is a network's model: all layer weights in one flat row-major
+// []float64 slab and all biases in another, with each layer's offsets
+// into them, so a forward pass walks two contiguous arrays. Network
+// embeds it, New and Read fill it, TrainKernel trains it in place, and
+// it runs the forward passes. A Kernel holds no scratch of its own —
+// callers thread an explicit scratch buffer through every call.
 //
-// Bit-identity contract: for the same input, Forward and every lane of
-// ForwardBatch produce outputs byte-for-byte identical to
-// Network.Forward. All walk each row with the same sequential
-// single-accumulator dot product (the mathx.Dot order) and the same
-// softmax; only the memory layout and the lane interleaving differ. The
-// determinism suites and the serve layer's reproducibility guarantee
-// rely on this, so any change to the accumulation order here is a
-// format-breaking change, not an optimisation.
+// View contract: NewKernel returns a view of the network's slabs, not a
+// copy, so a Kernel is read-only — and safe to share across any number
+// of goroutines — only while its Network is not training. Code that
+// hands kernels out never trains their networks afterwards: core's
+// Train builds a new Network and ReadModel decodes a new one, so
+// scorers taken from earlier models keep their weights.
+//
+// Bit-identity contract: for the same input, PositiveScore and every
+// lane of ForwardBatch produce outputs byte-for-byte identical to the
+// per-layer oracle forward pass the tests keep (oracle_test.go: one
+// mathx.Dot per unit, then softmax). All walk each row with the same
+// sequential single-accumulator dot product and the same softmax; only
+// the memory layout and the lane interleaving differ. The determinism
+// suites and the serve layer's reproducibility guarantee rely on this,
+// so any change to the accumulation order here is a format-breaking
+// change, not an optimisation.
 type Kernel struct {
 	layers []kernLayer
 	w      []float64 // all layer weights, row-major, concatenated
@@ -26,7 +33,7 @@ type Kernel struct {
 	outDim int
 	// maxWidth is the widest activation the kernel ever materialises
 	// (max over layer outputs and the input), which sizes the
-	// activation scratch of Forward and ForwardBatch.
+	// activation scratch of PositiveScore and ForwardBatch.
 	maxWidth int
 }
 
@@ -38,32 +45,22 @@ type kernLayer struct {
 	act        Activation
 }
 
-// NewKernel builds an inference kernel from a trained network, copying
-// the weights into the flat layout. The network is not retained; later
-// training steps on n do not affect the kernel.
-func NewKernel(n *Network) *Kernel {
-	k := &Kernel{inDim: n.inDim, outDim: n.OutDim(), maxWidth: n.inDim}
-	var wlen, blen int
-	for _, l := range n.layers {
-		wlen += l.w.Rows * l.w.Cols
-		blen += l.w.Rows
-		if l.w.Rows > k.maxWidth {
-			k.maxWidth = l.w.Rows
-		}
+// addLayer appends a rows×cols layer to the layout at the current ends
+// of the weight and bias slabs; the caller then appends the layer's
+// rows×cols weights and rows biases.
+func (k *Kernel) addLayer(rows, cols int, act Activation) {
+	if len(k.layers) == 0 {
+		k.inDim, k.maxWidth = cols, cols
 	}
-	k.w = make([]float64, 0, wlen)
-	k.b = make([]float64, 0, blen)
-	for _, l := range n.layers {
-		k.layers = append(k.layers, kernLayer{
-			rows: l.w.Rows, cols: l.w.Cols,
-			woff: len(k.w), boff: len(k.b),
-			act: l.act,
-		})
-		k.w = append(k.w, l.w.Data...)
-		k.b = append(k.b, l.b...)
-	}
-	return k
+	k.layers = append(k.layers, kernLayer{rows: rows, cols: cols, woff: len(k.w), boff: len(k.b), act: act})
+	k.outDim = rows
+	k.maxWidth = max(k.maxWidth, rows)
 }
+
+// NewKernel returns n's inference kernel: a view of the network's own
+// slabs that allocates and copies nothing. It is read-only while n is not
+// training (see the view contract on Kernel).
+func NewKernel(n *Network) *Kernel { return &n.Kernel }
 
 // InDim returns the expected input dimension.
 func (k *Kernel) InDim() int { return k.inDim }
@@ -71,8 +68,7 @@ func (k *Kernel) InDim() int { return k.inDim }
 // OutDim returns the number of output classes.
 func (k *Kernel) OutDim() int { return k.outDim }
 
-// ScratchLen returns the scratch length required by Forward and
-// PositiveScore for a single input.
+// ScratchLen returns the scratch length PositiveScore requires.
 func (k *Kernel) ScratchLen() int { return 2 * k.maxWidth }
 
 // BatchScratchLen returns the scratch length ForwardBatch requires for
@@ -106,7 +102,8 @@ func (k *Kernel) forwardRaw(x, scratch []float64) []float64 {
 		in := cur[:l.cols]
 		for r := 0; r < l.rows; r++ {
 			// Sequential single-accumulator dot, the exact mathx.Dot
-			// order Network.forward uses — required for bit identity.
+			// order of the oracle forward pass — required for bit
+			// identity.
 			row := w[r*l.cols : (r+1)*l.cols]
 			var s float64
 			for c, wv := range row {
@@ -122,18 +119,6 @@ func (k *Kernel) forwardRaw(x, scratch []float64) []float64 {
 		}
 	}
 	return cur
-}
-
-// Forward writes the softmax class probabilities for x into dst, using
-// scratch (len >= ScratchLen()) for activations. It performs no heap
-// allocations and its outputs are bit-identical to Network.Forward.
-//
-//lint:hotpath gated by TestKernelZeroAllocs
-func (k *Kernel) Forward(dst, x, scratch []float64) {
-	if len(dst) != k.outDim {
-		panic(fmt.Sprintf("nn: kernel output has dim %d, want %d", len(dst), k.outDim))
-	}
-	softmax(dst, k.forwardRaw(x, scratch))
 }
 
 // PositiveScore returns the probability of class 1 for x — LEAPME's
@@ -164,9 +149,9 @@ func (k *Kernel) PositiveScore(x, scratch []float64) float64 {
 // each weight row once across the chunk's eight lanes (the AVX routines
 // of simd.go for a full chunk, the generic lane loop for the last
 // partial one), and a per-lane softmax closes it. Every lane is the
-// zero-seeded, ascending-column mul-then-add chain of Forward, so
-// results are bit-identical to n separate Forward calls in any batch
-// size and at any chunk position.
+// zero-seeded, ascending-column mul-then-add chain of a single-input
+// forward pass, so results are bit-identical to n separate PositiveScore
+// (or oracle) passes in any batch size and at any chunk position.
 //
 //lint:hotpath gated by TestKernelZeroAllocs
 func (k *Kernel) ForwardBatch(probs, xs []float64, n int, scratch []float64) {
@@ -218,10 +203,10 @@ func (k *Kernel) ForwardBatch(probs, xs []float64, n int, scratch []float64) {
 //
 // where w and b are the flat weight and bias slabs l indexes into. Each
 // lane is a zero-seeded sequential dot in ascending c, the mathx.Dot
-// order of Network.Forward, so a lane's bits do not depend on the chunk
-// it rides in. A full chunk runs the fused two-row SIMD routines; a
-// partial chunk takes the generic lane loop. Kernel.ForwardBatch and
-// TrainKernel's forward pass share it.
+// order of the oracle forward pass, so a lane's bits do not depend on
+// the chunk it rides in. A full chunk runs the fused two-row SIMD
+// routines; a partial chunk takes the generic lane loop.
+// Kernel.ForwardBatch and TrainKernel's forward pass share it.
 func (l *kernLayer) forwardChunk(out, in, w, b []float64, m int) {
 	w = w[l.woff : l.woff+l.rows*l.cols]
 	b = b[l.boff : l.boff+l.rows]

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,12 +34,12 @@ func randInputs(cfg Config, n int, seed int64) [][]float64 {
 	return xs
 }
 
-// TestKernelBitIdentity is the exact-equivalence gate for the default
-// serving path: for every topology and input, the flat kernel's outputs
-// must match Network.Forward byte for byte (compared through
-// math.Float64bits, not a tolerance). If this fails, the serving layer's
-// bit-reproducibility guarantee is broken — fix the kernel, never widen
-// this to a tolerance.
+// TestKernelBitIdentity is the exact-equivalence gate for the
+// single-input serving path: for every topology with a positive class
+// and every input, PositiveScore must match the oracle forward pass byte
+// for byte (compared through math.Float64bits, not a tolerance). If this
+// fails, the serving layer's bit-reproducibility guarantee is broken —
+// fix the kernel, never widen this to a tolerance.
 func TestKernelBitIdentity(t *testing.T) {
 	for _, cfg := range inferTopologies {
 		net, err := New(cfg)
@@ -50,23 +51,41 @@ func TestKernelBitIdentity(t *testing.T) {
 			t.Fatalf("kernel dims %d→%d, want %d→%d", k.InDim(), k.OutDim(), cfg.InDim, cfg.Out)
 		}
 		scratch := make([]float64, k.ScratchLen())
-		dst := make([]float64, k.OutDim())
 		for _, x := range randInputs(cfg, 50, cfg.Seed+100) {
-			want, err := net.Forward(x)
-			if err != nil {
-				t.Fatalf("Forward: %v", err)
-			}
-			k.Forward(dst, x, scratch)
-			for i := range want {
-				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("cfg %+v: kernel output %d = %x, want %x (values %v vs %v)",
-						cfg, i, math.Float64bits(dst[i]), math.Float64bits(want[i]), dst[i], want[i])
-				}
-			}
-			if got, want := k.PositiveScore(x, scratch), dst[1]; math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("cfg %+v: PositiveScore %v, want %v", cfg, got, want)
+			want := oracleForward(net, x)[1]
+			if got := k.PositiveScore(x, scratch); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cfg %+v: PositiveScore %x, want %x (values %v vs %v)",
+					cfg, math.Float64bits(got), math.Float64bits(want), got, want)
 			}
 		}
+	}
+}
+
+// TestKernelIsNetworkView: NewKernel allocates and copies nothing — the
+// kernel reads the network's own slabs, so training the network is
+// visible through a kernel taken before it.
+func TestKernelIsNetworkView(t *testing.T) {
+	net, err := New(Config{InDim: 3, Hidden: []int{4}, Out: 2, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = NewKernel(net) }); n != 0 {
+		t.Errorf("NewKernel allocates %v times per call, want 0", n)
+	}
+	k := NewKernel(net)
+	x := []float64{1, 2, 3}
+	before := k.PositiveScore(x, make([]float64, k.ScratchLen()))
+	xs, ys := [][]float64{{1, 0, 0}, {0, 1, 0}}, []int{0, 1}
+	cfg := TrainConfig{Schedule: []Phase{{Epochs: 3, LR: 0.1}}, Workers: 1}
+	if _, err := net.Fit(context.Background(), xs, ys, cfg); err != nil {
+		t.Fatal(err)
+	}
+	after := k.PositiveScore(x, make([]float64, k.ScratchLen()))
+	if math.Float64bits(after) == math.Float64bits(before) {
+		t.Fatal("training the network did not change its kernel's score")
+	}
+	if want := oracleForward(net, x)[1]; math.Float64bits(after) != math.Float64bits(want) {
+		t.Fatalf("kernel score %v after training, want the network's %v", after, want)
 	}
 }
 
@@ -114,17 +133,15 @@ func edgeInputs(cfg Config, seed int64) [][]float64 {
 // start with zero biases).
 func withBiases(net *Network, seed int64) {
 	rng := mathx.NewRand(seed)
-	for _, l := range net.layers {
-		for i := range l.b {
-			l.b[i] = rng.NormFloat64() * 0.1
-		}
+	for i := range net.b {
+		net.b[i] = rng.NormFloat64() * 0.1
 	}
 }
 
 // TestKernelBatchDeterminism proves chunked batch execution changes
 // nothing: ForwardBatch over any batch size — full 8-input chunks, a
-// partial tail, or both — is bit-identical to Network.Forward per
-// input, with the AVX routines enabled and with the generic lane loop
+// partial tail, or both — is bit-identical to the oracle forward pass
+// per input, with the AVX routines enabled and with the generic lane loop
 // forced, on inputs that include ±0 and fully zeroed ReLU layers. The
 // name keeps it inside `make test-determinism`, which re-runs it under
 // GOMAXPROCS=1 and 4.
@@ -146,9 +163,7 @@ func TestKernelBatchDeterminism(t *testing.T) {
 			inputs := append(edgeInputs(cfg, cfg.Seed+400), randInputs(cfg, 33, cfg.Seed+200)...)
 			want := make([][]float64, len(inputs))
 			for i, x := range inputs {
-				if want[i], err = net.Forward(x); err != nil {
-					t.Fatalf("Forward: %v", err)
-				}
+				want[i] = oracleForward(net, x)
 			}
 			for _, n := range batchSizes {
 				// Slide the batch window so every input lands in a full
@@ -206,10 +221,6 @@ func TestKernelZeroAllocs(t *testing.T) {
 	k := NewKernel(net)
 	x := randInputs(cfg, 1, 9)[0]
 	scratch := make([]float64, k.ScratchLen())
-	dst := make([]float64, k.OutDim())
-	if n := testing.AllocsPerRun(100, func() { k.Forward(dst, x, scratch) }); n != 0 {
-		t.Errorf("Kernel.Forward allocates %v times per call, want 0", n)
-	}
 	if n := testing.AllocsPerRun(100, func() { _ = k.PositiveScore(x, scratch) }); n != 0 {
 		t.Errorf("Kernel.PositiveScore allocates %v times per call, want 0", n)
 	}

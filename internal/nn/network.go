@@ -2,8 +2,10 @@
 // LEAPME's classifier: fully connected layers with ReLU activations, a
 // softmax output with cross-entropy loss, mini-batch training with SGD,
 // momentum or Adam, and the paper's staged learning-rate schedule (10
-// epochs at 1e-3, 5 at 1e-4, 5 at 1e-5 with batch size 32). Training runs
-// on one implementation, TrainKernel; the network and its training are
+// epochs at 1e-3, 5 at 1e-4, 5 at 1e-5 with batch size 32). The model
+// has one representation, the Kernel's flat weight and bias slabs: New
+// and Read fill them, TrainKernel trains them in place, WriteTo writes
+// them and the Kernel's forward passes read them. Training is
 // deterministic given a seed, whatever the worker count.
 package nn
 
@@ -75,42 +77,12 @@ func (a Activation) derivFromOutput(y float64) float64 {
 	}
 }
 
-// layer is one dense layer: out = act(W·in + b).
-type layer struct {
-	w   *mathx.Matrix // out×in
-	b   []float64
-	act Activation
-	out []float64 // forward scratch: the last activation output
-}
-
-func newLayer(inDim, outDim int, act Activation, rng interface{ Float64() float64 }) *layer {
-	l := &layer{
-		w:   mathx.NewMatrix(outDim, inDim),
-		b:   make([]float64, outDim),
-		act: act,
-		out: make([]float64, outDim),
-	}
-	// Glorot uniform init, as in Keras Dense defaults.
-	limit := math.Sqrt(6 / float64(inDim+outDim))
-	for i := range l.w.Data {
-		l.w.Data[i] = (rng.Float64()*2 - 1) * limit
-	}
-	return l
-}
-
-// forward computes the layer output for x into the layer's scratch.
-func (l *layer) forward(x []float64) []float64 {
-	l.w.MulVec(l.out, x)
-	for i := range l.out {
-		l.out[i] = l.act.apply(l.out[i] + l.b[i])
-	}
-	return l.out
-}
-
-// Network is a feed-forward neural network.
+// Network is a feed-forward neural network. It is its Kernel: the layer
+// offsets over one weight slab and one bias slab, with no other copy of
+// the weights anywhere. NewKernel returns a view of it, and training
+// rewrites the slabs in place (see Kernel for the view contract).
 type Network struct {
-	layers []*layer
-	inDim  int
+	Kernel
 }
 
 // Config describes a network topology.
@@ -134,7 +106,9 @@ func PaperConfig(inDim int, seed int64) Config {
 	return Config{InDim: inDim, Hidden: []int{128, 64}, Out: 2, Activation: ActReLU, Seed: seed}
 }
 
-// New constructs a network.
+// New constructs a network with Glorot-uniform weights (Keras Dense
+// defaults): one rng draw per weight, row-major, layer by layer, and
+// zero biases.
 func New(cfg Config) (*Network, error) {
 	if cfg.InDim <= 0 {
 		return nil, fmt.Errorf("nn: input dimension %d must be positive", cfg.InDim)
@@ -147,77 +121,37 @@ func New(cfg Config) (*Network, error) {
 			return nil, fmt.Errorf("nn: hidden layer %d has non-positive width %d", i, h)
 		}
 	}
-	rng := mathx.NewRand(cfg.Seed)
-	n := &Network{inDim: cfg.InDim}
-	prev := cfg.InDim
-	for _, h := range cfg.Hidden {
-		n.layers = append(n.layers, newLayer(prev, h, cfg.Activation, rng))
-		prev = h
+	widths := append(append([]int{cfg.InDim}, cfg.Hidden...), cfg.Out)
+	var wlen, blen int
+	for i := 1; i < len(widths); i++ {
+		wlen += widths[i-1] * widths[i]
+		blen += widths[i]
 	}
-	// Output layer: linear pre-activation; softmax applied by the loss.
-	n.layers = append(n.layers, newLayer(prev, cfg.Out, ActIdentity, rng))
+	rng := mathx.NewRand(cfg.Seed)
+	n := &Network{}
+	n.w, n.b = make([]float64, 0, wlen), make([]float64, 0, blen)
+	for i := 1; i < len(widths); i++ {
+		rows, cols, act := widths[i], widths[i-1], cfg.Activation
+		if i == len(widths)-1 {
+			act = ActIdentity // output layer: softmax applied by the loss
+		}
+		n.addLayer(rows, cols, act)
+		limit := math.Sqrt(6 / float64(cols+rows))
+		for j := 0; j < rows*cols; j++ {
+			n.w = append(n.w, (rng.Float64()*2-1)*limit)
+		}
+		n.b = append(n.b, make([]float64, rows)...)
+	}
 	return n, nil
 }
-
-// InDim returns the expected input dimension.
-func (n *Network) InDim() int { return n.inDim }
-
-// Clone returns a deep copy of the network: independent weights and —
-// crucially — independent forward scratch buffers, so the clone
-// can run Forward concurrently with the original. A Network is not safe
-// for concurrent use by itself (forward passes reuse per-layer scratch);
-// concurrent scorers each take a clone.
-func (n *Network) Clone() *Network {
-	c := &Network{inDim: n.inDim}
-	for _, l := range n.layers {
-		nl := newLayer(l.w.Cols, l.w.Rows, l.act, zeroRand{})
-		copy(nl.w.Data, l.w.Data)
-		copy(nl.b, l.b)
-		c.layers = append(c.layers, nl)
-	}
-	return c
-}
-
-// zeroRand satisfies the initialiser interface with zeros; Clone
-// overwrites all weights anyway.
-type zeroRand struct{}
-
-func (zeroRand) Float64() float64 { return 0 }
 
 // Hidden returns the hidden-layer widths (all layers but the output).
 func (n *Network) Hidden() []int {
 	out := make([]int, 0, len(n.layers)-1)
 	for _, l := range n.layers[:len(n.layers)-1] {
-		out = append(out, l.w.Rows)
+		out = append(out, l.rows)
 	}
 	return out
-}
-
-// OutDim returns the number of output classes.
-func (n *Network) OutDim() int { return n.layers[len(n.layers)-1].w.Rows }
-
-// Forward runs the network and returns the softmax class probabilities.
-// The returned slice is owned by the caller.
-func (n *Network) Forward(x []float64) ([]float64, error) {
-	if len(x) != n.inDim {
-		return nil, fmt.Errorf("nn: input has dim %d, want %d", len(x), n.inDim)
-	}
-	h := x
-	for _, l := range n.layers {
-		h = l.forward(h)
-	}
-	out := make([]float64, len(h))
-	softmax(out, h)
-	return out, nil
-}
-
-// Classify returns the argmax class for x.
-func (n *Network) Classify(x []float64) (int, error) {
-	p, err := n.Forward(x)
-	if err != nil {
-		return 0, err
-	}
-	return mathx.ArgMax(p), nil
 }
 
 // softmax writes a numerically stable softmax of z into dst.

@@ -28,33 +28,53 @@ func TestPaperConfigShape(t *testing.T) {
 	if len(n.layers) != 3 {
 		t.Errorf("layer count = %d, want 3 (128, 64, 2)", len(n.layers))
 	}
-	if n.layers[0].w.Rows != 128 || n.layers[1].w.Rows != 64 {
-		t.Errorf("hidden widths = %d, %d", n.layers[0].w.Rows, n.layers[1].w.Rows)
+	if h := n.Hidden(); len(h) != 2 || h[0] != 128 || h[1] != 64 {
+		t.Errorf("hidden widths = %v", h)
+	}
+	if len(n.w) != 700*128+128*64+64*2 || len(n.b) != 128+64+2 {
+		t.Errorf("slabs hold %d weights and %d biases", len(n.w), len(n.b))
 	}
 }
 
+// TestForwardIsDistribution: each row ForwardBatch writes is a
+// probability distribution over the classes.
 func TestForwardIsDistribution(t *testing.T) {
 	n, _ := New(Config{InDim: 4, Hidden: []int{8}, Out: 3, Seed: 1})
-	p, err := n.Forward([]float64{0.1, -0.2, 0.3, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, v := range p {
-		if v < 0 || v > 1 {
-			t.Errorf("probability %v outside [0,1]", v)
+	k := NewKernel(n)
+	xs := []float64{0.1, -0.2, 0.3, 0.9, 5, -3, 0, 1}
+	probs := make([]float64, 2*k.OutDim())
+	k.ForwardBatch(probs, xs, 2, make([]float64, k.BatchScratchLen(2)))
+	for row := 0; row < 2; row++ {
+		var sum float64
+		for _, v := range probs[row*k.OutDim() : (row+1)*k.OutDim()] {
+			if v < 0 || v > 1 {
+				t.Errorf("probability %v outside [0,1]", v)
+			}
+			sum += v
 		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("probabilities sum to %v", sum)
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("row %d probabilities sum to %v", row, sum)
+		}
 	}
 }
 
+// TestForwardDimCheck: the kernel's forward passes reject an input of
+// the wrong dimension.
 func TestForwardDimCheck(t *testing.T) {
 	n, _ := New(Config{InDim: 4, Out: 2, Seed: 1})
-	if _, err := n.Forward([]float64{1, 2}); err == nil {
-		t.Error("wrong input dim accepted")
+	k := NewKernel(n)
+	for name, fn := range map[string]func(){
+		"PositiveScore": func() { k.PositiveScore([]float64{1, 2}, make([]float64, k.ScratchLen())) },
+		"ForwardBatch":  func() { k.ForwardBatch(make([]float64, 2), []float64{1, 2}, 1, make([]float64, k.BatchScratchLen(1))) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a wrong input dim", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }
 
@@ -80,42 +100,28 @@ func TestGradientCheck(t *testing.T) {
 	label := 1
 
 	loss := func() float64 {
-		p, err := n.Forward(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return -math.Log(math.Max(p[label], 1e-300))
+		return -math.Log(math.Max(oracleForward(n, x)[label], 1e-300))
 	}
 
 	// Analytic gradients: the training kernel's for a one-example batch.
+	// Its gradient slabs share the network's layout, so parameter i of a
+	// slab has gradient i.
 	k := batchGrads(t, n, [][]float64{x}, []int{label})
 
 	const eps = 1e-6
-	for li, l := range n.layers {
-		for i := range l.w.Data {
-			orig := l.w.Data[i]
-			l.w.Data[i] = orig + eps
+	for _, p := range []struct {
+		name         string
+		params, grad []float64
+	}{{"weight", n.w, k.gw}, {"bias", n.b, k.gb}} {
+		for i, orig := range p.params {
+			p.params[i] = orig + eps
 			up := loss()
-			l.w.Data[i] = orig - eps
+			p.params[i] = orig - eps
 			down := loss()
-			l.w.Data[i] = orig
+			p.params[i] = orig
 			num := (up - down) / (2 * eps)
-			ana := k.gw[k.layers[li].woff+i]
-			if math.Abs(num-ana) > 1e-5*(1+math.Abs(num)) {
-				t.Fatalf("layer %d weight %d: numeric %g vs analytic %g", li, i, num, ana)
-			}
-		}
-		for i := range l.b {
-			orig := l.b[i]
-			l.b[i] = orig + eps
-			up := loss()
-			l.b[i] = orig - eps
-			down := loss()
-			l.b[i] = orig
-			num := (up - down) / (2 * eps)
-			ana := k.gb[k.layers[li].boff+i]
-			if math.Abs(num-ana) > 1e-5*(1+math.Abs(num)) {
-				t.Fatalf("layer %d bias %d: numeric %g vs analytic %g", li, i, num, ana)
+			if ana := p.grad[i]; math.Abs(num-ana) > 1e-5*(1+math.Abs(num)) {
+				t.Fatalf("%s %d: numeric %g vs analytic %g", p.name, i, num, ana)
 			}
 		}
 	}
@@ -148,35 +154,35 @@ func TestActivations(t *testing.T) {
 func TestDeterministicInit(t *testing.T) {
 	a, _ := New(Config{InDim: 5, Hidden: []int{7}, Out: 2, Seed: 9})
 	b, _ := New(Config{InDim: 5, Hidden: []int{7}, Out: 2, Seed: 9})
-	for li := range a.layers {
-		for i := range a.layers[li].w.Data {
-			if a.layers[li].w.Data[i] != b.layers[li].w.Data[i] {
-				t.Fatal("same seed produced different weights")
-			}
+	for i := range a.w {
+		if a.w[i] != b.w[i] {
+			t.Fatal("same seed produced different weights")
 		}
 	}
 	c, _ := New(Config{InDim: 5, Hidden: []int{7}, Out: 2, Seed: 10})
 	same := true
-	for li := range a.layers {
-		for i := range a.layers[li].w.Data {
-			if a.layers[li].w.Data[i] != c.layers[li].w.Data[i] {
-				same = false
-			}
+	for i := range a.w {
+		if a.w[i] != c.w[i] {
+			same = false
 		}
 	}
 	if same {
 		t.Error("different seeds produced identical weights")
 	}
-}
-
-func TestClassify(t *testing.T) {
-	n, _ := New(Config{InDim: 2, Out: 2, Seed: 1})
-	c, err := n.Classify([]float64{1, 0})
-	if err != nil {
-		t.Fatal(err)
+	// Glorot uniform: every weight within ±sqrt(6/(fanIn+fanOut)) of its
+	// layer, and biases start at zero.
+	for _, l := range a.layers {
+		limit := math.Sqrt(6 / float64(l.rows+l.cols))
+		for _, w := range a.w[l.woff : l.woff+l.rows*l.cols] {
+			if math.Abs(w) > limit {
+				t.Fatalf("weight %v exceeds glorot limit %v", w, limit)
+			}
+		}
 	}
-	if c != 0 && c != 1 {
-		t.Errorf("class = %d", c)
+	for _, v := range a.b {
+		if v != 0 {
+			t.Fatalf("initial bias %v, want 0", v)
+		}
 	}
 }
 

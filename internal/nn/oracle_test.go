@@ -9,15 +9,58 @@ import (
 	"leapme/internal/parallel"
 )
 
+// oracleLayer is one dense layer of a network seen through mathx views of
+// the network's slabs: writes through w and b update the network.
+type oracleLayer struct {
+	w   *mathx.Matrix // rows×cols view of the weight slab
+	b   []float64     // view of the bias slab
+	act Activation
+}
+
+// oracleLayers returns per-layer views of n's weight and bias slabs.
+func oracleLayers(n *Network) []oracleLayer {
+	out := make([]oracleLayer, len(n.layers))
+	for i, l := range n.layers {
+		out[i] = oracleLayer{
+			w:   &mathx.Matrix{Rows: l.rows, Cols: l.cols, Data: n.w[l.woff : l.woff+l.rows*l.cols]},
+			b:   n.b[l.boff : l.boff+l.rows],
+			act: l.act,
+		}
+	}
+	return out
+}
+
+// oracleForward is the per-layer forward pass the kernels are pinned to:
+// one mathx.Dot per unit (Matrix.MulVec), the bias added after the dot,
+// the activation, and a softmax over the last layer's outputs. It
+// returns the class probabilities.
+func oracleForward(n *Network, x []float64) []float64 {
+	h := x
+	for _, l := range oracleLayers(n) {
+		out := make([]float64, l.w.Rows)
+		l.w.MulVec(out, h)
+		for i := range out {
+			out[i] = l.act.apply(out[i] + l.b[i])
+		}
+		h = out
+	}
+	p := make([]float64, len(h))
+	softmax(p, h)
+	return p
+}
+
+// oracleClassify returns the most probable class for x.
+func oracleClassify(n *Network, x []float64) int { return mathx.ArgMax(oracleForward(n, x)) }
+
 // chunkedFit is the reference trainer TrainKernel's bytes are pinned to:
 // the per-example chunked path Network.Fit ran at Workers ≥ 1 before the
 // kernel became the only trainer. Every example runs its own forward and
 // backward pass over per-layer matrices; a batch splits into
 // gradChunkSize-example chunks whose gradients accumulate in example
 // order, the chunk partials fold with parallel.TreeReduce, and the
-// optimizers update layer by layer. It runs single-threaded — the chunk
-// structure, not the scheduling, defines the bits — and expects valid
-// input.
+// optimizers update layer by layer, all through oracleLayers views of
+// the network's slabs. It runs single-threaded — the chunk structure,
+// not the scheduling, defines the bits — and expects valid input.
 func chunkedFit(ctx context.Context, n *Network, xs [][]float64, ys []int, cfg TrainConfig) (float64, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
@@ -38,6 +81,7 @@ func chunkedFit(ctx context.Context, n *Network, xs [][]float64, ys []int, cfg T
 		cfg.ExplodeThreshold = 1e8
 	}
 
+	layers := oracleLayers(n)
 	rng := mathx.NewRand(cfg.Seed)
 	order := make([]int, len(xs))
 	for i := range order {
@@ -45,9 +89,9 @@ func chunkedFit(ctx context.Context, n *Network, xs [][]float64, ys []int, cfg T
 	}
 	slots := make([]*oracleSlot, (cfg.BatchSize+gradChunkSize-1)/gradChunkSize)
 	for i := range slots {
-		slots[i] = newOracleSlot(n)
+		slots[i] = newOracleSlot(layers)
 	}
-	grad := zeroParams(n)
+	grad := zeroParams(layers)
 	opt := &oracleOpt{rule: cfg.Optimizer}
 
 	var lastLoss float64
@@ -73,12 +117,12 @@ func chunkedFit(ctx context.Context, n *Network, xs [][]float64, ys []int, cfg T
 					s := slots[ci]
 					s.zero()
 					for _, ei := range idx[c.Lo:c.Hi] {
-						s.loss += s.example(n, xs[ei], ys[ei])
+						s.loss += s.example(layers, xs[ei], ys[ei])
 					}
 				}
 				parallel.TreeReduce(len(chunks), func(dst, src int) { slots[dst].merge(slots[src]) })
 				inv := 1 / float64(end-start)
-				for li := range n.layers {
+				for li := range layers {
 					grad.w[li].Zero()
 					mathx.Zero(grad.b[li])
 					grad.w[li].AddScaled(1, slots[0].gw[li])
@@ -87,10 +131,10 @@ func chunkedFit(ctx context.Context, n *Network, xs [][]float64, ys []int, cfg T
 					mathx.ScaleTo(grad.b[li], grad.b[li], inv)
 				}
 				epochLoss += slots[0].loss
-				opt.step(n, grad, lr)
+				opt.step(layers, grad, lr)
 				if cfg.WeightDecay > 0 {
 					shrink := 1 - lr*cfg.WeightDecay
-					for _, l := range n.layers {
+					for _, l := range layers {
 						l.w.Scale(shrink)
 					}
 				}
@@ -137,9 +181,9 @@ type params struct {
 	b [][]float64
 }
 
-func zeroParams(n *Network) params {
+func zeroParams(layers []oracleLayer) params {
 	var p params
-	for _, l := range n.layers {
+	for _, l := range layers {
 		p.w = append(p.w, mathx.NewMatrix(l.w.Rows, l.w.Cols))
 		p.b = append(p.b, make([]float64, l.w.Rows))
 	}
@@ -155,10 +199,10 @@ type oracleSlot struct {
 	loss              float64
 }
 
-func newOracleSlot(n *Network) *oracleSlot {
-	g := zeroParams(n)
-	s := &oracleSlot{probs: make([]float64, n.OutDim()), gw: g.w, gb: g.b}
-	for _, l := range n.layers {
+func newOracleSlot(layers []oracleLayer) *oracleSlot {
+	g := zeroParams(layers)
+	s := &oracleSlot{probs: make([]float64, layers[len(layers)-1].w.Rows), gw: g.w, gb: g.b}
+	for _, l := range layers {
 		s.ins = append(s.ins, make([]float64, l.w.Cols))
 		s.outs = append(s.outs, make([]float64, l.w.Rows))
 		s.deltas = append(s.deltas, make([]float64, l.w.Rows))
@@ -184,9 +228,9 @@ func (s *oracleSlot) merge(src *oracleSlot) {
 
 // example runs one forward and backward pass, accumulates the example's
 // gradients into the slot and returns its cross-entropy loss.
-func (s *oracleSlot) example(n *Network, x []float64, label int) float64 {
+func (s *oracleSlot) example(layers []oracleLayer, x []float64, label int) float64 {
 	h := x
-	for li, l := range n.layers {
+	for li, l := range layers {
 		copy(s.ins[li], h)
 		out := s.outs[li]
 		l.w.MulVec(out, h)
@@ -197,7 +241,7 @@ func (s *oracleSlot) example(n *Network, x []float64, label int) float64 {
 	}
 	softmax(s.probs, h)
 
-	last := len(n.layers) - 1
+	last := len(layers) - 1
 	for i := range s.deltas[last] {
 		s.deltas[last][i] = s.probs[i]
 		if i == label {
@@ -207,8 +251,8 @@ func (s *oracleSlot) example(n *Network, x []float64, label int) float64 {
 	for li := last; li > 0; li-- {
 		s.gw[li].AddOuterTo(1, s.deltas[li], s.ins[li])
 		mathx.AddTo(s.gb[li], s.gb[li], s.deltas[li])
-		n.layers[li].w.MulVecT(s.deltas[li-1], s.deltas[li])
-		prevAct := n.layers[li-1].act
+		layers[li].w.MulVecT(s.deltas[li-1], s.deltas[li])
+		prevAct := layers[li-1].act
 		for i := range s.deltas[li-1] {
 			s.deltas[li-1][i] *= prevAct.derivFromOutput(s.outs[li-1][i])
 		}
@@ -234,11 +278,11 @@ type oracleOpt struct {
 
 func (o *oracleOpt) reset() { o.t, o.m, o.v, o.vel = 0, params{}, params{}, params{} }
 
-func (o *oracleOpt) step(n *Network, g params, lr float64) {
+func (o *oracleOpt) step(layers []oracleLayer, g params, lr float64) {
 	switch r := o.rule.(type) {
 	case *Adam:
 		if o.m.w == nil {
-			o.m, o.v = zeroParams(n), zeroParams(n)
+			o.m, o.v = zeroParams(layers), zeroParams(layers)
 		}
 		o.t++
 		c1 := 1 - math.Pow(r.Beta1, float64(o.t))
@@ -250,22 +294,22 @@ func (o *oracleOpt) step(n *Network, g params, lr float64) {
 				w[j] -= lr * (m[j] / c1) / (math.Sqrt(v[j]/c2) + r.Eps)
 			}
 		}
-		for i, l := range n.layers {
+		for i, l := range layers {
 			upd(l.w.Data, g.w[i].Data, o.m.w[i].Data, o.v.w[i].Data)
 			upd(l.b, g.b[i], o.m.b[i], o.v.b[i])
 		}
 	case *SGD:
 		if r.Momentum == 0 {
-			for i, l := range n.layers {
+			for i, l := range layers {
 				l.w.AddScaled(-lr, g.w[i])
 				mathx.AxpyTo(l.b, -lr, g.b[i])
 			}
 			return
 		}
 		if o.vel.w == nil {
-			o.vel = zeroParams(n)
+			o.vel = zeroParams(layers)
 		}
-		for i, l := range n.layers {
+		for i, l := range layers {
 			vw, vb := o.vel.w[i], o.vel.b[i]
 			vw.Scale(r.Momentum)
 			vw.AddScaled(-lr, g.w[i])
@@ -280,23 +324,15 @@ func (o *oracleOpt) step(n *Network, g params, lr float64) {
 	}
 }
 
-// netParams copies the network's parameters: per layer, weights then
-// biases.
+// netParams copies the network's parameters: the weight slab, then the
+// bias slab.
 func netParams(n *Network) []float64 {
-	var out []float64
-	for _, l := range n.layers {
-		out = append(out, l.w.Data...)
-		out = append(out, l.b...)
-	}
-	return out
+	return append(append([]float64(nil), n.w...), n.b...)
 }
 
 // setNetParams writes a netParams copy back into the network.
 func setNetParams(n *Network, p []float64) {
-	for _, l := range n.layers {
-		p = p[copy(l.w.Data, p):]
-		p = p[copy(l.b, p):]
-	}
+	copy(n.b, p[copy(n.w, p):])
 }
 
 // maxAbsWeight is the exploding-weights detector over a network's

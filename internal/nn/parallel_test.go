@@ -61,8 +61,7 @@ func TestFitDeterminismAcrossWorkerCounts(t *testing.T) {
 		for i := range x {
 			x[i] = float64(i) * 0.1
 		}
-		a, _ := refNet.Forward(x)
-		b, _ := gotNet.Forward(x)
+		a, b := oracleForward(refNet, x), oracleForward(gotNet, x)
 		if math.Float64bits(a[1]) != math.Float64bits(b[1]) {
 			t.Fatalf("workers=%d: score %x, want %x", w, b[1], a[1])
 		}
@@ -81,8 +80,7 @@ func TestFitParallelConverges(t *testing.T) {
 	for i := range pos {
 		pos[i] = 1.5
 	}
-	pn, _ := n.Forward(neg)
-	pp, _ := n.Forward(pos)
+	pn, pp := oracleForward(n, neg), oracleForward(n, pos)
 	if pn[0] < 0.5 {
 		t.Errorf("negative centroid scored class0=%v, want > 0.5", pn[0])
 	}

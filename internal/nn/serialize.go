@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"leapme/internal/mathx"
 )
 
 // Binary model format: magic, layer count, then per layer
@@ -38,21 +36,21 @@ func (n *Network) WriteTo(w io.Writer) (int64, error) {
 		return written, err
 	}
 	for _, l := range n.layers {
-		if err := writeU32(uint32(l.w.Rows)); err != nil {
+		if err := writeU32(uint32(l.rows)); err != nil {
 			return written, err
 		}
-		if err := writeU32(uint32(l.w.Cols)); err != nil {
+		if err := writeU32(uint32(l.cols)); err != nil {
 			return written, err
 		}
 		if err := writeU32(uint32(l.act)); err != nil {
 			return written, err
 		}
-		for _, x := range l.w.Data {
+		for _, x := range n.w[l.woff : l.woff+l.rows*l.cols] {
 			if err := writeF64(x); err != nil {
 				return written, err
 			}
 		}
-		for _, x := range l.b {
+		for _, x := range n.b[l.boff : l.boff+l.rows] {
 			if err := writeF64(x); err != nil {
 				return written, err
 			}
@@ -63,10 +61,10 @@ func (n *Network) WriteTo(w io.Writer) (int64, error) {
 
 // Read deserialises a network written by WriteTo. It consumes exactly
 // the network's bytes from r, with no read-ahead, so the caller can
-// check what follows. Weights are read in fixed-size chunks and their
-// slices grow only as bytes arrive: a header claiming a layer larger
-// than r holds fails at end of input, having allocated about as much as
-// it read.
+// check what follows. Weights and biases are read in fixed-size chunks
+// straight onto the network's slabs, which grow only as bytes arrive: a
+// header claiming a layer larger than r holds fails at end of input,
+// having allocated about as much as it read.
 func Read(r io.Reader) (*Network, error) {
 	magic := make([]byte, len(modelMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -109,25 +107,16 @@ func Read(r io.Reader) (*Network, error) {
 		if actI > int(ActIdentity) {
 			return nil, fmt.Errorf("nn: unknown activation %d in layer %d", actI, li)
 		}
-		if li == 0 {
-			n.inDim = cols
-		} else if prev := n.layers[li-1]; prev.w.Rows != cols {
-			return nil, fmt.Errorf("nn: layer %d input dim %d does not match previous output %d", li, cols, prev.w.Rows)
+		if li > 0 && n.outDim != cols {
+			return nil, fmt.Errorf("nn: layer %d input dim %d does not match previous output %d", li, cols, n.outDim)
 		}
-		w, err := readFloats(r, rows*cols)
-		if err != nil {
+		n.addLayer(rows, cols, Activation(actI))
+		if n.w, err = readFloats(r, n.w, rows*cols); err != nil {
 			return nil, fmt.Errorf("nn: layer %d weights: %w", li, err)
 		}
-		b, err := readFloats(r, rows)
-		if err != nil {
+		if n.b, err = readFloats(r, n.b, rows); err != nil {
 			return nil, fmt.Errorf("nn: layer %d biases: %w", li, err)
 		}
-		n.layers = append(n.layers, &layer{
-			w:   &mathx.Matrix{Rows: rows, Cols: cols, Data: w},
-			b:   b,
-			act: Activation(actI),
-			out: make([]float64, rows),
-		})
 	}
 	return n, nil
 }
@@ -135,19 +124,19 @@ func Read(r io.Reader) (*Network, error) {
 // readChunk is the number of float64s readFloats reads per call to r.
 const readChunk = 512
 
-// readFloats reads count little-endian float64s from r, readChunk at a
-// time, appending each chunk only after it has arrived.
-func readFloats(r io.Reader, count int) ([]float64, error) {
+// readFloats appends count little-endian float64s from r to dst,
+// readChunk at a time, appending each chunk only after it has arrived.
+func readFloats(r io.Reader, dst []float64, count int) ([]float64, error) {
 	var buf [8 * readChunk]byte
-	out := make([]float64, 0, min(count, readChunk))
-	for len(out) < count {
-		k := min(count-len(out), readChunk)
+	for count > 0 {
+		k := min(count, readChunk)
 		if _, err := io.ReadFull(r, buf[:8*k]); err != nil {
 			return nil, err
 		}
 		for i := 0; i < k; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
+			dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
 		}
+		count -= k
 	}
-	return out, nil
+	return dst, nil
 }

@@ -42,8 +42,7 @@ func TestFitLearnsXOR(t *testing.T) {
 	}
 	correct := 0
 	for i, x := range xs {
-		c, _ := n.Classify(x)
-		if c == ys[i] {
+		if oracleClassify(n, x) == ys[i] {
 			correct++
 		}
 	}
@@ -100,8 +99,7 @@ func TestFitDeterministic(t *testing.T) {
 		if _, err := n.Fit(context.Background(), xs, ys, cfg); err != nil {
 			t.Fatal(err)
 		}
-		p, _ := n.Forward(xs[0])
-		return p
+		return oracleForward(n, xs[0])
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -192,8 +190,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		t.Fatal("round trip changed dims")
 	}
 	for _, x := range xs[:10] {
-		pa, _ := n.Forward(x)
-		pb, _ := m.Forward(x)
+		pa, pb := oracleForward(n, x), oracleForward(m, x)
 		for i := range pa {
 			if pa[i] != pb[i] {
 				t.Fatal("round trip changed predictions")

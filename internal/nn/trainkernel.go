@@ -10,14 +10,14 @@ import (
 	"leapme/internal/mathx"
 )
 
-// TrainKernel is the training-side twin of the inference Kernel and the
-// package's only trainer (Network.Fit packs its rows and runs one): the
-// whole network — weights, biases, batch gradients, optimizer moments,
-// and the phase-rollback snapshot — lives in flat row-major float64
-// slabs, and each gradient chunk runs a fused forward/backward pass over
-// a per-chunk arena.
+// TrainKernel is the package's only trainer (Network.Fit packs its rows
+// and runs one). It trains a network's own Kernel in place — the weight
+// and bias slabs the network is made of — and keeps the batch
+// gradients, optimizer moments and phase-rollback snapshot in flat
+// slabs of the same layout; each gradient chunk runs a fused
+// forward/backward pass over a per-chunk arena.
 //
-// Memory layout (shared with Kernel via kernLayer):
+// Memory layout (the Kernel's kernLayer offsets):
 //
 //	w    ┌ layer0 rows×cols ┬ layer1 rows×cols ┬ … ┐   row-major weights
 //	b    ┌ layer0 rows      ┬ layer1 rows      ┬ … ┐   biases
@@ -47,14 +47,8 @@ import (
 // partial tail chunks, the scalar loops below are the implementation
 // as well as the reference.
 type TrainKernel struct {
-	net    *Network // weights are written back here on every Fit exit
-	layers []kernLayer
-	inDim  int
-	outDim int
-	wlen   int
-	blen   int
+	*Kernel // the network being trained: its layers and parameter slabs
 
-	w, b   []float64 // parameters, flat
 	gw, gb []float64 // batch-averaged gradients, flat
 	snap   []float64 // phase checkpoint: w then b
 
@@ -104,14 +98,13 @@ type trainSlot struct {
 	loss   float64
 }
 
-// NewTrainKernel builds a training kernel over n, copying its weights
-// into the flat layout and pre-allocating every arena the epoch loop
-// touches, so the loop itself performs no heap allocations. Zero fields
-// of cfg take their defaults (batch 32, Adam, the paper's schedule, 3
-// retries per phase, backoff 0.1, explode threshold 1e8, one worker per
-// CPU); the optimizer must be an *Adam or *SGD. Trained weights are
-// written back into n when Fit returns, so serialization and inference
-// read the trained bytes.
+// NewTrainKernel builds a training kernel over n's own slabs,
+// pre-allocating every arena the epoch loop touches, so the loop itself
+// performs no heap allocations. Zero fields of cfg take their defaults
+// (batch 32, Adam, the paper's schedule, 3 retries per phase, backoff
+// 0.1, explode threshold 1e8, one worker per CPU); the optimizer must be
+// an *Adam or *SGD. Fit updates n's weights in place, so serialization
+// and inference read the trained bytes.
 func NewTrainKernel(n *Network, cfg TrainConfig) (*TrainKernel, error) {
 	if n == nil {
 		return nil, errors.New("nn: NewTrainKernel on nil network")
@@ -135,40 +128,26 @@ func NewTrainKernel(n *Network, cfg TrainConfig) (*TrainKernel, error) {
 		cfg.ExplodeThreshold = 1e8
 	}
 
-	k := &TrainKernel{net: n, inDim: n.inDim, outDim: n.OutDim(), cfg: cfg}
-	for _, l := range n.layers {
-		k.layers = append(k.layers, kernLayer{
-			rows: l.w.Rows, cols: l.w.Cols,
-			woff: k.wlen, boff: k.blen,
-			act: l.act,
-		})
-		k.wlen += l.w.Rows * l.w.Cols
-		k.blen += l.w.Rows
-	}
-	k.w = make([]float64, k.wlen)
-	k.b = make([]float64, k.blen)
-	k.gw = make([]float64, k.wlen)
-	k.gb = make([]float64, k.blen)
-	k.snap = make([]float64, k.wlen+k.blen)
-	for li, l := range n.layers {
-		copy(k.w[k.layers[li].woff:], l.w.Data)
-		copy(k.b[k.layers[li].boff:], l.b)
-	}
+	k := &TrainKernel{Kernel: &n.Kernel, cfg: cfg}
+	wlen, blen := len(k.w), len(k.b)
+	k.gw = make([]float64, wlen)
+	k.gb = make([]float64, blen)
+	k.snap = make([]float64, wlen+blen)
 
 	switch opt := cfg.Optimizer.(type) {
 	case *Adam:
 		k.optKind = optAdam
 		k.beta1, k.beta2, k.eps = opt.Beta1, opt.Beta2, opt.Eps
-		k.mw = make([]float64, k.wlen)
-		k.vw = make([]float64, k.wlen)
-		k.mb = make([]float64, k.blen)
-		k.vb = make([]float64, k.blen)
+		k.mw = make([]float64, wlen)
+		k.vw = make([]float64, wlen)
+		k.mb = make([]float64, blen)
+		k.vb = make([]float64, blen)
 	case *SGD:
 		k.optKind = optSGD
 		k.momentum = opt.Momentum
 		if opt.Momentum != 0 {
-			k.velW = make([]float64, k.wlen)
-			k.velB = make([]float64, k.blen)
+			k.velW = make([]float64, wlen)
+			k.velB = make([]float64, blen)
 		}
 	default:
 		return nil, fmt.Errorf("nn: NewTrainKernel does not support optimizer %s", cfg.Optimizer.Name())
@@ -177,8 +156,8 @@ func NewTrainKernel(n *Network, cfg TrainConfig) (*TrainKernel, error) {
 	numSlots := (cfg.BatchSize + gradChunkSize - 1) / gradChunkSize
 	for i := 0; i < numSlots; i++ {
 		s := &trainSlot{
-			gw:    make([]float64, k.wlen),
-			gb:    make([]float64, k.blen),
+			gw:    make([]float64, wlen),
+			gb:    make([]float64, blen),
 			inT:   make([]float64, k.inDim*gradChunkSize),
 			inEM:  make([]float64, k.inDim*gradChunkSize),
 			probs: make([]float64, k.outDim*gradChunkSize),
@@ -197,12 +176,6 @@ func NewTrainKernel(n *Network, cfg TrainConfig) (*TrainKernel, error) {
 	return k, nil
 }
 
-// InDim returns the expected input dimension.
-func (k *TrainKernel) InDim() int { return k.inDim }
-
-// OutDim returns the number of output classes.
-func (k *TrainKernel) OutDim() int { return k.outDim }
-
 // Fit trains on a flat row-major training set: example i occupies
 // xs[i*InDim : (i+1)*InDim] and ys[i] is its class. It returns the mean
 // loss of the final epoch. Each epoch shuffles the examples with a
@@ -212,8 +185,8 @@ func (k *TrainKernel) OutDim() int { return k.outDim }
 // context.Background(). An epoch with a non-finite loss or a parameter
 // beyond ExplodeThreshold rolls the phase back to its checkpoint and
 // restarts it with a backed-off learning rate; beyond MaxPhaseRetries
-// Fit fails with ErrDiverged. The final weights are written back into
-// the source Network on every exit path that touched them.
+// Fit fails with ErrDiverged, leaving the network at that checkpoint.
+// Every update lands in the network's own slabs as it happens.
 func (k *TrainKernel) Fit(ctx context.Context, xs []float64, ys []int) (float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -262,7 +235,6 @@ func (k *TrainKernel) Fit(ctx context.Context, xs []float64, ys []int) (float64,
 			var epochLoss float64
 			for start := 0; start < len(order); start += cfg.BatchSize {
 				if err := ctx.Err(); err != nil {
-					k.writeBack()
 					return lastLoss, err
 				}
 				end := start + cfg.BatchSize
@@ -285,7 +257,6 @@ func (k *TrainKernel) Fit(ctx context.Context, xs []float64, ys []int) (float64,
 				retries++
 				if retries > cfg.MaxPhaseRetries {
 					k.restore()
-					k.writeBack()
 					return lastLoss, fmt.Errorf("%w: phase %d: %s after %d recovery attempts",
 						ErrDiverged, pi, reason, cfg.MaxPhaseRetries)
 				}
@@ -306,7 +277,6 @@ func (k *TrainKernel) Fit(ctx context.Context, xs []float64, ys []int) (float64,
 			epoch++
 		}
 	}
-	k.writeBack()
 	return lastLoss, nil
 }
 
@@ -547,7 +517,7 @@ func (k *TrainKernel) accumLayerGrads(s *trainSlot, li int, insEM []float64, m i
 		// First live lane seeds each column with 0 + d·x (the leading
 		// zero is load-bearing for −0 products), the rest accumulate in
 		// ascending example order — per column exactly the zero-skip
-		// chain mathx.Matrix.AddOuterTo runs.
+		// chain the oracle's AddOuterTo runs.
 		e0 := int(nzi[0])
 		axpySet(grow, insEM[e0*l.cols:][:len(grow)], dr[e0])
 		for _, e := range nzi[1:nz] {
@@ -666,16 +636,16 @@ func (k *TrainKernel) optStep(lr float64) {
 	}
 }
 
-// snapshot records the current parameters as the phase checkpoint.
+// snapshot records the network's parameters as the phase checkpoint.
 func (k *TrainKernel) snapshot() {
-	copy(k.snap[:k.wlen], k.w)
-	copy(k.snap[k.wlen:], k.b)
+	copy(k.snap, k.w)
+	copy(k.snap[len(k.w):], k.b)
 }
 
-// restore rolls the parameters back to the phase checkpoint.
+// restore rolls the network's parameters back to the phase checkpoint.
 func (k *TrainKernel) restore() {
-	copy(k.w, k.snap[:k.wlen])
-	copy(k.b, k.snap[k.wlen:])
+	copy(k.w, k.snap)
+	copy(k.b, k.snap[len(k.w):])
 }
 
 // resetOpt clears the optimizer state, so the next step runs as a first
@@ -711,15 +681,4 @@ func (k *TrainKernel) maxAbsParam() float64 {
 		}
 	}
 	return m
-}
-
-// writeBack copies the kernel's parameters into the source network, so
-// the network's own forward pass, serialization and kernels see the
-// trained weights.
-func (k *TrainKernel) writeBack() {
-	for li, l := range k.net.layers {
-		kl := k.layers[li]
-		copy(l.w.Data, k.w[kl.woff:kl.woff+kl.rows*kl.cols])
-		copy(l.b, k.b[kl.boff:kl.boff+kl.rows])
-	}
 }

@@ -285,44 +285,36 @@ type Prediction struct {
 	Phase1Label string
 }
 
-// forwardChunkSize is how many slots one worker scores per network clone
-// during parallel forward passes.
+// forwardChunkSize is how many slots one ForwardBatch call scores.
 const forwardChunkSize = 64
 
 // forwardAll runs net on every slot input (xs[i] when xs is non-nil,
 // otherwise slots[i].base) and returns the probability vectors in slot
-// order. With Workers > 1, chunks of slots are scored concurrently, each
-// chunk against its own clone of the network (forward scratch is
-// per-network); Forward is a pure function of the weights, so the output
-// is bit-identical to the serial loop for every worker count.
+// order. Chunks of slots are packed row-major and scored through the
+// network's kernel with ForwardBatch, on Options.Workers workers (one
+// at 0, so labeling runs serially). Every lane of ForwardBatch is
+// bit-identical to a single-input forward pass, so the output is the
+// same for every worker count.
 func (l *Labeler) forwardAll(ctx context.Context, net *nn.Network, slots []slot, xs [][]float64) ([][]float64, error) {
-	input := func(i int) []float64 {
-		if xs != nil {
-			return xs[i]
-		}
-		return slots[i].base
-	}
+	k := nn.NewKernel(net)
+	inDim, outDim := k.InDim(), k.OutDim()
 	probs := make([][]float64, len(slots))
-	workers := parallel.Resolve(l.opts.Workers)
-	if workers <= 1 {
-		for i := range probs {
-			p, err := net.Forward(input(i))
-			if err != nil {
-				return nil, err
-			}
-			probs[i] = p
-		}
-		return probs, nil
-	}
 	chunks := parallel.Chunks(len(probs), forwardChunkSize)
+	workers := max(parallel.Resolve(l.opts.Workers), 1)
 	rep, err := parallel.ForEach(ctx, workers, len(chunks), nil, func(ci int) error {
-		clone := net.Clone()
-		for i := chunks[ci].Lo; i < chunks[ci].Hi; i++ {
-			p, err := clone.Forward(input(i))
-			if err != nil {
-				return err
+		lo, m := chunks[ci].Lo, chunks[ci].Hi-chunks[ci].Lo
+		batch := make([]float64, 0, m*inDim)
+		for i := lo; i < lo+m; i++ {
+			if xs != nil {
+				batch = append(batch, xs[i]...)
+			} else {
+				batch = append(batch, slots[i].base...)
 			}
-			probs[i] = p
+		}
+		out := make([]float64, m*outDim)
+		k.ForwardBatch(out, batch, m, make([]float64, k.BatchScratchLen(m)))
+		for i := 0; i < m; i++ {
+			probs[lo+i] = out[i*outDim : (i+1)*outDim : (i+1)*outDim]
 		}
 		return nil
 	})
