@@ -48,7 +48,6 @@ type SeededFunc struct {
 // inference and training kernels, the pair vector and its name
 // distances, the Scorer score paths and the batcher span loop.
 var Seeded = []SeededFunc{
-	{Pkg: "leapme/internal/nn", Recv: "Kernel", Name: "PositiveScore"},
 	{Pkg: "leapme/internal/nn", Recv: "Kernel", Name: "ForwardBatch"},
 	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "runBatch"},
 	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "chunkGrads"},

@@ -40,9 +40,11 @@ import (
 type Point string
 
 const (
-	// PointScore fires inside the batcher's per-pair guard unit, just
-	// before the scorer runs: a Panic here must be isolated to the one
-	// pair (the guard invariant), an Error fails just that pair.
+	// PointScore fires once per pair, inside that pair's own guard
+	// unit, as the batcher gathers the pair into its model run: a Panic
+	// here must be isolated to the one pair (the guard invariant), an
+	// Error fails just that pair; either way the pair skips the batched
+	// scorer while the rest of its run is scored.
 	PointScore Point = "score"
 	// PointBatch fires at the start of each micro-batch execution, on
 	// the worker goroutine: Delay/Stall here simulate a slow or hung

@@ -144,7 +144,8 @@ func (r *matchRun) flush() error {
 }
 
 // scoreChunks is worker w's unit: it claims the round's chunks in order
-// until none is left or ctx is done.
+// until none is left or ctx is done, scoring each in one batched forward
+// pass that confines a failure to the failing pairs.
 func (r *matchRun) scoreChunks(w int) error {
 	sc := r.m.workerSc[w]
 	n := len(r.pairs)
@@ -153,27 +154,8 @@ func (r *matchRun) scoreChunks(w int) error {
 		if lo >= n {
 			break
 		}
-		r.scoreChunk(sc, lo, min(lo+matchChunk, n))
+		hi := min(lo+matchChunk, n)
+		sc.ScoreIsolated(r.scores[lo:hi], r.errs[lo:hi], r.as[lo:hi], r.bs[lo:hi])
 	}
 	return nil
-}
-
-// scoreChunk scores pairs [lo, hi) of the round in one batched forward
-// pass. If the batch fails — a corrupt feature vector panics, say — it
-// scores the chunk again pair by pair, so only the failing pairs carry
-// an error.
-func (r *matchRun) scoreChunk(sc *Scorer, lo, hi int) {
-	scores, errs := r.scores[lo:hi], r.errs[lo:hi]
-	as, bs := r.as[lo:hi], r.bs[lo:hi]
-	if guard.Run(func() error { return sc.ScoreBatch(scores, as, bs) }) == nil {
-		clear(errs)
-		return
-	}
-	for i := range scores {
-		errs[i] = guard.Run(func() error {
-			var err error
-			scores[i], err = sc.Score(as[i], bs[i])
-			return err
-		})
-	}
 }

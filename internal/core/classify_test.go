@@ -12,7 +12,6 @@ import (
 	"leapme/internal/guard"
 	"leapme/internal/mathx"
 	"leapme/internal/nn"
-	"leapme/internal/text"
 )
 
 // quickMatcher trains a matcher on d for one epoch: the classification
@@ -36,11 +35,12 @@ func quickMatcher(t *testing.T, d *dataset.Dataset) *Matcher {
 	return m
 }
 
-// oracleScore is the per-pair classification path the batched rounds
-// replaced: one pair vector, standardised, through the single-input
-// Kernel.PositiveScore — a code path separate from the 8-lane
-// ForwardBatch the rounds run on. It survives here as the reference the
-// batched path must match bit for bit.
+// oracleScore scores one pair alone: a one-pair Scorer.Score, the path
+// Matcher.Score and the per-pair fallback take. The rounds must match it
+// bit for bit whatever chunk and lane a pair lands in. Every score is a
+// kernel batch, so the per-layer oracle in nn pins every lane of the
+// forward pass itself (TestKernelBatchDeterminism); this reference
+// checks the rounds' gathering, chunking and ordering.
 func oracleScore(t *testing.T, m *Matcher, a, b dataset.Key) float64 {
 	t.Helper()
 	pa, err := m.prop(a)
@@ -51,12 +51,11 @@ func oracleScore(t *testing.T, m *Matcher, a, b dataset.Key) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec := make([]float64, m.pairer.Dim())
-	var es text.EditScratch
-	m.pairer.PairVectorScratch(vec, pa, pb, &es)
-	m.standardize(vec)
-	k := nn.NewKernel(m.net)
-	return k.PositiveScore(vec, make([]float64, k.ScratchLen()))
+	s, err := m.sc.Score(pa, pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestMatchWhereDeterminismAcrossWorkerCounts: classification yields the

@@ -37,7 +37,8 @@ func (e Explanation) String() string {
 // Explain scores the pair and attributes the decision to feature groups
 // by ablation: each block in turn is neutralised (set to the training
 // mean, i.e. zero in standardised space) and the score delta recorded.
-// Blocks whose evidence argues for the match have positive deltas.
+// Blocks whose evidence argues for the match have positive deltas. The
+// full vector and every probe are scored in one kernel batch.
 func (m *Matcher) Explain(a, b dataset.Key) (Explanation, error) {
 	if m.sc == nil {
 		return Explanation{}, fmt.Errorf("core: matcher is not trained")
@@ -50,23 +51,30 @@ func (m *Matcher) Explain(a, b dataset.Key) (Explanation, error) {
 	if err != nil {
 		return Explanation{}, err
 	}
-	full := make([]float64, m.pairer.Dim())
+	// Row 0 of the batch is the pair vector, row 1+j the vector with
+	// block j neutralised.
+	dim, blocks := m.pairer.Dim(), m.pairer.Blocks()
+	n := 1 + len(blocks)
+	xs := make([]float64, n*dim)
+	full := xs[:dim]
 	var es text.EditScratch
 	m.pairer.PairVectorScratch(full, pa, pb, &es)
 	m.standardize(full)
-	kern, scratch := m.sc.kern, m.sc.scratch
-	score := kern.PositiveScore(full, scratch)
-	out := Explanation{A: a, B: b, Score: score}
-	probe := make([]float64, len(full))
-	for _, blk := range m.pairer.Blocks() {
+	for j, blk := range blocks {
+		probe := xs[(1+j)*dim : (2+j)*dim]
 		copy(probe, full)
-		for i := blk.Lo; i < blk.Hi; i++ {
-			probe[i] = 0 // standardised space: 0 = training mean
-		}
-		s := kern.PositiveScore(probe, scratch)
+		clear(probe[blk.Lo:blk.Hi]) // standardised space: 0 = training mean
+	}
+	kern := m.sc.kern
+	classes := kern.OutDim()
+	probs := make([]float64, n*classes)
+	kern.ForwardBatch(probs, xs, n, make([]float64, kern.BatchScratchLen(n)))
+	score := probs[1]
+	out := Explanation{A: a, B: b, Score: score}
+	for j, blk := range blocks {
 		out.Contributions = append(out.Contributions, BlockContribution{
 			Block: blk.Name,
-			Delta: score - s,
+			Delta: score - probs[(1+j)*classes+1],
 		})
 	}
 	sort.Slice(out.Contributions, func(i, j int) bool {

@@ -61,12 +61,12 @@ type Options struct {
 	Seed int64
 	// Workers sets the parallelism of featurization, training and
 	// classification; 0 (the default) and negative values mean one
-	// worker per CPU. No result depends on it: featurization is a pure
-	// map with an ordered merge, training (nn.TrainKernel) fixes its
-	// gradient chunks and reduction order by the batch size alone, and
-	// classification scores bit-identically to one pair at a time — so
-	// every value, 0 included, trains the same model bytes and emits the
-	// same scores.
+	// worker per CPU. No result depends on it: featurization fans out
+	// whole properties, each computed serially, training
+	// (nn.TrainKernel) fixes its gradient chunks and reduction order by
+	// the batch size alone, and classification scores bit-identically to
+	// one pair at a time — so every value, 0 included, trains the same
+	// model bytes and emits the same scores.
 	Workers int
 }
 
@@ -142,7 +142,6 @@ func NewMatcher(store *embedding.Store, opts Options) (*Matcher, error) {
 	}
 	ex := features.NewExtractor(store)
 	ex.MaxValues = opts.MaxValues
-	ex.Workers = opts.Workers
 	pairer, err := features.NewPairer(ex, opts.Features)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"leapme/internal/features"
+	"leapme/internal/guard"
 	"leapme/internal/nn"
 	"leapme/internal/text"
 )
@@ -20,12 +21,17 @@ import (
 // nn.Kernel view shared by every clone; the matcher never trains that
 // network again (Train and ReadModel each install a new one), so the
 // view is read-only for the snapshot's lifetime. Each Scorer owns only
-// its scratch arenas (pair-vector buffer, batch-major feature arena,
-// activation scratch, string-distance scratch), so a warm Score or
-// ScoreBatch performs zero heap allocations per pair.
+// its scratch arenas (batch-major pair-vector arena, softmax outputs,
+// activation scratch, string-distance scratch), so a warm Score,
+// ScoreBatch or ScoreIsolated performs zero heap allocations per pair.
+//
+// Every score runs through one path: ScoreBatch's single kernel
+// ForwardBatch call. Score is a one-pair batch, and ScoreIsolated — the
+// loop classification and serving share — scores a whole batch and
+// falls back to one-pair batches only for a batch that failed.
 //
 // Featurize is safe for concurrent use (the extractor and embedding
-// store are read-only). Score and ScoreBatch are NOT: they reuse the
+// store are read-only). The scoring methods are NOT: they reuse the
 // scorer's arenas. Concurrent scoring takes one Clone per worker —
 // clones share the kernel and cost only their scratch.
 type Scorer struct {
@@ -39,8 +45,7 @@ type Scorer struct {
 
 	// Per-scorer scratch arenas. Never shared between clones.
 	edit    text.EditScratch
-	vec     []float64 // one pair vector (Score)
-	xs      []float64 // batch-major pair vectors (ScoreBatch), grows to the largest batch seen
+	xs      []float64 // batch-major pair vectors, grows to the largest batch seen
 	probs   []float64 // batch softmax outputs
 	scratch []float64 // kernel activations
 }
@@ -68,15 +73,10 @@ func (m *Matcher) newScorer(kern *nn.Kernel) *Scorer {
 		threshold:  m.opts.Threshold,
 		fc:         m.opts.Features,
 	}
-	s.initScratch()
+	// Size the arenas for one pair up front, so even the first Score on
+	// a fresh scorer stays off the heap.
+	s.ensureBatch(1)
 	return s
-}
-
-// initScratch allocates the single-pair arenas up front so even the
-// first Score on a fresh scorer stays off the heap.
-func (s *Scorer) initScratch() {
-	s.vec = make([]float64, s.pairer.Dim())
-	s.scratch = make([]float64, s.kern.ScratchLen())
 }
 
 // Clone returns an independent copy sharing the (read-only) kernel,
@@ -85,8 +85,8 @@ func (s *Scorer) initScratch() {
 func (s *Scorer) Clone() *Scorer {
 	c := *s
 	c.edit = text.EditScratch{}
-	c.xs, c.probs = nil, nil
-	c.initScratch()
+	c.xs, c.probs, c.scratch = nil, nil, nil
+	c.ensureBatch(1)
 	return &c
 }
 
@@ -118,16 +118,18 @@ func (s *Scorer) standardizeInto(v []float64) {
 }
 
 // Score classifies one featurized property pair, returning the network's
-// positive-class probability. Warm calls allocate nothing.
+// positive-class probability: a one-pair ScoreBatch, so its bits are
+// those of the pair in any batch. Warm calls allocate nothing.
 //
 //lint:hotpath gated by TestScorerZeroAllocs
 func (s *Scorer) Score(a, b *features.Prop) (float64, error) {
 	if a == nil || b == nil {
 		return 0, errors.New("core: Score on nil property features")
 	}
-	s.pairer.PairVectorScratch(s.vec, a, b, &s.edit)
-	s.standardizeInto(s.vec)
-	return s.kern.PositiveScore(s.vec, s.scratch), nil
+	var dst [1]float64
+	as, bs := [1]*features.Prop{a}, [1]*features.Prop{b}
+	err := s.ScoreBatch(dst[:], as[:], bs[:])
+	return dst[0], err
 }
 
 // Match applies the snapshot threshold to a score.
@@ -148,12 +150,12 @@ func (s *Scorer) ensureBatch(n int) {
 	}
 }
 
-// ScoreBatch scores len(as) pairs (as[i], bs[i]) into dst — the batched
-// forward pass the serving micro-batcher coalesces concurrent requests
-// into. Pair vectors are gathered back-to-back into the scorer's
-// batch-major arena and the whole batch runs through the kernel in one
-// batch-major pass (each weight row streams once per layer across all
-// pairs). Scores are bit-identical to len(as) separate Score calls.
+// ScoreBatch scores len(as) pairs (as[i], bs[i]) into dst. Pair vectors
+// are gathered back-to-back into the scorer's batch-major arena and the
+// whole batch runs through the kernel in one ForwardBatch call (each
+// weight row streams once per layer across each chunk of eight pairs).
+// Scores are bit-identical to len(as) separate Score calls. One bad
+// pair fails the whole batch; ScoreIsolated confines it to that pair.
 //
 //lint:hotpath gated by TestScorerZeroAllocs
 func (s *Scorer) ScoreBatch(dst []float64, as, bs []*features.Prop) error {
@@ -172,7 +174,7 @@ func (s *Scorer) ScoreBatch(dst []float64, as, bs []*features.Prop) error {
 	for i := range as {
 		if as[i] == nil || bs[i] == nil {
 			//lint:allow hotalloc cold validation failure: nil pair, request rejected before scoring
-			return fmt.Errorf("core: batch pair %d: core: Score on nil property features", i)
+			return fmt.Errorf("core: batch pair %d: nil property features", i)
 		}
 		v := xs[i*dim : (i+1)*dim]
 		s.pairer.PairVectorScratch(v, as[i], bs[i], &s.edit)
@@ -185,4 +187,30 @@ func (s *Scorer) ScoreBatch(dst []float64, as, bs []*features.Prop) error {
 		dst[i] = probs[i*outDim+1]
 	}
 	return nil
+}
+
+// ScoreIsolated scores len(as) pairs into dst so that a failing pair
+// fails alone: errs[i] is nil when dst[i] holds pair i's score, else the
+// pair's error with dst[i] = 0. It runs the whole batch through
+// ScoreBatch under panic isolation and, only if that fails — a corrupt
+// feature vector panics, say — scores the pairs again one at a time, so
+// the good pairs still get their scores, bit-identical either way. It is
+// the one scoring loop classification rounds and the serving batcher
+// share. errs must have len(dst); warm calls allocate nothing.
+func (s *Scorer) ScoreIsolated(dst []float64, errs []error, as, bs []*features.Prop) {
+	if len(errs) != len(dst) {
+		panic(fmt.Sprintf("core: ScoreIsolated has %d error slots for %d scores", len(errs), len(dst)))
+	}
+	if guard.Run(func() error { return s.ScoreBatch(dst, as, bs) }) == nil {
+		clear(errs)
+		return
+	}
+	for i := range dst {
+		dst[i] = 0
+		errs[i] = guard.Run(func() error {
+			var err error
+			dst[i], err = s.Score(as[i], bs[i])
+			return err
+		})
+	}
 }

@@ -151,6 +151,58 @@ func TestScorerBatchAndClone(t *testing.T) {
 	}
 }
 
+// TestScoreIsolated: a bad pair fails alone — every good pair of its
+// batch keeps its one-pair score bit for bit — and a clean batch clears
+// the errors a failed one left behind.
+func TestScoreIsolated(t *testing.T) {
+	m, pairs := trainedScorerMatcher(t, 35)
+	sc, err := m.NewScorer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 11
+	as := make([]*features.Prop, n)
+	bs := make([]*features.Prop, n)
+	want := make([]float64, n)
+	for i, lp := range pairs[:n] {
+		as[i], _ = m.prop(lp.A)
+		bs[i], _ = m.prop(lp.B)
+		if want[i], err = sc.Score(as[i], bs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(dst []float64, errs []error, bad map[int]bool) {
+		t.Helper()
+		for i := range dst {
+			if bad[i] {
+				if errs[i] == nil || dst[i] != 0 {
+					t.Errorf("bad pair %d: score %v, err %v; want 0 and an error", i, dst[i], errs[i])
+				}
+				continue
+			}
+			if errs[i] != nil || math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Errorf("good pair %d: score %x, err %v; want %x", i, math.Float64bits(dst[i]), errs[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	dst, errs := make([]float64, n), make([]error, n)
+	// A truncated feature vector panics inside the pair vector; a nil
+	// side is rejected with an error.
+	corrupt := *as[3]
+	corrupt.Vec = corrupt.Vec[:1]
+	good3 := as[3]
+	as[3], bs[8] = &corrupt, nil
+	sc.ScoreIsolated(dst, errs, as, bs)
+	check(dst, errs, map[int]bool{3: true, 8: true})
+
+	as[3], bs[8] = good3, bs[7]
+	if want[8], err = sc.Score(as[8], bs[8]); err != nil {
+		t.Fatal(err)
+	}
+	sc.ScoreIsolated(dst, errs, as, bs)
+	check(dst, errs, nil)
+}
+
 func TestScorerSurvivesSourceRetrain(t *testing.T) {
 	m, pairs := trainedScorerMatcher(t, 34)
 	pa, _ := m.prop(pairs[0].A)
@@ -313,9 +365,10 @@ func TestReadModelFeatureMismatch(t *testing.T) {
 	}
 }
 
-// TestScorerZeroAllocs pins the warm library scoring path at zero heap
-// allocations per call — the core half of the scorer's alloc gate (the
-// serve package pins the batcher on top of this).
+// TestScorerZeroAllocs pins the warm library scoring paths — Score,
+// ScoreBatch and the ScoreIsolated loop classification and serving
+// share — at zero heap allocations per call: the core half of the
+// scorer's alloc gate (the serve package pins the batcher on top).
 func TestScorerZeroAllocs(t *testing.T) {
 	m, pairs := trainedScorerMatcher(t, 53)
 	n := 32
@@ -354,5 +407,9 @@ func TestScorerZeroAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("warm ScoreBatch allocates %v times per %d-pair batch, want 0", allocs, n)
+	}
+	errs := make([]error, n)
+	if allocs := testing.AllocsPerRun(50, func() { sc.ScoreIsolated(dst, errs, as, bs) }); allocs != 0 {
+		t.Errorf("warm ScoreIsolated allocates %v times per %d-pair batch, want 0", allocs, n)
 	}
 }

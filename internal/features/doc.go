@@ -36,15 +36,12 @@
 //
 // # Parallelism and determinism
 //
-// Setting Extractor.Workers > 1 fans the per-value instance featurisation
-// of PropertyFeatures across a worker pool. The aggregation stays
-// bit-identical to the serial loop for every worker count because it is a
-// parallel map with an ordered merge: workers only *compute* the
-// per-value vectors (a pure function of the value), while the
-// floating-point summation folds those vectors left-to-right in value
-// order on the calling goroutine — exactly the serial order of additions.
-// The same discipline (index-ordered merge via internal/parallel) governs
-// the per-property fan-out in internal/core, which is why `-workers=N`
-// reproduces the single-threaded feature matrices bit for bit (see
-// `make test-determinism`).
+// FeatureMatrix fans the properties of a dataset out across a worker
+// pool, one property per unit. Each property is featurised serially by
+// the worker that claimed it — its values' instance vectors summed in
+// value order, then scaled — and written into its own row of the slab,
+// so no row depends on which worker ran it or on how many there are:
+// `-workers=N` reproduces the single-threaded feature matrices bit for
+// bit (see `make test-determinism`). A single property never fans out
+// further; the per-property pool already keeps every CPU busy.
 package features

@@ -1,13 +1,11 @@
 package features
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
 	"leapme/internal/embedding"
 	"leapme/internal/mathx"
-	"leapme/internal/parallel"
 	"leapme/internal/text"
 )
 
@@ -25,17 +23,10 @@ type Extractor struct {
 	// (0 = no cap). The paper computes features for every instance; the
 	// cap exists for very large sources and is off by default.
 	MaxValues int
-	// Workers fans the per-value featurisation of PropertyFeatures across
-	// a worker pool when > 1 (negative = one per CPU, 0/1 = serial). The
-	// result is bit-identical for every setting — see the package doc.
-	Workers int
 
 	// scPool recycles *Scratch arenas across properties and workers so
 	// the steady-state featurisation path allocates nothing per value.
 	scPool sync.Pool
-	// winPool recycles the featureWindow-sized buffer of the parallel
-	// aggregation path (hoisted per-window scratch).
-	winPool sync.Pool
 }
 
 // NewExtractor returns an Extractor over the given embedding store.
@@ -183,9 +174,9 @@ func (e *Extractor) PropertyFeatures(name string, values []string) *Prop {
 
 // PropertyFeaturesInto is PropertyFeatures writing the feature vector
 // into dst (length PropertyDim), which becomes the returned Prop's Vec.
-// The accumulation order — serial value loop or windowed parallel sum,
-// then one scale, then the name embedding — is exactly PropertyFeatures',
-// so the bits are identical for every worker count; only the vector's
+// The accumulation order — the values' instance vectors summed in value
+// order, then one scale, then the name embedding — is exactly
+// PropertyFeatures', so the bits are identical; only the vector's
 // backing storage is caller-chosen. dst need not be zeroed.
 func (e *Extractor) PropertyFeaturesInto(dst []float64, name string, values []string, sc *Scratch) *Prop {
 	if len(dst) != e.PropertyDim() {
@@ -197,11 +188,7 @@ func (e *Extractor) PropertyFeaturesInto(dst []float64, name string, values []st
 	instPart := dst[:e.InstanceDim()]
 	mathx.Zero(instPart)
 	if len(values) > 0 {
-		if w := parallel.Resolve(e.Workers); w > 1 && len(values) >= parValuesThreshold {
-			e.sumInstanceFeatures(instPart, values, w)
-		} else {
-			e.accumulateInstances(instPart, values, sc)
-		}
+		e.accumulateInstances(instPart, values, sc)
 		mathx.ScaleTo(instPart, instPart, 1/float64(len(values)))
 	}
 	e.store.EncodePhraseInto(dst[e.InstanceDim():], name, &sc.toks)
@@ -209,56 +196,14 @@ func (e *Extractor) PropertyFeaturesInto(dst []float64, name string, values []st
 }
 
 // accumulateInstances sums the instance-feature vector of every value
-// into dst through the scratch arena — the serial inner loop of property
-// featurisation. With a warm scratch it performs no heap allocations.
+// into dst, in value order, through the scratch arena — the inner loop
+// of property featurisation. With a warm scratch it performs no heap
+// allocations.
 //
 //lint:hotpath gated by TestFeatureMatrixAllocs
 func (e *Extractor) accumulateInstances(dst []float64, values []string, sc *Scratch) {
 	for _, v := range values {
 		e.instanceFeaturesInto(sc.inst, v, &sc.toks)
 		mathx.AddTo(dst, dst, sc.inst)
-	}
-}
-
-// parValuesThreshold is the minimum number of values before
-// PropertyFeatures bothers spinning up the worker pool; below it the
-// pool overhead dwarfs the work.
-const parValuesThreshold = 64
-
-// featureWindow bounds the scratch the parallel aggregation holds at
-// once: values are featurised in windows of this many vectors.
-const featureWindow = 256
-
-// sumInstanceFeatures adds every value's instance-feature vector into dst
-// using workers goroutines. Workers only compute vectors — a pure
-// per-value map; the summation folds them in value order on this
-// goroutine, so the bits match the serial loop exactly regardless of
-// worker count (the ordered merge of the package doc).
-func (e *Extractor) sumInstanceFeatures(dst []float64, values []string, workers int) {
-	dim := e.InstanceDim()
-	// The window buffer and per-worker token scratches are hoisted into
-	// pools: a steady-state caller featurising many properties reuses
-	// them instead of re-allocating per property (and per value).
-	buf := e.getWindow()
-	defer e.putWindow(buf)
-	// Each window is bounded (featureWindow values) so cancellation
-	// between windows is the per-property ctx check in internal/core;
-	// the fan-out itself never blocks long enough to need its own.
-	ctx := context.Background()
-	for lo := 0; lo < len(values); lo += featureWindow {
-		hi := lo + featureWindow
-		if hi > len(values) {
-			hi = len(values)
-		}
-		n := hi - lo
-		parallel.ForEach(ctx, workers, n, nil, func(i int) error {
-			sc := e.getScratch()
-			e.instanceFeaturesInto(buf[i*dim:(i+1)*dim], values[lo+i], &sc.toks)
-			e.putScratch(sc)
-			return nil
-		})
-		for i := 0; i < n; i++ {
-			mathx.AddTo(dst, dst, buf[i*dim:(i+1)*dim])
-		}
 	}
 }

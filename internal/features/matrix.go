@@ -34,16 +34,6 @@ func (e *Extractor) getScratch() *Scratch {
 
 func (e *Extractor) putScratch(sc *Scratch) { e.scPool.Put(sc) }
 
-// getWindow takes the pooled parallel-aggregation window buffer.
-func (e *Extractor) getWindow() []float64 {
-	if b, ok := e.winPool.Get().(*[]float64); ok {
-		return *b
-	}
-	return make([]float64, featureWindow*e.InstanceDim())
-}
-
-func (e *Extractor) putWindow(buf []float64) { e.winPool.Put(&buf) }
-
 // PropertyInput names one property to featurise: its name, its instance
 // values, and an optional failure-report label (defaults to
 // "featurize <name>").
@@ -71,12 +61,12 @@ func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Dim : (i+1)*m.Dim] }
 // row-major slab, fanning the per-property work across workers with
 // per-unit panic isolation (a property that panics leaves a nil
 // Props[i] and is recorded in the report; the rest proceed). Each row is
-// bit-identical to PropertyFeatures for the same input and worker
-// setting — the slab only changes where the bytes live, not what they
-// are — and the rows are independent, so the result is worker-count
-// independent whenever the per-property path is (see Extractor.Workers).
-// Scratch arenas are pooled across properties, which is what removes the
-// per-value allocations of the legacy row-per-property path.
+// bit-identical to PropertyFeatures for the same input — the slab only
+// changes where the bytes live, not what they are — and each row is
+// computed serially by one worker, so the result is the same for every
+// worker count. Scratch arenas are pooled across properties, which is
+// what removes the per-value allocations of the legacy row-per-property
+// path.
 func (e *Extractor) FeatureMatrix(ctx context.Context, workers int, items []PropertyInput) (*Matrix, *guard.Report, error) {
 	dim := e.PropertyDim()
 	m := &Matrix{

@@ -6,7 +6,23 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"leapme/internal/embedding"
 )
+
+func parStore(t *testing.T) *embedding.Store {
+	t.Helper()
+	words := []string{"alpha", "beta", "gamma", "price", "name", "model"}
+	var vecs [][]float64
+	for i := range words {
+		vecs = append(vecs, []float64{float64(i) * 0.25, 1 - float64(i)*0.1, 0.5, -float64(i)})
+	}
+	s, err := embedding.NewStore(words, vecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func matrixInputs(n int) []PropertyInput {
 	items := make([]PropertyInput, n)

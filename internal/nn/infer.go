@@ -16,15 +16,16 @@ import "fmt"
 // Train builds a new Network and ReadModel decodes a new one, so
 // scorers taken from earlier models keep their weights.
 //
-// Bit-identity contract: for the same input, PositiveScore and every
-// lane of ForwardBatch produce outputs byte-for-byte identical to the
-// per-layer oracle forward pass the tests keep (oracle_test.go: one
-// mathx.Dot per unit, then softmax). All walk each row with the same
-// sequential single-accumulator dot product and the same softmax; only
-// the memory layout and the lane interleaving differ. The determinism
-// suites and the serve layer's reproducibility guarantee rely on this,
-// so any change to the accumulation order here is a format-breaking
-// change, not an optimisation.
+// Bit-identity contract: ForwardBatch is the one forward pass, and every
+// lane of it produces outputs byte-for-byte identical to the per-layer
+// oracle forward pass the tests keep (oracle_test.go: one mathx.Dot per
+// unit, then softmax), whatever the batch size and whichever lane of
+// which chunk the input rides in. Each lane walks each row with the
+// oracle's sequential single-accumulator dot product and the same
+// softmax; only the memory layout and the lane interleaving differ. The
+// determinism suites and the serve layer's reproducibility guarantee
+// rely on this, so any change to the accumulation order here is a
+// format-breaking change, not an optimisation.
 type Kernel struct {
 	layers []kernLayer
 	w      []float64 // all layer weights, row-major, concatenated
@@ -33,7 +34,7 @@ type Kernel struct {
 	outDim int
 	// maxWidth is the widest activation the kernel ever materialises
 	// (max over layer outputs and the input), which sizes the
-	// activation scratch of PositiveScore and ForwardBatch.
+	// activation scratch of ForwardBatch.
 	maxWidth int
 }
 
@@ -68,9 +69,6 @@ func (k *Kernel) InDim() int { return k.inDim }
 // OutDim returns the number of output classes.
 func (k *Kernel) OutDim() int { return k.outDim }
 
-// ScratchLen returns the scratch length PositiveScore requires.
-func (k *Kernel) ScratchLen() int { return 2 * k.maxWidth }
-
 // BatchScratchLen returns the scratch length ForwardBatch requires for
 // n inputs. The batch runs in fixed chunks of eight inputs, so every
 // n ≥ 1 needs the same two unit-major activation blocks of
@@ -82,76 +80,20 @@ func (k *Kernel) BatchScratchLen(n int) int {
 	return 2 * gradChunkSize * k.maxWidth
 }
 
-// forwardRaw runs all layers on x and returns the pre-softmax logits as
-// a view into scratch (or x itself for a zero-layer kernel). It
-// allocates nothing.
-func (k *Kernel) forwardRaw(x, scratch []float64) []float64 {
-	if len(x) != k.inDim {
-		panic(fmt.Sprintf("nn: kernel input has dim %d, want %d", len(x), k.inDim))
-	}
-	if len(scratch) < k.ScratchLen() {
-		panic(fmt.Sprintf("nn: kernel scratch has len %d, want >= %d", len(scratch), k.ScratchLen()))
-	}
-	cur := x
-	buf0 := scratch[:k.maxWidth]
-	buf1 := scratch[k.maxWidth : 2*k.maxWidth]
-	out := buf0
-	for li, l := range k.layers {
-		w := k.w[l.woff : l.woff+l.rows*l.cols]
-		bias := k.b[l.boff : l.boff+l.rows]
-		in := cur[:l.cols]
-		for r := 0; r < l.rows; r++ {
-			// Sequential single-accumulator dot, the exact mathx.Dot
-			// order of the oracle forward pass — required for bit
-			// identity.
-			row := w[r*l.cols : (r+1)*l.cols]
-			var s float64
-			for c, wv := range row {
-				s += wv * in[c]
-			}
-			out[r] = l.act.apply(s + bias[r])
-		}
-		cur = out[:l.rows]
-		if li%2 == 0 {
-			out = buf1
-		} else {
-			out = buf0
-		}
-	}
-	return cur
-}
-
-// PositiveScore returns the probability of class 1 for x — LEAPME's
-// similarity score — without allocating. The kernel must have at least
-// two output classes; NewKernel callers validate topology at load time.
-//
-//lint:hotpath gated by TestKernelZeroAllocs
-func (k *Kernel) PositiveScore(x, scratch []float64) float64 {
-	z := k.forwardRaw(x, scratch)
-	// The logits view lives in one half of scratch; the softmax result
-	// can safely use the other half (both are maxWidth wide).
-	var dst []float64
-	if &z[0] == &scratch[0] {
-		dst = scratch[k.maxWidth : k.maxWidth+k.outDim]
-	} else {
-		dst = scratch[:k.outDim]
-	}
-	softmax(dst, z)
-	return dst[1]
-}
-
 // ForwardBatch scores n inputs stored back-to-back in xs (len n*InDim),
 // writing softmax probabilities back-to-back into probs (len n*OutDim).
 // scratch must have len >= BatchScratchLen(n).
 //
 // The batch runs in chunks of eight inputs, the lane layout TrainKernel
 // trains on: each chunk is transposed unit-major, every layer streams
-// each weight row once across the chunk's eight lanes (the AVX routines
-// of simd.go for a full chunk, the generic lane loop for the last
-// partial one), and a per-lane softmax closes it. Every lane is the
-// zero-seeded, ascending-column mul-then-add chain of a single-input
-// forward pass, so results are bit-identical to n separate PositiveScore
-// (or oracle) passes in any batch size and at any chunk position.
+// each weight row once across the chunk's eight lanes through the
+// routines of simd.go, and a per-lane softmax closes it. A partial last
+// chunk zero-fills its unused lanes and runs the same routines; nothing
+// reads those lanes' outputs. Every lane is the zero-seeded,
+// ascending-column mul-then-add chain of a single-input forward pass,
+// so results are bit-identical to n separate oracle passes in any batch
+// size and at any chunk position — a one-input batch is how a single
+// pair is scored.
 //
 //lint:hotpath gated by TestKernelZeroAllocs
 func (k *Kernel) ForwardBatch(probs, xs []float64, n int, scratch []float64) {
@@ -167,12 +109,13 @@ func (k *Kernel) ForwardBatch(probs, xs []float64, n int, scratch []float64) {
 	span := gradChunkSize * k.maxWidth
 	buf0, buf1 := scratch[:span], scratch[span:2*span]
 	for lo := 0; lo < n; lo += gradChunkSize {
-		m := n - lo
-		if m > gradChunkSize {
-			m = gradChunkSize
-		}
+		m := min(n-lo, gradChunkSize)
 		// Transpose the chunk unit-major: in[c*8+e] is input c of lane
-		// e. A pure copy, so layout cannot affect bits.
+		// e. A pure copy, so layout cannot affect bits. The pad lanes of
+		// a partial chunk are zeroed so stale scratch never enters them.
+		if m < gradChunkSize {
+			clear(buf0[:k.inDim*gradChunkSize])
+		}
 		for e := 0; e < m; e++ {
 			x := xs[(lo+e)*k.inDim : (lo+e+1)*k.inDim]
 			for c, v := range x {
@@ -181,7 +124,7 @@ func (k *Kernel) ForwardBatch(probs, xs []float64, n int, scratch []float64) {
 		}
 		cur, out := buf0, buf1
 		for li := range k.layers {
-			k.layers[li].forwardChunk(out, cur, k.w, k.b, m)
+			k.layers[li].forwardChunk(out, cur, k.w, k.b)
 			cur, out = out, cur
 		}
 		// Gather each lane's logits into its output row and take the
@@ -196,7 +139,7 @@ func (k *Kernel) ForwardBatch(probs, xs []float64, n int, scratch []float64) {
 	}
 }
 
-// forwardChunk computes layer l's activations for a chunk of m ≤ 8
+// forwardChunk computes layer l's activations for one chunk of eight
 // inputs held unit-major with stride 8:
 //
 //	out[r*8+e] = act(Σ_c w[r][c]·in[c*8+e] + b[r])
@@ -204,48 +147,31 @@ func (k *Kernel) ForwardBatch(probs, xs []float64, n int, scratch []float64) {
 // where w and b are the flat weight and bias slabs l indexes into. Each
 // lane is a zero-seeded sequential dot in ascending c, the mathx.Dot
 // order of the oracle forward pass, so a lane's bits do not depend on
-// the chunk it rides in. A full chunk runs the fused two-row SIMD
-// routines; a partial chunk takes the generic lane loop.
-// Kernel.ForwardBatch and TrainKernel's forward pass share it.
-func (l *kernLayer) forwardChunk(out, in, w, b []float64, m int) {
+// the chunk it rides in or on the other lanes. Row pairs run the fused
+// two-row routine, an odd last row the single-row one.
+// Kernel.ForwardBatch and TrainKernel's forward pass share it; both pad
+// a partial chunk with zero lanes.
+func (l *kernLayer) forwardChunk(out, in, w, b []float64) {
 	w = w[l.woff : l.woff+l.rows*l.cols]
 	b = b[l.boff : l.boff+l.rows]
-	if m == gradChunkSize {
-		var acc2 [2 * gradChunkSize]float64
-		r := 0
-		for ; r+2 <= l.rows; r += 2 {
-			fwd2Row8(&acc2, in, w[r*l.cols:(r+2)*l.cols])
-			bv0, bv1 := b[r], b[r+1]
-			o := out[r*gradChunkSize : (r+2)*gradChunkSize]
-			for e := 0; e < gradChunkSize; e++ {
-				o[e] = l.act.apply(acc2[e] + bv0)
-				o[gradChunkSize+e] = l.act.apply(acc2[gradChunkSize+e] + bv1)
-			}
+	var acc2 [2 * gradChunkSize]float64
+	r := 0
+	for ; r+2 <= l.rows; r += 2 {
+		fwd2Row8(&acc2, in, w[r*l.cols:(r+2)*l.cols])
+		bv0, bv1 := b[r], b[r+1]
+		o := out[r*gradChunkSize : (r+2)*gradChunkSize]
+		for e := 0; e < gradChunkSize; e++ {
+			o[e] = l.act.apply(acc2[e] + bv0)
+			o[gradChunkSize+e] = l.act.apply(acc2[gradChunkSize+e] + bv1)
 		}
-		if r < l.rows {
-			var acc [gradChunkSize]float64
-			fwdRow8(&acc, in, w[r*l.cols:(r+1)*l.cols])
-			bv := b[r]
-			o := out[r*gradChunkSize : (r+1)*gradChunkSize]
-			for e := 0; e < gradChunkSize; e++ {
-				o[e] = l.act.apply(acc[e] + bv)
-			}
-		}
-		return
 	}
-	for r := 0; r < l.rows; r++ {
-		row := w[r*l.cols : (r+1)*l.cols]
+	if r < l.rows {
 		var acc [gradChunkSize]float64
-		for c, wv := range row {
-			cb := c * gradChunkSize
-			for e := 0; e < m; e++ {
-				acc[e] += wv * in[cb+e]
-			}
-		}
+		fwdRow8(&acc, in, w[r*l.cols:(r+1)*l.cols])
 		bv := b[r]
-		rb := r * gradChunkSize
-		for e := 0; e < m; e++ {
-			out[rb+e] = l.act.apply(acc[e] + bv)
+		o := out[r*gradChunkSize : (r+1)*gradChunkSize]
+		for e := 0; e < gradChunkSize; e++ {
+			o[e] = l.act.apply(acc[e] + bv)
 		}
 	}
 }

@@ -34,12 +34,20 @@ func randInputs(cfg Config, n int, seed int64) [][]float64 {
 	return xs
 }
 
+// scoreOne runs x alone through ForwardBatch — a one-input batch, the
+// way a single pair is scored — and returns the class-1 probability.
+func scoreOne(k *Kernel, x []float64) float64 {
+	probs := make([]float64, k.OutDim())
+	k.ForwardBatch(probs, x, 1, make([]float64, k.BatchScratchLen(1)))
+	return probs[1]
+}
+
 // TestKernelBitIdentity is the exact-equivalence gate for the
-// single-input serving path: for every topology with a positive class
-// and every input, PositiveScore must match the oracle forward pass byte
-// for byte (compared through math.Float64bits, not a tolerance). If this
-// fails, the serving layer's bit-reproducibility guarantee is broken —
-// fix the kernel, never widen this to a tolerance.
+// single-input serving path: for every topology and every input, scoring
+// the input alone — a one-input ForwardBatch — must match the oracle
+// forward pass byte for byte (compared through math.Float64bits, not a
+// tolerance). If this fails, the serving layer's bit-reproducibility
+// guarantee is broken — fix the kernel, never widen this to a tolerance.
 func TestKernelBitIdentity(t *testing.T) {
 	for _, cfg := range inferTopologies {
 		net, err := New(cfg)
@@ -50,11 +58,10 @@ func TestKernelBitIdentity(t *testing.T) {
 		if k.InDim() != cfg.InDim || k.OutDim() != cfg.Out {
 			t.Fatalf("kernel dims %d→%d, want %d→%d", k.InDim(), k.OutDim(), cfg.InDim, cfg.Out)
 		}
-		scratch := make([]float64, k.ScratchLen())
 		for _, x := range randInputs(cfg, 50, cfg.Seed+100) {
 			want := oracleForward(net, x)[1]
-			if got := k.PositiveScore(x, scratch); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("cfg %+v: PositiveScore %x, want %x (values %v vs %v)",
+			if got := scoreOne(k, x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cfg %+v: score %x, want %x (values %v vs %v)",
 					cfg, math.Float64bits(got), math.Float64bits(want), got, want)
 			}
 		}
@@ -74,13 +81,13 @@ func TestKernelIsNetworkView(t *testing.T) {
 	}
 	k := NewKernel(net)
 	x := []float64{1, 2, 3}
-	before := k.PositiveScore(x, make([]float64, k.ScratchLen()))
+	before := scoreOne(k, x)
 	xs, ys := [][]float64{{1, 0, 0}, {0, 1, 0}}, []int{0, 1}
 	cfg := TrainConfig{Schedule: []Phase{{Epochs: 3, LR: 0.1}}, Workers: 1}
 	if _, err := net.Fit(context.Background(), xs, ys, cfg); err != nil {
 		t.Fatal(err)
 	}
-	after := k.PositiveScore(x, make([]float64, k.ScratchLen()))
+	after := scoreOne(k, x)
 	if math.Float64bits(after) == math.Float64bits(before) {
 		t.Fatal("training the network did not change its kernel's score")
 	}
@@ -140,11 +147,11 @@ func withBiases(net *Network, seed int64) {
 
 // TestKernelBatchDeterminism proves chunked batch execution changes
 // nothing: ForwardBatch over any batch size — full 8-input chunks, a
-// partial tail, or both — is bit-identical to the oracle forward pass
-// per input, with the AVX routines enabled and with the generic lane loop
-// forced, on inputs that include ±0 and fully zeroed ReLU layers. The
-// name keeps it inside `make test-determinism`, which re-runs it under
-// GOMAXPROCS=1 and 4.
+// zero-padded partial tail, or both — is bit-identical to the oracle
+// forward pass per input, with the AVX routines enabled and with the
+// generic ones forced, on inputs that include ±0 and fully zeroed ReLU
+// layers. The name keeps it inside `make test-determinism`, which
+// re-runs it under GOMAXPROCS=1 and 4.
 func TestKernelBatchDeterminism(t *testing.T) {
 	saved := useAVX
 	defer func() { useAVX = saved }()
@@ -190,24 +197,6 @@ func TestKernelBatchDeterminism(t *testing.T) {
 	}
 }
 
-// TestPositiveScore: the kernel's positive-class score is a
-// probability, and a one-class kernel has no positive class to report.
-func TestPositiveScore(t *testing.T) {
-	n, _ := New(Config{InDim: 2, Out: 2, Seed: 1})
-	k := NewKernel(n)
-	if s := k.PositiveScore([]float64{0.5, 0.5}, make([]float64, k.ScratchLen())); s < 0 || s > 1 {
-		t.Errorf("score %v outside [0,1]", s)
-	}
-	n1, _ := New(Config{InDim: 2, Out: 1, Seed: 1})
-	k1 := NewKernel(n1)
-	defer func() {
-		if recover() == nil {
-			t.Error("1-class PositiveScore accepted")
-		}
-	}()
-	k1.PositiveScore([]float64{1, 2}, make([]float64, k1.ScratchLen()))
-}
-
 // TestKernelZeroAllocs pins the inference kernel at zero heap
 // allocations per call — the hot-path contract the serving arenas build
 // on. Wired into `go test ./...`, so a regression fails tier-1, not
@@ -220,18 +209,18 @@ func TestKernelZeroAllocs(t *testing.T) {
 	}
 	k := NewKernel(net)
 	x := randInputs(cfg, 1, 9)[0]
-	scratch := make([]float64, k.ScratchLen())
-	if n := testing.AllocsPerRun(100, func() { _ = k.PositiveScore(x, scratch) }); n != 0 {
-		t.Errorf("Kernel.PositiveScore allocates %v times per call, want 0", n)
-	}
 	const batch = gradChunkSize + 5 // one full chunk plus a tail
 	xs := make([]float64, batch*k.InDim())
 	for i := range xs {
 		xs[i] = x[i%len(x)]
 	}
 	probs := make([]float64, batch*k.OutDim())
-	bscratch := make([]float64, k.BatchScratchLen(batch))
-	if n := testing.AllocsPerRun(100, func() { k.ForwardBatch(probs, xs, batch, bscratch) }); n != 0 {
-		t.Errorf("Kernel.ForwardBatch allocates %v times per call, want 0", n)
+	scratch := make([]float64, k.BatchScratchLen(batch))
+	for _, n := range []int{1, batch} {
+		if a := testing.AllocsPerRun(100, func() {
+			k.ForwardBatch(probs[:n*k.OutDim()], xs[:n*k.InDim()], n, scratch)
+		}); a != 0 {
+			t.Errorf("Kernel.ForwardBatch of %d inputs allocates %v times per call, want 0", n, a)
+		}
 	}
 }

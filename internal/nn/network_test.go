@@ -58,14 +58,15 @@ func TestForwardIsDistribution(t *testing.T) {
 	}
 }
 
-// TestForwardDimCheck: the kernel's forward passes reject an input of
-// the wrong dimension.
+// TestForwardDimCheck: the kernel's forward pass rejects inputs of the
+// wrong dimension, for one input and for a batch.
 func TestForwardDimCheck(t *testing.T) {
 	n, _ := New(Config{InDim: 4, Out: 2, Seed: 1})
 	k := NewKernel(n)
+	scratch := make([]float64, k.BatchScratchLen(3))
 	for name, fn := range map[string]func(){
-		"PositiveScore": func() { k.PositiveScore([]float64{1, 2}, make([]float64, k.ScratchLen())) },
-		"ForwardBatch":  func() { k.ForwardBatch(make([]float64, 2), []float64{1, 2}, 1, make([]float64, k.BatchScratchLen(1))) },
+		"one input": func() { k.ForwardBatch(make([]float64, 2), []float64{1, 2}, 1, scratch) },
+		"batch":     func() { k.ForwardBatch(make([]float64, 6), make([]float64, 6), 3, scratch) },
 	} {
 		func() {
 			defer func() {

@@ -6,15 +6,16 @@ import "math"
 //
 // The flat training kernel's inner loops are eight independent
 // per-example accumulator chains advanced in lockstep (see
-// TrainKernel); batched inference (Kernel.ForwardBatch) runs its
-// forward pass through the same fwdRow8/fwd2Row8 routines. Vertical SIMD — one VMULPD + VADDPD per column over
-// the eight lanes — performs exactly the same multiply-then-add per
-// lane as the scalar code: AVX packed mul/add are IEEE 754
-// correctly-rounded per element, each lane stays an independent
-// sequential chain, and no fused multiply-add is used (FMA rounds
-// once where mul+add rounds twice, which would change bits). The
-// assembly paths are therefore bit-identical to the generic Go
-// paths below, which remain the reference semantics and the fallback
+// TrainKernel); inference (Kernel.ForwardBatch) runs its forward pass
+// through the same fwdRow8/fwd2Row8 routines, so every forward pass in
+// the package, partial chunks included, is one of these calls. Vertical
+// SIMD — one VMULPD + VADDPD per column over the eight lanes — performs
+// exactly the same multiply-then-add per lane as the scalar code: AVX
+// packed mul/add are IEEE 754 correctly-rounded per element, each lane
+// stays an independent sequential chain, and no fused multiply-add is
+// used (FMA rounds once where mul+add rounds twice, which would change
+// bits). The assembly paths are therefore bit-identical to the generic
+// Go paths below, which remain the reference semantics and the fallback
 // for non-amd64 builds and pre-AVX CPUs.
 //
 // useAVX is resolved once at init via CPUID (OSXSAVE + AVX + YMM

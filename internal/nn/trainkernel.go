@@ -41,11 +41,12 @@ import (
 // any change to an accumulation order here is a model-format change,
 // not an optimisation.
 //
-// On amd64 the full-chunk inner loops dispatch to the AVX kernels in
-// simd_amd64.s (vertical lane arithmetic only — see simd.go for why
-// that preserves the contract bit for bit); everywhere else, and for
-// partial tail chunks, the scalar loops below are the implementation
-// as well as the reference.
+// Every chunk, a partial tail chunk included (its unused lanes are
+// zero-padded), runs the eight-lane routines of simd.go. On amd64 they
+// dispatch to the AVX kernels in simd_amd64.s (vertical lane arithmetic
+// only — see simd.go for why that preserves the contract bit for bit);
+// everywhere else their generic Go loops are the implementation as well
+// as the reference.
 type TrainKernel struct {
 	*Kernel // the network being trained: its layers and parameter slabs
 
@@ -366,9 +367,15 @@ func (k *TrainKernel) chunkGrads(ci int) {
 
 	// Gather the chunk's input rows in both layouts — example-major for
 	// the gradient sweeps, unit-major (transposed) for the forward pass.
-	// Pure copies, no arithmetic, so layout cannot affect bits.
+	// Pure copies, no arithmetic, so layout cannot affect bits. A partial
+	// chunk runs the same eight-lane routines as a full one: its pad
+	// lanes are zeroed so stale values never enter them, every lane is
+	// an independent chain, and nothing reads a pad lane's results.
 	inT := s.inT
 	inEM := s.inEM
+	if m < gradChunkSize {
+		clear(inT)
+	}
 	for e := 0; e < m; e++ {
 		row := xs[idx[lo+e]*k.inDim : (idx[lo+e]+1)*k.inDim]
 		copy(inEM[e*k.inDim:(e+1)*k.inDim], row)
@@ -379,14 +386,14 @@ func (k *TrainKernel) chunkGrads(ci int) {
 
 	// Forward, batch-major: each weight row streams once across the
 	// chunk; each example keeps its private sequential dot accumulator
-	// (the mathx.Dot order), advanced in lockstep over c. The full-chunk
-	// case runs eight independent dependency chains the CPU overlaps —
-	// which is where the kernel's single-core speedup comes from.
+	// (the mathx.Dot order), advanced in lockstep over c — eight
+	// independent dependency chains the CPU overlaps, which is where the
+	// kernel's single-core speedup comes from.
 	cur := inT
 	for li := range k.layers {
 		l := &k.layers[li]
 		out := s.outs[li]
-		l.forwardChunk(out, cur, k.w, k.b, m)
+		l.forwardChunk(out, cur, k.w, k.b)
 		// Mirror the activations example-major for the gradient sweeps
 		// and the softmax reads — a pure copy, bit-neutral.
 		em := s.outsEM[li]
@@ -407,6 +414,9 @@ func (k *TrainKernel) chunkGrads(ci int) {
 	dlast := s.deltas[last]
 	ys := k.curYS
 	s.loss = 0
+	if m < gradChunkSize {
+		clear(dlast) // pad lanes carry zero deltas into the backward pass
+	}
 	for e := 0; e < m; e++ {
 		pb := s.probs[e*k.outDim : (e+1)*k.outDim]
 		softmax(pb, lastEM[e*k.outDim:(e+1)*k.outDim])
@@ -439,26 +449,9 @@ func (k *TrainKernel) chunkGrads(ci int) {
 		}
 		// MulVecT order: dst[c] += delta[r]*w[r][c], r ascending,
 		// unconditional (no zero-skip — signed zeros must match).
-		if m == gradChunkSize {
-			for r := 0; r < l.rows; r++ {
-				rb := r * gradChunkSize
-				bwdRow8(dcur[rb:rb+gradChunkSize], w[r*l.cols:(r+1)*l.cols], dprev)
-			}
-		} else {
-			for r := 0; r < l.rows; r++ {
-				row := w[r*l.cols : (r+1)*l.cols]
-				var dr [gradChunkSize]float64
-				rb := r * gradChunkSize
-				for e := 0; e < m; e++ {
-					dr[e] = dcur[rb+e]
-				}
-				for c, wv := range row {
-					cb := c * gradChunkSize
-					for e := 0; e < m; e++ {
-						dprev[cb+e] += dr[e] * wv
-					}
-				}
-			}
+		for r := 0; r < l.rows; r++ {
+			rb := r * gradChunkSize
+			bwdRow8(dcur[rb:rb+gradChunkSize], w[r*l.cols:(r+1)*l.cols], dprev)
 		}
 		prevAct := k.layers[li-1].act
 		prevOut := s.outs[li-1]

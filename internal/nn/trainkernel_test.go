@@ -88,9 +88,12 @@ func trainKernel(t *testing.T, cfg Config, tc TrainConfig, flat []float64, ys []
 // TestTrainKernelMatchesChunkedFit pins the kernel's arithmetic: for
 // every worker count, 0 (all CPUs) included, TrainKernel trains
 // byte-identical weights and bit-equal losses to the chunkedFit
-// reference, across topologies, activations, optimizers, and weight
-// decay.
+// reference, across topologies, activations, optimizers, weight decay
+// and zero-padded partial chunks — with the AVX routines and with the
+// generic ones forced, the only arm on arm64 and pre-AVX CPUs.
 func TestTrainKernelMatchesChunkedFit(t *testing.T) {
+	saved := useAVX
+	defer func() { useAVX = saved }()
 	rows, flat, ys := tkDataset(173, 13, 3, 41)
 
 	cases := []struct {
@@ -134,16 +137,22 @@ func TestTrainKernelMatchesChunkedFit(t *testing.T) {
 				refTC.Optimizer = &SGD{}
 			}
 			ref, refLoss := trainOracle(t, tt.cfg, refTC, rows, ys)
-			for _, w := range []int{0, 1, 2, 3, 8} {
-				kTC := refTC
-				kTC.Workers = w
-				got, gotLoss := trainKernel(t, tt.cfg, kTC, flat, ys)
-				if !bytes.Equal(got, ref) {
-					t.Fatalf("workers=%d: kernel-trained model bytes differ from chunkedFit", w)
+			for _, avx := range []bool{false, true} {
+				if avx && !saved {
+					continue // no AVX on this CPU: the generic arm is the only arm
 				}
-				if math.Float64bits(gotLoss) != math.Float64bits(refLoss) {
-					t.Fatalf("workers=%d: final loss %x, want %x", w,
-						math.Float64bits(gotLoss), math.Float64bits(refLoss))
+				useAVX = avx
+				for _, w := range []int{0, 1, 2, 3, 8} {
+					kTC := refTC
+					kTC.Workers = w
+					got, gotLoss := trainKernel(t, tt.cfg, kTC, flat, ys)
+					if !bytes.Equal(got, ref) {
+						t.Fatalf("avx=%v workers=%d: kernel-trained model bytes differ from chunkedFit", avx, w)
+					}
+					if math.Float64bits(gotLoss) != math.Float64bits(refLoss) {
+						t.Fatalf("avx=%v workers=%d: final loss %x, want %x", avx, w,
+							math.Float64bits(gotLoss), math.Float64bits(refLoss))
+					}
 				}
 			}
 		})

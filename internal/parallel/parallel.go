@@ -9,9 +9,10 @@ import (
 
 // Resolve maps a -workers flag value to an effective worker count:
 // n > 0 is used as-is, n < 0 means one worker per CPU (GOMAXPROCS), and
-// 0 is returned unchanged — by convention the caller's serial/legacy
-// path, kept distinct so existing single-threaded behaviour stays
-// bit-for-bit reproducible unless parallelism is asked for.
+// 0 is returned unchanged, so each caller picks its own default for it
+// (ForEach and Map use GOMAXPROCS, eval's repetition loop runs
+// serially). The default only decides speed: every parallel path in the
+// repository gives bit-identical results at every worker count.
 func Resolve(n int) int {
 	if n < 0 {
 		return runtime.GOMAXPROCS(0)

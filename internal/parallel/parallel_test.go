@@ -15,7 +15,7 @@ func TestResolve(t *testing.T) {
 		t.Errorf("Resolve(3) = %d", got)
 	}
 	if got := Resolve(0); got != 0 {
-		t.Errorf("Resolve(0) = %d, want 0 (serial/legacy sentinel)", got)
+		t.Errorf("Resolve(0) = %d, want 0 (the caller's default)", got)
 	}
 	if got := Resolve(-1); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("Resolve(-1) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))

@@ -10,9 +10,8 @@ import (
 
 // TestSpanAllocRegression pins the allocation profile of the warm
 // request path through the batcher: a span costs a fixed handful of
-// allocations (the span struct, its result slices, its channel, and the
-// worker's per-run guard closure) REGARDLESS of how many pairs it
-// carries. The scoring itself — featurization scratch, kernel forward,
+// allocations (the span struct, its result slices and its channel)
+// REGARDLESS of how many pairs it carries. The scoring itself — featurization scratch, kernel forward,
 // result delivery — must contribute zero allocations per pair; that is
 // the property the arena work in core and nn exists to provide, and
 // this test is the serve-side gate that keeps it from regressing.
@@ -73,9 +72,8 @@ func TestSpanAllocRegression(t *testing.T) {
 
 // TestRunBatchFixedAllocs is the dynamic gate behind runBatch's
 // //lint:hotpath annotation: calling the span hot loop directly (no
-// dispatcher, no HTTP) must cost a fixed handful of allocations — the
-// per-model-run guard closure — with zero marginal allocations per
-// pair. The hotalloc cross-check requires this test to exist; deleting
+// dispatcher, no HTTP) must cost a fixed handful of allocations with
+// zero marginal allocations per pair. The hotalloc cross-check requires this test to exist; deleting
 // it fails `make lint`.
 func TestRunBatchFixedAllocs(t *testing.T) {
 	md := testModel(t)
@@ -103,6 +101,7 @@ func TestRunBatchFixedAllocs(t *testing.T) {
 	for i := range batch {
 		batch[i] = pairRef{sp: sp, idx: i}
 	}
+	g := newGather(32)
 	drain := func(k int) {
 		for i := 0; i < k; i++ {
 			idx := <-sp.resp
@@ -113,17 +112,17 @@ func TestRunBatchFixedAllocs(t *testing.T) {
 	}
 	// Warm: first acquire clones the scorer and grows its batch arenas.
 	for i := 0; i < 3; i++ {
-		b.runBatch(batch[:1])
+		b.runBatch(batch[:1], g)
 		drain(1)
-		b.runBatch(batch)
+		b.runBatch(batch, g)
 		drain(32)
 	}
 	a1 := testing.AllocsPerRun(20, func() {
-		b.runBatch(batch[:1])
+		b.runBatch(batch[:1], g)
 		drain(1)
 	})
 	a32 := testing.AllocsPerRun(20, func() {
-		b.runBatch(batch)
+		b.runBatch(batch, g)
 		drain(32)
 	})
 	t.Logf("runBatch allocs: 1 pair = %.1f, 32 pairs = %.1f", a1, a32)

@@ -21,10 +21,9 @@ var ErrDraining = errors.New("serve: server is draining")
 // so a worker never blocks on a caller that gave up — the zombie-drain
 // contract the admission gate depends on.
 //
-// A span replaces the old per-pair handle: where a 512-pair request
-// used to allocate 512 pending structs and 512 response channels, it
-// now costs one span, two result slices and one channel — the fixed
-// per-request allocation profile the serve alloc-regression test pins.
+// Whatever its size, a span costs one struct, two result slices and one
+// channel — the fixed per-request allocation profile the serve
+// alloc-regression test pins.
 type span struct {
 	model  *Model
 	as, bs []*features.Prop
@@ -58,11 +57,6 @@ func (sp *span) next(ctx context.Context) (idx int, ok bool) {
 	}
 }
 
-// pending is the single-pair compatibility handle: a one-pair span.
-type pending struct {
-	sp *span
-}
-
 // pairRef locates one pair of a span inside a dispatch batch. Batches
 // are value slices drawn from a freelist, so batching a pair costs no
 // heap allocation.
@@ -74,8 +68,9 @@ type pairRef struct {
 // batcher coalesces concurrent pair-scoring requests into micro-batches:
 // a dispatcher collects up to maxBatch pairs — splitting large spans and
 // packing small ones — flushing early after maxWait, and a worker pool
-// executes batches on per-model scorer clones. Each pair is one guard
-// unit — a panic poisons only that pair's slot in its span.
+// scores each same-model run of a batch in one batched forward pass on a
+// scorer clone of that model. A panic poisons only that pair's slot in
+// its span.
 type batcher struct {
 	maxBatch int
 	maxWait  time.Duration
@@ -153,45 +148,6 @@ func (b *batcher) EnqueueSpan(ctx context.Context, md *Model, as, bs []*features
 	}
 }
 
-// Enqueue submits one pair for scoring and returns a handle to await —
-// the single-pair face of EnqueueSpan.
-func (b *batcher) Enqueue(ctx context.Context, md *Model, pa, pb *features.Prop, unit string) (*pending, error) {
-	sp, err := b.EnqueueSpan(ctx, md, []*features.Prop{pa}, []*features.Prop{pb},
-		func(int) string { return unit })
-	if err != nil {
-		return nil, err
-	}
-	return &pending{sp: sp}, nil
-}
-
-// Await blocks until the pair is scored or ctx ends.
-func (b *batcher) Await(ctx context.Context, p *pending) (float64, error) {
-	score, err, _ := b.AwaitDelivered(ctx, p)
-	return score, err
-}
-
-// AwaitDelivered is Await plus provenance: delivered reports whether the
-// worker's result actually landed. false means the wait was abandoned by
-// ctx — the pair still occupies the pipeline and its (buffered) result
-// will land later, which is what lets an abandoning caller hand the
-// handle to a background drain instead of leaking accounting.
-func (b *batcher) AwaitDelivered(ctx context.Context, p *pending) (score float64, err error, delivered bool) {
-	idx, ok := p.sp.next(ctx)
-	if !ok {
-		return 0, ctx.Err(), false
-	}
-	return p.sp.scores[idx], p.sp.errs[idx], true
-}
-
-// Score is Enqueue+Await for a single pair.
-func (b *batcher) Score(ctx context.Context, md *Model, pa, pb *features.Prop, unit string) (float64, error) {
-	p, err := b.Enqueue(ctx, md, pa, pb, unit)
-	if err != nil {
-		return 0, err
-	}
-	return b.Await(ctx, p)
-}
-
 // getBuf takes a batch buffer off the freelist, or grows the pool.
 func (b *batcher) getBuf() []pairRef {
 	select {
@@ -267,23 +223,44 @@ func (b *batcher) dispatch() {
 	}
 }
 
-// worker executes batches: contiguous same-model runs share one checked-
-// out scorer clone, so a coalesced batch is a true batched pass through
-// one network. Finished batch buffers go back to the freelist.
+// worker executes batches through its own gather arena. Finished batch
+// buffers go back to the freelist.
 func (b *batcher) worker() {
 	defer b.wg.Done()
+	g := newGather(b.maxBatch)
 	for batch := range b.work {
-		b.runBatch(batch)
+		b.runBatch(batch, g)
 		b.putBuf(batch)
 	}
 }
 
-// runBatch scores one coalesced batch: contiguous same-model runs share
-// one checked-out scorer clone so the kernel sees true batches. This is
-// the span protocol's hot loop — 0 marginal allocations per pair.
+// gather is one worker's arena for a same-model run of a batch: pair k of
+// the run has features (as[k], bs[k]) and result scores[k] or errs[k].
+// Every slice holds maxBatch entries, the most pairs a batch carries.
+type gather struct {
+	as, bs []*features.Prop
+	scores []float64
+	errs   []error
+}
+
+func newGather(n int) *gather {
+	return &gather{
+		as:     make([]*features.Prop, n),
+		bs:     make([]*features.Prop, n),
+		scores: make([]float64, n),
+		errs:   make([]error, n),
+	}
+}
+
+// runBatch scores one coalesced batch (at most maxBatch pairs) through
+// g: each contiguous same-model run is gathered and scored by one
+// checked-out scorer clone in a single Scorer.ScoreIsolated call — one
+// batched forward pass, retried pair by pair only if it fails, so a bad
+// pair fails alone. This is the span protocol's hot loop — 0 marginal
+// allocations per pair.
 //
 //lint:hotpath gated by TestRunBatchFixedAllocs
-func (b *batcher) runBatch(batch []pairRef) {
+func (b *batcher) runBatch(batch []pairRef, g *gather) {
 	if b.met != nil {
 		b.met.Batches.Add(1)
 		b.met.BatchPairs.Add(int64(len(batch)))
@@ -291,33 +268,38 @@ func (b *batcher) runBatch(batch []pairRef) {
 	// Chaos hook: Delay/Stall here holds this worker (and its waiters'
 	// deadlines start firing) while the rest of the pool keeps serving.
 	b.chaos.Inject(chaos.PointBatch)
+	// Chaos hook inside each pair's own guard unit, fired as the pair is
+	// gathered: an injected panic or error fails that one pair, which
+	// then skips the scorer, like any scorer bug.
+	//lint:allow hotalloc one closure per batch, not per pair: guard.Run never retains it, and TestRunBatchFixedAllocs pins zero marginal allocations per pair
+	hook := func() error { return b.chaos.Inject(chaos.PointScore) }
 	for i := 0; i < len(batch); {
+		md := batch[i].sp.model
 		j := i
-		for j < len(batch) && batch[j].sp.model == batch[i].sp.model {
+		for j < len(batch) && batch[j].sp.model == md {
 			j++
 		}
-		sc := batch[i].sp.model.acquire()
-		// One closure per model run, with the pair threaded through the
-		// captured variables — the hot loop itself allocates nothing.
-		var (
-			pa, pb *features.Prop
-			s      float64
-		)
-		//lint:allow hotalloc one closure per model RUN, not per pair: TestRunBatchFixedAllocs pins that the per-pair marginal cost stays zero
-		scoreOne := func() error {
-			// Chaos hook inside the guard unit: an injected panic must be
-			// isolated to this one pair, like any scorer bug.
-			if e := b.chaos.Inject(chaos.PointScore); e != nil {
-				return e
-			}
-			var e error
-			s, e = sc.Score(pa, pb)
-			return e
+		run := batch[i:j]
+		for k, ref := range run {
+			g.as[k], g.bs[k] = ref.sp.as[ref.idx], ref.sp.bs[ref.idx]
+			g.errs[k] = guard.Run(hook)
 		}
-		for _, ref := range batch[i:j] {
-			pa, pb, s = ref.sp.as[ref.idx], ref.sp.bs[ref.idx], 0
-			err := guard.Run(scoreOne)
+		// Score each stretch of pairs the hook let through — without
+		// chaos, the whole run in one call; lo++ steps over a failed pair.
+		sc := md.acquire()
+		for lo := 0; lo < len(run); lo++ {
+			hi := lo
+			for hi < len(run) && g.errs[hi] == nil {
+				hi++
+			}
+			sc.ScoreIsolated(g.scores[lo:hi], g.errs[lo:hi], g.as[lo:hi], g.bs[lo:hi])
+			lo = hi
+		}
+		md.release(sc)
+		for k, ref := range run {
+			s, err := g.scores[k], g.errs[k]
 			if err != nil {
+				s = 0
 				//lint:allow hotalloc failure path only: a pair that errored already left the zero-alloc contract, and naming it is worth the format call
 				err = fmt.Errorf("serve: scoring %s: %w", ref.sp.unitName(ref.idx), err)
 				if b.met != nil {
@@ -333,7 +315,6 @@ func (b *batcher) runBatch(batch []pairRef) {
 			// whole span, so this never blocks.
 			ref.sp.resp <- ref.idx
 		}
-		batch[i].sp.model.release(sc)
 		i = j
 	}
 }

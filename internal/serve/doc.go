@@ -21,9 +21,9 @@
 // # Model registry
 //
 // The Registry maps names to immutable *Model values. A Model bundles a
-// core.Scorer snapshot (weights deep-copied out of the matcher), a pool
-// of per-worker scorer clones, the file's core.ModelInfo and a feature
-// cache. Handlers resolve their Model pointer once at request arrival;
+// core.Scorer snapshot (a read-only view of the loaded network's weight
+// slabs, which nothing trains again), a pool of per-worker scorer
+// clones, the file's core.ModelInfo and a feature cache. Handlers resolve their Model pointer once at request arrival;
 // Load and Activate replace map entries and swing an atomic active
 // pointer, so a hot swap never mutates a model an in-flight request is
 // holding — old versions serve until their last request finishes, then
@@ -36,14 +36,16 @@
 // Concurrent pair-scoring requests are coalesced by a dispatcher into
 // batches of at most MaxBatch pairs, flushed early after MaxWait (the
 // classic size-or-deadline micro-batch policy, default 32 pairs / 2 ms).
-// A pool of workers executes batches; each worker checks a scorer clone
-// out of the request's model, so batched pairs share one pair-vector
-// buffer and one network forward scratch — the batched forward pass —
-// while distinct workers score in parallel on independent clones. Every
-// pair runs as one guard unit: a panic while scoring (a poisoned input)
-// is recovered by internal/guard, fails only that request with a 500,
-// and is counted in the metrics; the server and the rest of the batch
-// keep going.
+// A pool of workers executes batches. A worker gathers each run of
+// same-model pairs into its own buffers, checks a scorer clone out of
+// that model and scores the run with core.Scorer.ScoreIsolated: one
+// batched forward pass for the whole run, while distinct workers score
+// in parallel on independent clones. A pair that panics or errors (a
+// poisoned input) fails alone: internal/guard recovers the batch, the
+// run is scored again pair by pair, and only that pair carries an
+// error, counted in the metrics. Its request still answers 200, with
+// the error in that pair's result; only a request whose every pair
+// failed answers 500. The server and the rest of the batch keep going.
 //
 // # Feature cache
 //
@@ -71,21 +73,24 @@
 //
 // Every request also runs under a deadline budget: Config.DefaultDeadline
 // unless the client sends X-Leapme-Deadline-Ms (clamped to MaxDeadline).
-// The budget context threads through Enqueue and Await, so the waiters of
-// a slow or stalled batch answer a typed 504 ("deadline_exceeded") while
-// the worker finishes into buffered response channels — an abandoned
-// waiter can never wedge the pool. All error answers share the typed JSON
-// vocabulary; internal/client consumes it for retry decisions.
+// The budget context threads through EnqueueSpan and the span's result
+// wait, so the waiters of a slow or stalled batch answer a typed 504
+// ("deadline_exceeded") while the worker finishes into buffered response
+// channels — an abandoned waiter can never wedge the pool. All error
+// answers share the typed JSON vocabulary; internal/client consumes it
+// for retry decisions.
 //
 // # Fault injection
 //
 // Config.Chaos accepts an *chaos.Injector (nil in production — the hooks
 // cost one nil check). The serving layer exposes three points: PointScore
-// inside each pair's guard unit (panic isolation), PointBatch before each
-// batch (latency/stall), and PointReload around model-file reads (corrupt
-// bytes failing the CRC). The chaos test suite (`make test-chaos`) drives
-// these under -race to prove the admission, deadline, reload and drain
-// invariants end-to-end; injections are seeded and replay deterministically.
+// inside each pair's own guard unit as its run is gathered (panic
+// isolation: the pair fails alone and skips the scorer), PointBatch
+// before each batch (latency/stall), and PointReload around model-file
+// reads (corrupt bytes failing the CRC). The chaos test suite (`make
+// test-chaos`) drives these under -race to prove the admission,
+// deadline, reload and drain invariants end-to-end; injections are
+// seeded and replay deterministically.
 //
 // # Shutdown
 //

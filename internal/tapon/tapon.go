@@ -94,7 +94,6 @@ func New(store *embedding.Store, classes []string, opts Options) (*Labeler, erro
 	}
 	ex := features.NewExtractor(store)
 	ex.MaxValues = opts.MaxValues
-	ex.Workers = opts.Workers
 	l := &Labeler{
 		opts:    opts,
 		ex:      ex,
