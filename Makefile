@@ -3,7 +3,7 @@ GO ?= go
 PACKAGES := ./...
 # Packages with new parallel paths; test-determinism re-runs their
 # determinism suites under different scheduler conditions.
-DETERMINISM_PACKAGES := ./internal/nn ./internal/features ./internal/core ./internal/eval ./internal/tapon ./internal/index ./internal/blocking
+DETERMINISM_PACKAGES := ./internal/nn ./internal/features ./internal/core ./internal/eval ./internal/tapon ./internal/index ./internal/blocking ./internal/embedding
 
 # External analyzers run by lint-ext. Pinned here (not in go.mod: the
 # repo builds offline, and `go run pkg@version` resolves these only on

@@ -263,41 +263,19 @@ func BenchmarkAblation_RawGloVeNorms(b *testing.B) {
 	reportPRF(b, m)
 }
 
-// BenchmarkAblation_SGNSEmbeddings swaps the GloVe backend for word2vec
-// skip-gram: expect comparable quality, demonstrating the matcher is not
-// tied to one embedding algorithm.
-func BenchmarkAblation_SGNSEmbeddings(b *testing.B) {
-	_, data := benchSetup(b)
-	corpus := domain.Corpus(
-		[]*domain.Category{domain.Cameras(), domain.Headphones(), domain.Phones(), domain.TVs()},
-		domain.CorpusConfig{SentencesPerProp: 60, Seed: 1})
-	cfg := embedding.DefaultSGNSConfig()
-	cfg.Dim = 32
-	cfg.Epochs = 10
-	sgns, err := embedding.TrainSGNS(corpus, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := benchHarness(sgns)
-	var m eval.PRF
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err = h.EvalLEAPME(data["cameras-lite"], features.FullConfig(), 0.8)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportPRF(b, m)
-}
-
 // --- Component microbenches ---
 
+// BenchmarkGloVeTraining trains the store the repository benchmark and
+// `benchtab -bench train` train: the four-category corpus at 120
+// sentences per property, DefaultGloVeConfig with Dim 32 and Seed 1 (the
+// configuration TestGloVeGoldenBytes pins).
 func BenchmarkGloVeTraining(b *testing.B) {
-	corpus := domain.Corpus([]*domain.Category{domain.Cameras()},
-		domain.CorpusConfig{SentencesPerProp: 20, Seed: 1})
+	corpus := domain.Corpus(
+		[]*domain.Category{domain.Cameras(), domain.Headphones(), domain.Phones(), domain.TVs()},
+		domain.CorpusConfig{SentencesPerProp: 120, Seed: 1})
 	cfg := embedding.DefaultGloVeConfig()
-	cfg.Dim = 16
-	cfg.Epochs = 5
+	cfg.Dim = 32
+	cfg.Seed = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := embedding.TrainGloVe(corpus, cfg); err != nil {

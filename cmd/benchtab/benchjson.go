@@ -193,8 +193,19 @@ func runBench(suite, out string, seed int64, dim, workers int, quick, stamp bool
 func benchTrain(fx *benchFixture, rep *benchReport, quick bool) error {
 	ctx := context.Background()
 
-	// Feature computation over the whole dataset (one op = all properties).
+	// GloVe training of the fixture's store (corpus included): the
+	// set-up every benchmark run, `leapme embed` and server start pays.
 	r, err := benchOp(quick, func() error {
+		_, err := trainStore(fx.seed, fx.dim)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	rep.Results = append(rep.Results, resultOf("glove_train", 0, r))
+
+	// Feature computation over the whole dataset (one op = all properties).
+	r, err = benchOp(quick, func() error {
 		m, err := core.NewMatcher(fx.store, core.DefaultOptions(fx.seed))
 		if err != nil {
 			return err

@@ -67,7 +67,7 @@ func run(args []string) error {
 	maxBatch := fs.Int("max-batch", 32, "max pairs per micro-batch")
 	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "micro-batch flush deadline")
 	cacheSize := fs.Int("cache", 4096, "feature cache entries per model (-1 disables)")
-	threshold := fs.Float64("threshold", 0, "override every model's match threshold (0 keeps each model's own)")
+	threshold := fs.Float64("threshold", 0, "every model's match threshold (model files store none; 0 means the default 0.5)")
 	maxValues := fs.Int("max-values", 0, "cap instance values per served property (0 = all)")
 	maxPairs := fs.Int("max-pairs", 4096, "max pairs per request (clamped down to -max-queue when that is set lower)")
 	maxQueue := fs.Int("max-queue", 0, "max admitted-but-unanswered pairs before shedding 429s (0 = 4×workers×max-batch, at least -max-pairs)")

@@ -39,6 +39,9 @@ var Packages = []string{
 	// candidate sets for any worker count — same rules again.
 	"leapme/internal/index",
 	"leapme/internal/blocking",
+	// The GloVe store's bytes are a golden contract that every feature,
+	// model and table rests on — same rules.
+	"leapme/internal/embedding",
 }
 
 // clockFuncs are the time package functions that read the wall clock or

@@ -22,7 +22,7 @@ func TestPositiveFixturesSilentOutsideScope(t *testing.T) {
 	// scope must fail if anything is reported — but nothing should be,
 	// and the unmatched wants would fail too. Use a throwaway subtest
 	// to assert the analyzer's package gate directly instead.
-	if got := len(determinism.Packages); got != 10 {
-		t.Fatalf("deterministic package set has %d entries, want 10 (nn, features, eval, tapon, core, parallel, chaos, client, index, blocking)", got)
+	if got := len(determinism.Packages); got != 11 {
+		t.Fatalf("deterministic package set has %d entries, want 11 (nn, features, eval, tapon, core, parallel, chaos, client, index, blocking, embedding)", got)
 	}
 }

@@ -46,7 +46,8 @@ type SeededFunc struct {
 // Seeded is the list of functions that must be annotated. A var so the
 // fixture tests can retarget it; the production list covers the flat
 // inference and training kernels, the pair vector and its name
-// distances, the Scorer score paths and the batcher span loop.
+// distances, the Scorer score paths, the batcher span loop and the
+// GloVe trainer's per-pair step.
 var Seeded = []SeededFunc{
 	{Pkg: "leapme/internal/nn", Recv: "Kernel", Name: "ForwardBatch"},
 	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "runBatch"},
@@ -60,6 +61,7 @@ var Seeded = []SeededFunc{
 	{Pkg: "leapme/internal/core", Recv: "Scorer", Name: "Score"},
 	{Pkg: "leapme/internal/core", Recv: "Scorer", Name: "ScoreBatch"},
 	{Pkg: "leapme/internal/serve", Recv: "batcher", Name: "runBatch"},
+	{Pkg: "leapme/internal/embedding", Recv: "gloveSlabs", Name: "step"},
 }
 
 // Analyzer is the hotalloc analyzer.

@@ -67,18 +67,8 @@ func TrainGloVe(sentences [][]string, cfg GloVeConfig) (*Store, error) {
 	}
 
 	rng := mathx.NewRand(cfg.Seed)
-	n, d := vocab.Size(), cfg.Dim
-	// Main and context parameter blocks, each with AdaGrad accumulators.
-	w := randMatrix(n, d, rng)  // word vectors
-	wc := randMatrix(n, d, rng) // context vectors
-	b := randVec(n, rng)        // word biases
-	bc := randVec(n, rng)       // context biases
-	gw := onesMatrix(n, d)      // AdaGrad history for w
-	gwc := onesMatrix(n, d)     // AdaGrad history for wc
-	gb := onesVec(n)            // AdaGrad history for b
-	gbc := onesVec(n)           // AdaGrad history for bc
-
-	examples := co.pairs()
+	s := newGloVeSlabs(vocab.Size(), cfg.Dim, cfg.LR, rng)
+	examples := co.examples(cfg.XMax, cfg.Alpha)
 	order := make([]int, len(examples))
 	for i := range order {
 		order[i] = i
@@ -87,14 +77,12 @@ func TrainGloVe(sentences [][]string, cfg GloVeConfig) (*Store, error) {
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		mathx.Shuffle(order, rng)
 		for _, idx := range order {
-			ex := examples[idx]
+			ex := &examples[idx]
 			// Each unordered pair is trained in both directions, matching
 			// the symmetric counts of the reference implementation.
-			gloveStep(w.Row(ex.i), wc.Row(ex.j), &b[ex.i], &bc[ex.j],
-				gw.Row(ex.i), gwc.Row(ex.j), &gb[ex.i], &gbc[ex.j], ex.x, cfg)
+			s.step(ex.i, ex.j, ex.fx, ex.logx)
 			if ex.i != ex.j {
-				gloveStep(w.Row(ex.j), wc.Row(ex.i), &b[ex.j], &bc[ex.i],
-					gw.Row(ex.j), gwc.Row(ex.i), &gb[ex.j], &gbc[ex.i], ex.x, cfg)
+				s.step(ex.j, ex.i, ex.fx, ex.logx)
 			}
 		}
 	}
@@ -104,9 +92,10 @@ func TrainGloVe(sentences [][]string, cfg GloVeConfig) (*Store, error) {
 	// close (both tiny) and frequent synonyms look far (both huge); unit
 	// norms give the difference-based pair features the same cosine-like
 	// geometry the paper's web-scale vectors exhibit for its vocabulary.
+	n, d := vocab.Size(), cfg.Dim
 	vectors := make([][]float64, n)
 	for i := 0; i < n; i++ {
-		v := mathx.Add(w.Row(i), wc.Row(i))
+		v := mathx.Add(s.w[i*d:(i+1)*d], s.wc[i*d:(i+1)*d])
 		if !cfg.NoNormalize {
 			if norm := mathx.Norm2(v); norm > 0 {
 				mathx.ScaleTo(v, v, 1/norm)
@@ -117,23 +106,55 @@ func TrainGloVe(sentences [][]string, cfg GloVeConfig) (*Store, error) {
 	return NewStore(vocab.Words(), vectors)
 }
 
-// gloveStep applies one AdaGrad update for a single (word, context) pair.
-func gloveStep(wi, wj []float64, bi, bj *float64, gwi, gwj []float64, gbi, gbj *float64, x float64, cfg GloVeConfig) {
-	f := weightFn(x, cfg.XMax, cfg.Alpha)
-	diff := mathx.Dot(wi, wj) + *bi + *bj - math.Log(x)
-	g := f * diff // dJ/d(prediction), up to the factor 2 folded into LR
-	for k := range wi {
-		gradI := g * wj[k]
-		gradJ := g * wi[k]
-		wi[k] -= cfg.LR * gradI / math.Sqrt(gwi[k])
-		wj[k] -= cfg.LR * gradJ / math.Sqrt(gwj[k])
-		gwi[k] += gradI * gradI
-		gwj[k] += gradJ * gradJ
+// gloveSlabs is the trainer's state on two flat slabs, one of parameters
+// and one of their AdaGrad histories. Both are laid out w | w̃ | b | b̃:
+// word and context vectors (n×d each, row-major), then word and context
+// biases (n each). The fields are views into the slabs.
+type gloveSlabs struct {
+	d       int
+	lr      float64
+	w, wc   []float64 // word and context vectors
+	b, bc   []float64 // word and context biases
+	gw, gwc []float64 // AdaGrad histories of w and w̃
+	gb, gbc []float64 // AdaGrad histories of b and b̃
+}
+
+// newGloVeSlabs draws the initial parameters in slab order — w and w̃
+// from U(−0.5/d, 0.5/d) (the reference implementation's init range),
+// then b and b̃ from U(−0.5, 0.5) — and starts every history at 1. The
+// draw order is part of the golden stores' bits.
+func newGloVeSlabs(n, d int, lr float64, rng *rand.Rand) *gloveSlabs {
+	nd := n * d
+	params := make([]float64, 2*nd+2*n)
+	span := 1 / float64(d)
+	mathx.FillUniform(params[:2*nd], -span/2, span/2, rng)
+	mathx.FillUniform(params[2*nd:], -0.5, 0.5, rng)
+	hist := make([]float64, len(params))
+	mathx.Fill(hist, 1)
+	return &gloveSlabs{
+		d: d, lr: lr,
+		w: params[:nd], wc: params[nd : 2*nd],
+		b: params[2*nd : 2*nd+n], bc: params[2*nd+n:],
+		gw: hist[:nd], gwc: hist[nd : 2*nd],
+		gb: hist[2*nd : 2*nd+n], gbc: hist[2*nd+n:],
 	}
-	*bi -= cfg.LR * g / math.Sqrt(*gbi)
-	*bj -= cfg.LR * g / math.Sqrt(*gbj)
-	*gbi += g * g
-	*gbj += g * g
+}
+
+// step applies one AdaGrad update for the (word i, context j) direction
+// of a co-occurrence cell with weight fx = f(x) and target logx = log x.
+// It performs no heap allocations.
+//
+//lint:hotpath gated by TestGloVeStepAllocs
+func (s *gloveSlabs) step(i, j int, fx, logx float64) {
+	d := s.d
+	wi, wj := s.w[i*d:(i+1)*d], s.wc[j*d:(j+1)*d]
+	diff := mathx.Dot(wi, wj) + s.b[i] + s.bc[j] - logx
+	g := fx * diff // dJ/d(prediction), up to the factor 2 folded into LR
+	adagradPair(wi, wj, s.gw[i*d:(i+1)*d], s.gwc[j*d:(j+1)*d], g, s.lr)
+	s.b[i] -= s.lr * g / math.Sqrt(s.gb[i])
+	s.bc[j] -= s.lr * g / math.Sqrt(s.gbc[j])
+	s.gb[i] += g * g
+	s.gbc[j] += g * g
 }
 
 // weightFn is GloVe's f(x) = (x/xmax)^alpha capped at 1.
@@ -142,31 +163,4 @@ func weightFn(x, xmax, alpha float64) float64 {
 		return 1
 	}
 	return math.Pow(x/xmax, alpha)
-}
-
-// randMatrix allocates a rows×cols matrix initialised U(-0.5/cols, 0.5/cols),
-// the init range of the reference GloVe implementation.
-func randMatrix(rows, cols int, rng *rand.Rand) *mathx.Matrix {
-	m := mathx.NewMatrix(rows, cols)
-	span := 1 / float64(cols)
-	mathx.FillUniform(m.Data, -span/2, span/2, rng)
-	return m
-}
-
-func randVec(n int, rng *rand.Rand) []float64 {
-	v := make([]float64, n)
-	mathx.FillUniform(v, -0.5, 0.5, rng)
-	return v
-}
-
-func onesMatrix(rows, cols int) *mathx.Matrix {
-	m := mathx.NewMatrix(rows, cols)
-	mathx.Fill(m.Data, 1)
-	return m
-}
-
-func onesVec(n int) []float64 {
-	v := make([]float64, n)
-	mathx.Fill(v, 1)
-	return v
 }

@@ -54,17 +54,6 @@ func TestTrainGloVeSynonymGeometry(t *testing.T) {
 	checkSynonymGeometry(t, s, "glove")
 }
 
-func TestTrainSGNSSynonymGeometry(t *testing.T) {
-	cfg := DefaultSGNSConfig()
-	cfg.Dim = 16
-	cfg.Epochs = 20
-	s, err := TrainSGNS(synonymCorpus(150, 7), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSynonymGeometry(t, s, "sgns")
-}
-
 func TestTrainGloVeDeterministic(t *testing.T) {
 	cfg := DefaultGloVeConfig()
 	cfg.Dim = 8
@@ -105,17 +94,6 @@ func TestTrainGloVeErrors(t *testing.T) {
 	// Single-word sentences have no co-occurrences.
 	if _, err := TrainGloVe([][]string{{"lonely"}}, DefaultGloVeConfig()); err == nil {
 		t.Error("no-pair corpus should error")
-	}
-}
-
-func TestTrainSGNSErrors(t *testing.T) {
-	if _, err := TrainSGNS(nil, DefaultSGNSConfig()); err == nil {
-		t.Error("empty corpus should error")
-	}
-	cfg := DefaultSGNSConfig()
-	cfg.Dim = -1
-	if _, err := TrainSGNS(synonymCorpus(5, 1), cfg); err == nil {
-		t.Error("negative dim should error")
 	}
 }
 
@@ -240,23 +218,5 @@ func TestReadStoreBadInput(t *testing.T) {
 	}
 	if _, err := ReadStore(bytes.NewReader(append(buf.Bytes(), 0))); err == nil {
 		t.Error("trailing bytes after the last vector should error")
-	}
-}
-
-func TestUnigramSampler(t *testing.T) {
-	v := BuildVocab([][]string{{"a", "a", "a", "a", "b"}}, 1)
-	s := newUnigramSampler(v)
-	rng := mathx.NewRand(1)
-	counts := map[int]int{}
-	for i := 0; i < 10000; i++ {
-		counts[s.sample(rng)]++
-	}
-	idA, _ := v.ID("a")
-	idB, _ := v.ID("b")
-	if counts[idA] <= counts[idB] {
-		t.Errorf("sampler should favour frequent words: a=%d b=%d", counts[idA], counts[idB])
-	}
-	if counts[idB] == 0 {
-		t.Error("rare word never sampled")
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // Vocab maps words to dense integer ids. Ids are assigned by descending
 // corpus frequency (ties broken lexicographically) so that id 0 is the most
-// frequent word, matching the layout GloVe and word2vec tooling expect.
+// frequent word, matching the layout GloVe tooling expects.
 type Vocab struct {
 	words []string       // id → word
 	ids   map[string]int // word → id
@@ -33,6 +33,7 @@ func BuildVocab(sentences [][]string, minCount int) *Vocab {
 	kept := make([]wc, 0, len(freq))
 	for w, c := range freq {
 		if c >= minCount {
+			//lint:allow determinism the (count, word) sort below is a total order, so map order never reaches the ids
 			kept = append(kept, wc{w, c})
 		}
 	}

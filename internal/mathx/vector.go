@@ -1,10 +1,11 @@
 // Package mathx provides the small dense linear-algebra and statistics
-// kernels used throughout LEAPME: vector arithmetic, dense row-major
-// matrices, reductions, and deterministic random initialisers.
+// kernels used throughout LEAPME: vector arithmetic, reductions,
+// deterministic random initialisers, and the CPU check (HasAVX) that
+// gates the SIMD kernels of nn and embedding.
 //
 // All functions operate on []float64 and are allocation-conscious: the
 // mutating variants (AddTo, ScaleTo, ...) write into a caller-supplied
-// destination so hot loops in the neural network and the embedding trainers
+// destination so hot loops in the neural network and the embedding trainer
 // can reuse buffers.
 package mathx
 

@@ -4,16 +4,161 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"testing"
+	"testing/quick"
 
 	"leapme/internal/mathx"
 	"leapme/internal/parallel"
 )
 
-// oracleLayer is one dense layer of a network seen through mathx views of
-// the network's slabs: writes through w and b update the network.
+// matrix is a dense row-major matrix of float64, the per-layer view the
+// oracle computes in. Its methods are the mathx vector kernels applied
+// row by row, in the order the flat kernels are pinned to.
+type matrix struct {
+	Rows, Cols int
+	Data       []float64 // len == Rows*Cols, row-major
+}
+
+// newMatrix allocates a zeroed rows×cols matrix.
+func newMatrix(rows, cols int) *matrix {
+	return &matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+}
+
+// Row returns row i as a mutable slice view into the matrix.
+func (m *matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+
+// Zero resets all elements of m to 0.
+func (m *matrix) Zero() { mathx.Zero(m.Data) }
+
+// MulVec computes dst = m · x, one mathx.Dot per row.
+func (m *matrix) MulVec(dst, x []float64) {
+	if len(x) != m.Cols || len(dst) != m.Rows {
+		panic(fmt.Sprintf("oracle: MulVec shape mismatch: %dx%d by %d into %d", m.Rows, m.Cols, len(x), len(dst)))
+	}
+	for i := 0; i < m.Rows; i++ {
+		dst[i] = mathx.Dot(m.Row(i), x)
+	}
+}
+
+// MulVecT computes dst = mᵀ · x without materialising the transpose:
+// dst starts at zero and accumulates x[i]·row i in ascending i.
+func (m *matrix) MulVecT(dst, x []float64) {
+	if len(x) != m.Rows || len(dst) != m.Cols {
+		panic(fmt.Sprintf("oracle: MulVecT shape mismatch: %dx%d by %d into %d", m.Rows, m.Cols, len(x), len(dst)))
+	}
+	mathx.Zero(dst)
+	for i := 0; i < m.Rows; i++ {
+		mathx.AxpyTo(dst, x[i], m.Row(i))
+	}
+}
+
+// AddOuterTo accumulates m += alpha · x ⊗ y, skipping rows whose x is 0.
+func (m *matrix) AddOuterTo(alpha float64, x, y []float64) {
+	if len(x) != m.Rows || len(y) != m.Cols {
+		panic("oracle: AddOuterTo shape mismatch")
+	}
+	for i, xi := range x {
+		if xi == 0 {
+			continue
+		}
+		mathx.AxpyTo(m.Row(i), alpha*xi, y)
+	}
+}
+
+// Scale multiplies every element of m by s in place.
+func (m *matrix) Scale(s float64) {
+	for i := range m.Data {
+		m.Data[i] *= s
+	}
+}
+
+// AddScaled accumulates m += alpha · other, element-wise.
+func (m *matrix) AddScaled(alpha float64, other *matrix) {
+	if m.Rows != other.Rows || m.Cols != other.Cols {
+		panic("oracle: AddScaled shape mismatch")
+	}
+	mathx.AxpyTo(m.Data, alpha, other.Data)
+}
+
+func TestMatrixBasics(t *testing.T) {
+	m := newMatrix(2, 3)
+	if m.Rows != 2 || m.Cols != 3 || len(m.Data) != 6 {
+		t.Fatalf("newMatrix = %+v", m)
+	}
+	r := m.Row(1)
+	r[0] = 42
+	if m.Data[3] != 42 {
+		t.Error("Row must be a view, not a copy")
+	}
+	m.Zero()
+	for _, v := range m.Data {
+		if v != 0 {
+			t.Fatalf("Zero left %v", m.Data)
+		}
+	}
+}
+
+func TestMulVec(t *testing.T) {
+	m := newMatrix(2, 2)
+	copy(m.Data, []float64{1, 2, 3, 4})
+	dst := make([]float64, 2)
+	m.MulVec(dst, []float64{1, 1})
+	if dst[0] != 3 || dst[1] != 7 {
+		t.Errorf("MulVec = %v", dst)
+	}
+}
+
+func TestMulVecTMatchesTranspose(t *testing.T) {
+	f := func(vals [12]float64, x [3]float64) bool {
+		m := newMatrix(3, 4)
+		copy(m.Data, vals[:])
+		got := make([]float64, 4)
+		m.MulVecT(got, x[:])
+		for j := range got {
+			var want float64 // column j of m, dotted with x
+			for i := 0; i < m.Rows; i++ {
+				want += m.Row(i)[j] * x[i]
+			}
+			if math.Abs(got[j]-want) > 1e-6*(1+math.Abs(want)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestAddOuterTo(t *testing.T) {
+	m := newMatrix(2, 2)
+	m.AddOuterTo(2, []float64{1, 2}, []float64{3, 4})
+	// 2 * [1;2]·[3 4] = [[6,8],[12,16]]
+	if m.Data[0] != 6 || m.Data[1] != 8 || m.Data[2] != 12 || m.Data[3] != 16 {
+		t.Errorf("AddOuterTo = %v", m.Data)
+	}
+}
+
+func TestCloneAndScale(t *testing.T) {
+	m := newMatrix(1, 2)
+	copy(m.Data, []float64{1, 2})
+	c := newMatrix(1, 2)
+	copy(c.Data, m.Data)
+	c.Scale(10)
+	if m.Data[0] != 1 || c.Data[0] != 10 {
+		t.Error("Scale broken")
+	}
+	c.AddScaled(1, m)
+	if c.Data[1] != 22 {
+		t.Errorf("AddScaled = %v", c.Data)
+	}
+}
+
+// oracleLayer is one dense layer of a network seen through matrix views
+// of the network's slabs: writes through w and b update the network.
 type oracleLayer struct {
-	w   *mathx.Matrix // rows×cols view of the weight slab
-	b   []float64     // view of the bias slab
+	w   *matrix   // rows×cols view of the weight slab
+	b   []float64 // view of the bias slab
 	act Activation
 }
 
@@ -22,7 +167,7 @@ func oracleLayers(n *Network) []oracleLayer {
 	out := make([]oracleLayer, len(n.layers))
 	for i, l := range n.layers {
 		out[i] = oracleLayer{
-			w:   &mathx.Matrix{Rows: l.rows, Cols: l.cols, Data: n.w[l.woff : l.woff+l.rows*l.cols]},
+			w:   &matrix{Rows: l.rows, Cols: l.cols, Data: n.w[l.woff : l.woff+l.rows*l.cols]},
 			b:   n.b[l.boff : l.boff+l.rows],
 			act: l.act,
 		}
@@ -31,7 +176,7 @@ func oracleLayers(n *Network) []oracleLayer {
 }
 
 // oracleForward is the per-layer forward pass the kernels are pinned to:
-// one mathx.Dot per unit (Matrix.MulVec), the bias added after the dot,
+// one mathx.Dot per unit (matrix.MulVec), the bias added after the dot,
 // the activation, and a softmax over the last layer's outputs. It
 // returns the class probabilities.
 func oracleForward(n *Network, x []float64) []float64 {
@@ -177,14 +322,14 @@ func chunkedFit(ctx context.Context, n *Network, xs [][]float64, ys []int, cfg T
 
 // params holds one value per network parameter, per layer.
 type params struct {
-	w []*mathx.Matrix
+	w []*matrix
 	b [][]float64
 }
 
 func zeroParams(layers []oracleLayer) params {
 	var p params
 	for _, l := range layers {
-		p.w = append(p.w, mathx.NewMatrix(l.w.Rows, l.w.Cols))
+		p.w = append(p.w, newMatrix(l.w.Rows, l.w.Cols))
 		p.b = append(p.b, make([]float64, l.w.Rows))
 	}
 	return p
@@ -194,7 +339,7 @@ func zeroParams(layers []oracleLayer) params {
 type oracleSlot struct {
 	ins, outs, deltas [][]float64
 	probs             []float64
-	gw                []*mathx.Matrix
+	gw                []*matrix
 	gb                [][]float64
 	loss              float64
 }

@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"leapme/internal/mathx"
+)
 
 // SIMD kernels for the flat kernels' hot loops.
 //
@@ -18,9 +22,9 @@ import "math"
 // Go paths below, which remain the reference semantics and the fallback
 // for non-amd64 builds and pre-AVX CPUs.
 //
-// useAVX is resolved once at init via CPUID (OSXSAVE + AVX + YMM
-// state enabled in XCR0); the _noasm build pins it false.
-var useAVX = hasAVXAsm()
+// useAVX is resolved once at init via CPUID (mathx.HasAVX: OSXSAVE +
+// AVX + YMM state enabled in XCR0); it is false off amd64.
+var useAVX = mathx.HasAVX()
 
 // fwdRow8 computes one weight row's contribution to a full chunk:
 // acc[e] = Σ_c w[c]·x[c*8+e], each lane a sequential dot chain in

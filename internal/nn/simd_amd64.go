@@ -6,12 +6,8 @@ package nn
 // VSUBPD/VDIVPD/VSQRTPD (plus memory-operand VBROADCASTSD), all of
 // which are plain AVX and correctly rounded per IEEE 754 — no FMA, no
 // horizontal reductions — so each lane reproduces the generic Go
-// chain bit for bit. hasAVXAsm checks CPUID for OSXSAVE+AVX and XCR0
+// chain bit for bit. mathx.HasAVX checks CPUID for OSXSAVE+AVX and XCR0
 // for OS-enabled YMM state before any of them is dispatched.
-
-// hasAVXAsm reports whether the CPU and OS support AVX (CPUID leaf 1
-// ECX bits 27/28 plus XCR0 XMM|YMM state).
-func hasAVXAsm() bool
 
 //go:noescape
 func fwdrow8AVX(x, w *float64, cols int, acc *float64)

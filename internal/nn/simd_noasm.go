@@ -2,10 +2,8 @@
 
 package nn
 
-// Non-amd64 builds pin useAVX to false; the AVX entry points are
+// Non-amd64 builds have mathx.HasAVX false; the AVX entry points are
 // declared only so simd.go compiles and are never reached.
-
-func hasAVXAsm() bool { return false }
 
 func fwdrow8AVX(x, w *float64, cols int, acc *float64) {
 	panic("nn: AVX kernel on non-amd64 build")

@@ -161,8 +161,9 @@ type RegistryOptions struct {
 	// CacheSize bounds each model's feature cache in entries (default
 	// 4096; 0 after defaulting still means 4096, use -1 to disable).
 	CacheSize int
-	// Threshold overrides the match threshold baked into model snapshots
-	// (0 keeps each model's own).
+	// Threshold is every model's match threshold. Model files store no
+	// threshold, so 0 (or any value outside (0, 1)) means core's
+	// default of 0.5.
 	Threshold float64
 	// MaxValues caps instance values aggregated per served property
 	// (0 = all), mirroring core.Options.MaxValues.

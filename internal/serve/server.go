@@ -41,8 +41,9 @@ type Config struct {
 	// CacheSize bounds each model's feature cache in entries (default
 	// 4096, -1 disables).
 	CacheSize int
-	// Threshold overrides every model's match threshold (0 keeps each
-	// model's own).
+	// Threshold is every model's match threshold. Model files store no
+	// threshold, so 0 (or any value outside (0, 1)) means core's
+	// default of 0.5. A request's own threshold still wins.
 	Threshold float64
 	// MaxValues caps instance values per served property (0 = all).
 	MaxValues int

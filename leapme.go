@@ -5,15 +5,15 @@
 // dense neural network over features computed from property names,
 // property instance values, and — centrally — word embeddings of both.
 //
-// The module is self-contained and offline: it includes its own GloVe and
-// word2vec (SGNS) trainers, a product-domain ontology and corpus
-// generator standing in for pre-trained Common Crawl GloVe, synthetic
-// multi-source dataset generators reproducing the statistics of the
-// paper's four evaluation datasets (DI2KG cameras, WDC headphones /
-// phones / TVs), five baseline matchers (AML, FCA-Map, Nezhadi et al.,
-// SemProp, LSH), and an evaluation harness that regenerates the paper's
-// Table II plus ablation, training-fraction, transfer-learning and
-// clustering experiments.
+// The module is self-contained and offline: it includes its own GloVe
+// trainer, a product-domain ontology and corpus generator standing in
+// for pre-trained Common Crawl GloVe, synthetic multi-source dataset
+// generators reproducing the statistics of the paper's four evaluation
+// datasets (DI2KG cameras, WDC headphones / phones / TVs), five baseline
+// matchers (AML, FCA-Map, Nezhadi et al., SemProp, LSH), and an
+// evaluation harness that regenerates the paper's Table II plus
+// ablation, training-fraction, transfer-learning and clustering
+// experiments.
 //
 // # Quick start
 //
@@ -96,8 +96,6 @@ type (
 	Store = embedding.Store
 	// GloVeConfig parameterises the GloVe trainer.
 	GloVeConfig = embedding.GloVeConfig
-	// SGNSConfig parameterises the word2vec SGNS trainer.
-	SGNSConfig = embedding.SGNSConfig
 )
 
 // Feature configuration (package features).
@@ -292,16 +290,8 @@ func TrainGloVe(sentences [][]string, cfg GloVeConfig) (*Store, error) {
 	return embedding.TrainGloVe(sentences, cfg)
 }
 
-// TrainSGNS fits word2vec skip-gram vectors on a custom tokenised corpus.
-func TrainSGNS(sentences [][]string, cfg SGNSConfig) (*Store, error) {
-	return embedding.TrainSGNS(sentences, cfg)
-}
-
 // DefaultGloVeConfig returns the reproduction's default GloVe settings.
 func DefaultGloVeConfig() GloVeConfig { return embedding.DefaultGloVeConfig() }
-
-// DefaultSGNSConfig returns the reproduction's default SGNS settings.
-func DefaultSGNSConfig() SGNSConfig { return embedding.DefaultSGNSConfig() }
 
 // NewHarness returns an evaluation harness with the paper's protocol
 // (25 runs, 2:1 negative sampling).
