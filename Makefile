@@ -63,17 +63,17 @@ test-chaos:
 	$(GO) test -race -count=1 ./internal/chaos ./internal/client
 	$(GO) test -race -count=1 -run 'Chaos|ReloadFailure|Admission|DeadlineHeader' ./internal/serve
 
-# Short fuzz pass over the dataset loaders, the serving JSON API, the
+# Short fuzz pass over the dataset JSON loaders, the serving JSON API, the
 # pair distances (against their string oracle), the model and index
 # snapshot loaders (mutated payloads re-sealed past their CRC) and the
-# embedding store loader; extend -fuzztime for real runs. The binary
+# embedding store loader; extend -fuzztime for real runs. CI runs this
+# target, so a fuzzer added here runs there too. The binary
 # loader targets skip minimisation: their inputs are kilobytes long,
 # and minimising each new-coverage input would spend most of a 10 s
 # budget (and can outlast it, losing a failure the run found).
 fuzz:
 	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadJSON$$' -fuzztime=10s
 	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadJSONQuarantine$$' -fuzztime=10s
-	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadInstancesCSV$$' -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzMatchRequest$$' -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzMatchAllRequest$$' -fuzztime=10s
 	$(GO) test ./internal/text -run='^$$' -fuzz='^FuzzNameDistances$$' -fuzztime=10s

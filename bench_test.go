@@ -284,15 +284,6 @@ func BenchmarkGloVeTraining(b *testing.B) {
 	}
 }
 
-func BenchmarkInstanceFeatures(b *testing.B) {
-	store, _ := benchSetup(b)
-	ex := features.NewExtractor(store)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex.InstanceFeatures("Nikon D850 45.7 MP full-frame CMOS")
-	}
-}
-
 // BenchmarkPairVector builds the pair vector of every cross-source pair
 // of cameras-lite through Pairer.PairVectorScratch — the one path
 // training, Explain, classification and serving share — and reports the
@@ -372,26 +363,10 @@ func BenchmarkNNTraining(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := nn.DefaultTrainConfig(1)
-		cfg.Schedule = []nn.Phase{{Epochs: 5, LR: 1e-3}}
+		cfg := nn.TrainConfig{Schedule: []nn.Phase{{Epochs: 5, LR: 1e-3}}, Seed: 1}
 		if _, err := net.Fit(context.Background(), xs, ys, cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkStringDistances times the string-taking distance functions,
-// the oracle NameDistances is tested against, on one fixed pair.
-func BenchmarkStringDistances(b *testing.B) {
-	a, c := "camera resolution", "effective pixels"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		text.NormalizedOSA(a, c)
-		text.NormalizedLevenshtein(a, c)
-		text.NormalizedDamerauLevenshtein(a, c)
-		text.NormalizedLCSubstring(a, c)
-		text.TriGramDistance(a, c)
-		text.JaroWinklerDistance(a, c)
 	}
 }
 

@@ -16,9 +16,12 @@
 // The reason is mandatory; malformed or unknown-analyzer annotations
 // are themselves findings. See internal/analysis for the catalogue.
 //
-// When the hotalloc analyzer is selected, the run also performs its
-// AllocsPerRun gate cross-check: every //lint:hotpath function must be
-// named inside a testing.AllocsPerRun closure in its package's tests.
+// hotalloc's run includes its AllocsPerRun gate cross-check: every
+// //lint:hotpath function must be named inside a testing.AllocsPerRun
+// closure in its package's tests. deadexport's module-wide half (every
+// export of an internal/ package needs a non-test use) runs when the
+// patterns load the root package, and reads the loaded packages as the
+// whole module: lint ./... from the root, as `make lint` does.
 //
 // -audit-allows inverts the suppression machinery: each analyzer is
 // re-run with //lint:allow directives ignored, and every directive
@@ -36,7 +39,6 @@ import (
 	"strings"
 
 	"leapme/internal/analysis"
-	"leapme/internal/analysis/hotalloc"
 	"leapme/internal/analysis/lintkit"
 )
 
@@ -93,19 +95,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "leapme-lint: %v\n", err)
 		return 2
 	}
-	hotallocSelected := false
-	for _, a := range analyzers {
-		if a.Name == hotalloc.Analyzer.Name {
-			hotallocSelected = true
-		}
-	}
 	wd, _ := os.Getwd()
 	if *audit {
-		var extra []lintkit.Finding
-		if hotallocSelected {
-			extra = hotalloc.CrossCheckUnsuppressed(pkgs)
-		}
-		stale, err := lintkit.AuditDirectives(pkgs, analyzers, extra)
+		stale, err := lintkit.AuditDirectives(pkgs, analyzers)
 		if err != nil {
 			fmt.Fprintf(stderr, "leapme-lint: %v\n", err)
 			return 2
@@ -127,11 +119,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "leapme-lint: %v\n", err)
 		return 2
-	}
-	if hotallocSelected {
-		findings = append(findings, hotalloc.CrossCheck(pkgs)...)
-		findings = lintkit.DedupeFindings(findings)
-		lintkit.SortFindings(findings)
 	}
 	for _, f := range findings {
 		pos := f.Position

@@ -47,7 +47,7 @@ func TestListNamesAllAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{"ctxflow", "determinism", "errvocab", "featdim", "floateq", "guardgo", "hotalloc", "locksafe"} {
+	for _, name := range []string{"ctxflow", "deadexport", "determinism", "errvocab", "featdim", "floateq", "guardgo", "hotalloc", "locksafe"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, stdout.String())
 		}

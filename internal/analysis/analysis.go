@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"leapme/internal/analysis/ctxflow"
+	"leapme/internal/analysis/deadexport"
 	"leapme/internal/analysis/determinism"
 	"leapme/internal/analysis/errvocab"
 	"leapme/internal/analysis/featdim"
@@ -16,6 +17,7 @@ import (
 func All() []*lintkit.Analyzer {
 	return []*lintkit.Analyzer{
 		ctxflow.Analyzer,
+		deadexport.Analyzer,
 		determinism.Analyzer,
 		errvocab.Analyzer,
 		featdim.Analyzer,

@@ -22,7 +22,7 @@
 //	             be minted in loops or in exported functions that take
 //	             no ctx.
 //	floateq      == and != on floating-point expressions are flagged;
-//	             compare through mathx.AlmostEqual, use math.IsNaN, or
+//	             compare within a tolerance, use math.IsNaN, or
 //	             document exactness at the comparison site. Integral
 //	             constants (x == 0, n != -1) and the x != x NaN probe
 //	             are exempt.
@@ -52,6 +52,15 @@
 //	             Wait() — and lock/unlock must balance on every path
 //	             (no leaked locks at returns, no double acquire, no
 //	             per-iteration imbalance in loops).
+//	deadexport   an unexported package-level identifier or method needs
+//	             a non-test use in its package; an export of an internal/
+//	             package needs one in the module (checked when the run
+//	             loads the root package, as make lint's ./... does). Uses
+//	             from the root package, methods and fields reachable from
+//	             its exported API, and interface implementations count; a
+//	             use inside the identifier's own declaration does not. A
+//	             package only tests import is reported at its package
+//	             clause. Move an oracle only tests use into _test.go.
 //	errvocab     every non-2xx response in internal/serve and
 //	             cmd/leapme-serve must be written by the typed
 //	             error-vocabulary helpers (fail/failCode/shed/

@@ -4,9 +4,9 @@
 // golden comparisons silently rot: a refactor that changes summation
 // order by one ULP flips the comparison while every test still passes.
 // Deterministic code compares floats through an explicit tolerance
-// (mathx.AlmostEqual), an exact-representation contract documented at
-// the comparison site (//lint:allow floateq …), or math.IsNaN for the
-// NaN probe.
+// (|a−b| <= tol·max(1, |a|, |b|)), an exact-representation contract
+// documented at the comparison site (//lint:allow floateq …), or
+// math.IsNaN for the NaN probe.
 //
 // The analyzer stays quiet on:
 //   - x != x / x == x — the classic NaN idiom (math.IsNaN reads better,
@@ -32,7 +32,7 @@ import (
 // Analyzer is the floateq check.
 var Analyzer = &lintkit.Analyzer{
 	Name: "floateq",
-	Doc: "flag ==/!= on floating-point expressions; compare through mathx.AlmostEqual " +
+	Doc: "flag ==/!= on floating-point expressions; compare within a tolerance " +
 		"or document exactness with //lint:allow floateq <reason>",
 	Run: run,
 }
@@ -57,8 +57,8 @@ func run(pass *lintkit.Pass) (any, error) {
 		if types.ExprString(be.X) == types.ExprString(be.Y) {
 			return true // x != x NaN probe
 		}
-		pass.Reportf(be.Pos(), "floating-point %s compares exact bits; use mathx.AlmostEqual(a, b, tol) "+
-			"(or math.IsNaN), or annotate //lint:allow floateq <why exact equality is correct here>", be.Op)
+		pass.Reportf(be.Pos(), "floating-point %s compares exact bits; compare within a tolerance "+
+			"(or use math.IsNaN), or annotate //lint:allow floateq <why exact equality is correct here>", be.Op)
 		return true
 	})
 	return nil, nil

@@ -12,6 +12,8 @@ package hotalloc
 // deliberately loads only production files), so the match is name-based
 // per package directory: the number of AllocsPerRun closures calling a
 // name must cover the number of hotpath functions bearing that name.
+// The check runs inside the analyzer's Run, so //lint:allow hotalloc and
+// -audit-allows cover it like every other hotalloc finding.
 
 import (
 	"fmt"
@@ -25,106 +27,35 @@ import (
 	"leapme/internal/analysis/lintkit"
 )
 
-// CrossCheck verifies AllocsPerRun gate coverage for every annotated
-// function in pkgs, honoring //lint:allow hotalloc suppressions.
-// Packages without a Dir (fixture packages built from explicit file
-// lists) are skipped unless the fixture set Dir itself.
-func CrossCheck(pkgs []*lintkit.Package) []lintkit.Finding {
-	var out []lintkit.Finding
-	for _, f := range crossCheckRaw(pkgs) {
-		if f.pkg != nil && f.pkg.Allows(Analyzer.Name, f.pos) {
-			continue
-		}
-		out = append(out, f.Finding)
+// crossCheck reports every annotated function in hot that no
+// testing.AllocsPerRun closure in the package's tests names. A fixture
+// package built from an explicit file list has no Dir and is skipped.
+func crossCheck(pass *lintkit.Pass, hot []*ast.FuncDecl) {
+	if pass.Dir == "" || len(hot) == 0 {
+		return
 	}
-	return out
-}
-
-// CrossCheckUnsuppressed returns the cross-check findings without
-// suppression filtering; the -audit-allows mode feeds these to
-// lintkit.AuditDirectives so a directive excusing a missing gate is
-// correctly counted as live.
-func CrossCheckUnsuppressed(pkgs []*lintkit.Package) []lintkit.Finding {
-	var out []lintkit.Finding
-	for _, f := range crossCheckRaw(pkgs) {
-		out = append(out, f.Finding)
+	byName := map[string]int{}
+	for _, fd := range hot {
+		byName[fd.Name.Name]++
 	}
-	return out
-}
-
-// rawFinding keeps the token.Pos and owning package alongside the
-// printable Finding so CrossCheck can consult the suppressor.
-type rawFinding struct {
-	lintkit.Finding
-	pkg *lintkit.Package
-	pos token.Pos
-}
-
-func crossCheckRaw(pkgs []*lintkit.Package) []rawFinding {
-	var out []rawFinding
-	seen := map[string]bool{}
-	for _, p := range pkgs {
-		if p.Dir == "" || seen[p.Dir] {
-			continue
-		}
-		seen[p.Dir] = true
-
-		// Annotated hotpath functions in this package, grouped by name.
-		type hotFunc struct {
-			name string
-			pos  token.Pos
-		}
-		var hotFuncs []hotFunc
-		byName := map[string]int{}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !IsHotpath(fd) {
-					continue
-				}
-				hotFuncs = append(hotFuncs, hotFunc{name: fd.Name.Name, pos: fd.Pos()})
-				byName[fd.Name.Name]++
-			}
-		}
-		if len(hotFuncs) == 0 {
-			continue
-		}
-
-		gates, err := gateCounts(p.Dir)
-		if err != nil {
-			out = append(out, rawFinding{
-				Finding: lintkit.Finding{
-					Analyzer: Analyzer.Name,
-					Position: p.Fset.Position(hotFuncs[0].pos),
-					Message:  fmt.Sprintf("cannot scan %s for AllocsPerRun gates: %v", p.Dir, err),
-				},
-				pkg: p, pos: hotFuncs[0].pos,
-			})
-			continue
-		}
-
-		for _, hf := range hotFuncs {
-			if gates[hf.name] >= byName[hf.name] {
-				continue
-			}
-			msg := fmt.Sprintf("//lint:hotpath function %s has no testing.AllocsPerRun gate in %s's tests",
-				hf.name, filepath.Base(p.Dir))
-			if gates[hf.name] > 0 {
-				msg = fmt.Sprintf("%d //lint:hotpath functions named %s in %s but only %d AllocsPerRun gate(s) call that name",
-					byName[hf.name], hf.name, filepath.Base(p.Dir), gates[hf.name])
-			}
-			msg += " — the static annotation needs a dynamic gate backing it (or drop the annotation)"
-			out = append(out, rawFinding{
-				Finding: lintkit.Finding{
-					Analyzer: Analyzer.Name,
-					Position: p.Fset.Position(hf.pos),
-					Message:  msg,
-				},
-				pkg: p, pos: hf.pos,
-			})
-		}
+	gates, err := gateCounts(pass.Dir)
+	if err != nil {
+		pass.Reportf(pass.Files[0].Name.Pos(), "cannot scan %s for AllocsPerRun gates: %v", pass.Dir, err)
+		return
 	}
-	return out
+	for _, fd := range hot {
+		name := fd.Name.Name
+		if gates[name] >= byName[name] {
+			continue
+		}
+		msg := fmt.Sprintf("//lint:hotpath function %s has no testing.AllocsPerRun gate in %s's tests",
+			name, filepath.Base(pass.Dir))
+		if gates[name] > 0 {
+			msg = fmt.Sprintf("%d //lint:hotpath functions named %s in %s but only %d AllocsPerRun gate(s) call that name",
+				byName[name], name, filepath.Base(pass.Dir), gates[name])
+		}
+		pass.Reportf(fd.Pos(), "%s — the static annotation needs a dynamic gate backing it (or drop the annotation)", msg)
+	}
 }
 
 // gateCounts parses dir's _test.go files and counts, per callee name,

@@ -17,7 +17,7 @@
 // panicking hot path has already left the fast path.
 //
 // The annotation is also a contract with the dynamic gates: the
-// cross-check in this package (run by cmd/leapme-lint and CI) requires
+// cross-check in this package (part of the analyzer's run) requires
 // every //lint:hotpath function to be named inside a
 // testing.AllocsPerRun closure in its package's tests, so the static
 // and dynamic enforcement can never drift apart.
@@ -117,6 +117,7 @@ func run(pass *lintkit.Pass) (any, error) {
 	for _, fd := range hot {
 		checkHot(pass, fd, decls)
 	}
+	crossCheck(pass, hot)
 	return nil, nil
 }
 

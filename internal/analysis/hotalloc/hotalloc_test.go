@@ -36,12 +36,18 @@ func TestSeededList(t *testing.T) {
 // otherwise-identical fixtures: one whose _test.go gates the annotated
 // function, one whose _test.go merely calls it.
 func TestCrossCheckGates(t *testing.T) {
-	ok := loadDir(t, "testdata/gates/ok", "leapme/fix/gates")
-	if fs := hotalloc.CrossCheck([]*lintkit.Package{ok}); len(fs) != 0 {
+	run := func(dir string) []lintkit.Finding {
+		fs, err := lintkit.RunAnalyzers([]*lintkit.Package{loadDir(t, dir, "leapme/fix/gates")},
+			[]*lintkit.Analyzer{hotalloc.Analyzer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	if fs := run("testdata/gates/ok"); len(fs) != 0 {
 		t.Fatalf("gated fixture should pass the cross-check, got %v", fs)
 	}
-	missing := loadDir(t, "testdata/gates/missing", "leapme/fix/gates")
-	fs := hotalloc.CrossCheck([]*lintkit.Package{missing})
+	fs := run("testdata/gates/missing")
 	if len(fs) != 1 || !strings.Contains(fs[0].Message, "Fast") {
 		t.Fatalf("ungated fixture should fail the cross-check on Fast, got %v", fs)
 	}

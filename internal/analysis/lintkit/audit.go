@@ -28,15 +28,12 @@ func (s StaleDirective) String() string {
 }
 
 // AuditDirectives runs the analyzers over pkgs ignoring suppression and
-// returns the directives that no raw diagnostic lands on. extra carries
-// findings produced outside the analyzer Run cycle (the hotalloc gate
-// cross-check) so a directive excusing one of those is not falsely
-// flagged.
+// returns the directives that no raw diagnostic lands on.
 //
 // Malformed directives and ones naming unknown analyzers are skipped
 // here — RunAnalyzers already reports those as findings in their own
 // right.
-func AuditDirectives(pkgs []*Package, analyzers []*Analyzer, extra []Finding) ([]StaleDirective, error) {
+func AuditDirectives(pkgs []*Package, analyzers []*Analyzer) ([]StaleDirective, error) {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
@@ -57,26 +54,17 @@ func AuditDirectives(pkgs []*Package, analyzers []*Analyzer, extra []Finding) ([
 	}
 
 	var stale []StaleDirective
-	for _, p := range pkgs {
-		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      p.Fset,
-				Files:     p.Files,
-				Pkg:       p.Pkg,
-				TypesInfo: p.Info,
-			}
-			if _, err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("lintkit: audit: analyzer %s on %s: %w", a.Name, p.ImportPath, err)
-			}
+	for _, a := range analyzers {
+		passes, err := runPasses(a, pkgs)
+		if err != nil {
+			return nil, fmt.Errorf("lintkit: audit: %w", err)
+		}
+		for _, pass := range passes {
 			for _, d := range pass.diags {
-				pos := p.Fset.Position(d.Pos)
+				pos := pass.Fset.Position(d.Pos)
 				mark(a.Name, pos.Filename, pos.Line)
 			}
 		}
-	}
-	for _, f := range extra {
-		mark(f.Analyzer, f.Position.Filename, f.Position.Line)
 	}
 
 	seen := make(map[string]bool)

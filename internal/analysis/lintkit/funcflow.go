@@ -173,14 +173,6 @@ func (st *lockState) merge(other *lockState) {
 	}
 }
 
-func (st *lockState) keys() string {
-	var b []string
-	for _, h := range st.held {
-		b = append(b, h.String())
-	}
-	return strings.Join(b, ", ")
-}
-
 // undeferred returns the held locks that have no deferred unlock —
 // the ones a function exit leaks.
 func (st *lockState) undeferred() []HeldLock {

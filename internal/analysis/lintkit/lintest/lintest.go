@@ -12,6 +12,8 @@
 // stay silent; a fixture with no want comments asserts the analyzer is
 // completely quiet on it. //lint:allow directives are honoured, so a
 // fixture can also pin the suppression behaviour.
+//
+//lint:allow deadexport a test harness: the analyzers' _test.go files are its only importers
 package lintest
 
 import (
@@ -58,7 +60,15 @@ func Run(t *testing.T, a *lintkit.Analyzer, dir, importPath string) {
 	if err != nil {
 		t.Fatalf("lintest: running %s: %v", a.Name, err)
 	}
+	Expect(t, findings, files)
+}
 
+// Expect compares findings against the want comments of files: every
+// finding must match a want on its line, and every want must be
+// matched. Whole-program checks, which span several fixture packages,
+// call it with their own findings.
+func Expect(t *testing.T, findings []lintkit.Finding, files []string) {
+	t.Helper()
 	wants := collectWants(t, files)
 	for _, f := range findings {
 		key := lineKey{file: f.Position.Filename, line: f.Position.Line}

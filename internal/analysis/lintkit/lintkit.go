@@ -31,6 +31,11 @@ type Analyzer struct {
 	// The returned value is ignored by the runner (reserved for future
 	// fact passing); return nil.
 	Run func(*Pass) (any, error)
+	// Program, if non-nil, runs once after Run has seen every package,
+	// over all of the run's passes: a whole-program check reports each
+	// finding through the pass of the package it lies in, so
+	// //lint:allow and -audit-allows treat it like any other.
+	Program func([]*Pass)
 }
 
 func (a *Analyzer) String() string { return a.Name }
@@ -48,8 +53,27 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Dir is the package's source directory, "" for a fixture package
+	// built from an explicit file list.
+	Dir string
 
 	diags []Diagnostic
+}
+
+// runPasses applies a to every package, then a.Program to all of the
+// passes, and returns the passes holding their raw diagnostics.
+func runPasses(a *Analyzer, pkgs []*Package) ([]*Pass, error) {
+	passes := make([]*Pass, len(pkgs))
+	for i, p := range pkgs {
+		passes[i] = &Pass{Analyzer: a, Fset: p.Fset, Files: p.Files, Pkg: p.Pkg, TypesInfo: p.Info, Dir: p.Dir}
+		if _, err := a.Run(passes[i]); err != nil {
+			return nil, fmt.Errorf("lintkit: analyzer %s on %s: %w", a.Name, p.ImportPath, err)
+		}
+	}
+	if a.Program != nil {
+		a.Program(passes)
+	}
+	return passes, nil
 }
 
 // Reportf records a diagnostic at pos.

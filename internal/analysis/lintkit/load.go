@@ -35,8 +35,9 @@ type Package struct {
 type listedPackage struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
 }
 
 // Load resolves the given `go list` patterns (e.g. "./...") and returns
@@ -47,46 +48,85 @@ type listedPackage struct {
 // themselves (and routinely use time, rand and float equality in ways
 // that are fine inside a test).
 //
-// Dependencies — including the standard library — are type-checked from
-// source via go/importer, so Load needs no compiled export data and no
-// network. Cgo is disabled for the importer: the repository is pure Go
-// and source-importing net's cgo variant would require a C toolchain.
+// Every non-standard package in the patterns' dependency closure is
+// type-checked once, and importers see that same *types.Package, so an
+// object has one identity across the whole load (a method found in one
+// package is the method another package calls). The standard library is
+// type-checked from source via go/importer, so Load needs no compiled
+// export data and no network. Cgo is disabled for the importer: the
+// repository is pure Go and source-importing net's cgo variant would
+// require a C toolchain.
 func Load(patterns ...string) ([]*Package, error) {
-	listed, err := goList(patterns)
+	listed, err := goList(append([]string{"-deps"}, patterns...))
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	build.Default.CgoEnabled = false
-	imp := importer.ForCompiler(fset, "source", nil)
-
-	var pkgs []*Package
-	seen := make(map[string]bool, len(listed))
+	l := &loader{
+		fset:   fset,
+		std:    NewImporter(fset),
+		listed: make(map[string]listedPackage, len(listed)),
+		done:   make(map[string]*Package, len(listed)),
+	}
+	var roots []string
 	for _, lp := range listed {
-		if len(lp.GoFiles) == 0 {
+		if lp.Standard || len(lp.GoFiles) == 0 {
 			continue
 		}
-		// Overlapping patterns (e.g. "./internal/serve ./...") each expand
-		// independently, so go list can report one package twice. Checking
-		// it twice would double every diagnostic — including the
-		// malformed-directive findings — under the multichecker.
-		if seen[lp.ImportPath] {
-			continue
+		l.listed[lp.ImportPath] = lp
+		if !lp.DepOnly {
+			roots = append(roots, lp.ImportPath)
 		}
-		seen[lp.ImportPath] = true
-		files := make([]string, len(lp.GoFiles))
-		for i, f := range lp.GoFiles {
-			files[i] = filepath.Join(lp.Dir, f)
-		}
-		p, err := CheckFiles(fset, imp, lp.ImportPath, files)
+	}
+	sort.Strings(roots)
+	pkgs := make([]*Package, 0, len(roots))
+	for _, path := range roots {
+		p, err := l.check(path)
 		if err != nil {
-			return nil, fmt.Errorf("lintkit: %s: %w", lp.ImportPath, err)
+			return nil, err
 		}
-		p.Dir = lp.Dir
 		pkgs = append(pkgs, p)
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
 	return pkgs, nil
+}
+
+// loader type-checks the module's packages on demand, each once, and is
+// the importer they are checked with: a module import returns that one
+// package, a standard-library import goes to the source importer.
+type loader struct {
+	fset   *token.FileSet
+	std    types.Importer
+	listed map[string]listedPackage
+	done   map[string]*Package
+}
+
+func (l *loader) check(path string) (*Package, error) {
+	if p, ok := l.done[path]; ok {
+		return p, nil
+	}
+	lp := l.listed[path]
+	files := make([]string, len(lp.GoFiles))
+	for i, f := range lp.GoFiles {
+		files[i] = filepath.Join(lp.Dir, f)
+	}
+	p, err := CheckFiles(l.fset, l, path, files)
+	if err != nil {
+		return nil, fmt.Errorf("lintkit: %s: %w", path, err)
+	}
+	p.Dir = lp.Dir
+	l.done[path] = p
+	return p, nil
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	if _, ok := l.listed[path]; !ok {
+		return l.std.Import(path)
+	}
+	p, err := l.check(path)
+	if err != nil {
+		return nil, err
+	}
+	return p.Pkg, nil
 }
 
 // CheckFiles parses and type-checks one package from an explicit file

@@ -44,8 +44,10 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, extraKnown ...string) 
 		known[name] = true
 	}
 	var findings []Finding
-	for _, p := range pkgs {
+	sups := make([]*suppressor, len(pkgs))
+	for i, p := range pkgs {
 		sup, directives := newSuppressor(p.Fset, p.Files)
+		sups[i] = sup
 		for _, d := range directives {
 			switch {
 			case d.Malformed != "":
@@ -68,24 +70,20 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, extraKnown ...string) 
 				Message:  te.Error(),
 			})
 		}
-		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      p.Fset,
-				Files:     p.Files,
-				Pkg:       p.Pkg,
-				TypesInfo: p.Info,
-			}
-			if _, err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("lintkit: analyzer %s on %s: %w", a.Name, p.ImportPath, err)
-			}
+	}
+	for _, a := range analyzers {
+		passes, err := runPasses(a, pkgs)
+		if err != nil {
+			return nil, err
+		}
+		for i, pass := range passes {
 			for _, d := range pass.diags {
-				if sup.allows(a.Name, d.Pos) {
+				if sups[i].allows(a.Name, d.Pos) {
 					continue
 				}
 				findings = append(findings, Finding{
 					Analyzer: a.Name,
-					Position: p.Fset.Position(d.Pos),
+					Position: pass.Fset.Position(d.Pos),
 					Message:  d.Message,
 				})
 			}
@@ -135,13 +133,4 @@ func DedupeFindings(findings []Finding) []Finding {
 		out = append(out, f)
 	}
 	return out
-}
-
-// Allows reports whether a //lint:allow directive in p covers a
-// diagnostic of the named analyzer at pos. Checks that synthesise
-// findings outside an analyzer Run (like hotalloc's gate cross-check)
-// use it to honor the same suppression contract as everything else.
-func (p *Package) Allows(analyzer string, pos token.Pos) bool {
-	sup, _ := newSuppressor(p.Fset, p.Files)
-	return sup.allows(analyzer, pos)
 }

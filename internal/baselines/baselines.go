@@ -8,8 +8,8 @@
 //     objects, tokens are attributes; matches are extracted from the
 //     concept lattice (unsupervised, name-based).
 //   - Nezhadi et al.: supervised machine learning over classic string
-//     similarity features only (no embeddings, no instances), using the
-//     classifiers from package ml.
+//     similarity features only (no embeddings, no instances), classified
+//     by package ml's AdaBoost.
 //   - SemProp (Fernandez et al.): syntactic matcher SynM plus semantic
 //     matchers SeMa over word embeddings, with the thresholds the paper
 //     uses: 0.2 for SynM, 0.2 for SeMa(−), 0.4 for SeMa(+).
@@ -56,13 +56,4 @@ type Trainable interface {
 	Matcher
 	// Train fits the matcher on ground-truth-labeled properties.
 	Train(in Input, positives []dataset.Pair, negatives []dataset.Pair) error
-}
-
-// pairSet canonicalises a pair list into a set.
-func pairSet(pairs []dataset.Pair) map[dataset.Pair]bool {
-	m := make(map[dataset.Pair]bool, len(pairs))
-	for _, p := range pairs {
-		m[p.Canonical()] = true
-	}
-	return m
 }

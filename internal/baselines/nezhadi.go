@@ -14,21 +14,19 @@ import (
 // similarity measures between element names. As in the original (and as
 // the paper stresses), it uses neither instance data nor embeddings —
 // its feature vector is exactly the string-distance block LEAPME shares
-// (Table I rows 8–15) plus token-level overlap similarities.
+// (Table I rows 8–15) plus token-level overlap similarities. The
+// classifier is AdaBoost with 60 rounds: the original evaluated several
+// classic learners and found boosted ensembles strongest.
 type Nezhadi struct {
-	// Classifier is the underlying model (default AdaBoost with 60
-	// rounds; the original evaluated several classic learners and found
-	// boosted ensembles strongest).
-	Classifier ml.Classifier
 	// Threshold converts probabilities to decisions (default 0.5).
 	Threshold float64
 
-	trained bool
+	boost *ml.AdaBoost // nil until Train succeeds
 }
 
-// NewNezhadi returns the baseline with its default classifier.
+// NewNezhadi returns the baseline at the default threshold.
 func NewNezhadi() *Nezhadi {
-	return &Nezhadi{Classifier: &ml.AdaBoost{Rounds: 60}, Threshold: 0.5}
+	return &Nezhadi{Threshold: 0.5}
 }
 
 // Name implements Matcher.
@@ -68,9 +66,6 @@ func (n *Nezhadi) Train(in Input, positives, negatives []dataset.Pair) error {
 	if len(positives) == 0 || len(negatives) == 0 {
 		return errors.New("baselines: Nezhadi needs both positive and negative examples")
 	}
-	if n.Classifier == nil {
-		n.Classifier = &ml.AdaBoost{Rounds: 60}
-	}
 	names := nezhadiNames(in.Props)
 	var es text.EditScratch
 	var xs [][]float64
@@ -93,16 +88,17 @@ func (n *Nezhadi) Train(in Input, positives, negatives []dataset.Pair) error {
 	if err := add(negatives, 0); err != nil {
 		return err
 	}
-	if err := n.Classifier.Fit(xs, ys); err != nil {
+	boost := &ml.AdaBoost{Rounds: 60}
+	if err := boost.Fit(xs, ys); err != nil {
 		return fmt.Errorf("baselines: Nezhadi training: %w", err)
 	}
-	n.trained = true
+	n.boost = boost
 	return nil
 }
 
 // Match implements Matcher.
 func (n *Nezhadi) Match(in Input) ([]Match, error) {
-	if !n.trained {
+	if n.boost == nil {
 		return nil, errors.New("baselines: Nezhadi.Match before Train")
 	}
 	th := n.Threshold
@@ -113,7 +109,7 @@ func (n *Nezhadi) Match(in Input) ([]Match, error) {
 	var es text.EditScratch
 	var out []Match
 	dataset.CrossSourcePairs(in.Props, func(a, b dataset.Property) bool {
-		p := n.Classifier.PredictProba(nezhadiFeatures(names[a.Key()], names[b.Key()], &es))
+		p := n.boost.PredictProba(nezhadiFeatures(names[a.Key()], names[b.Key()], &es))
 		if p >= th {
 			out = append(out, Match{
 				Pair:  dataset.Pair{A: a.Key(), B: b.Key()}.Canonical(),

@@ -144,6 +144,8 @@ type armedFault struct {
 }
 
 // New arms the faults over one generator seeded with seed.
+//
+//lint:allow deadexport production never arms faults; internal/serve's chaos_test.go builds every Injector through New
 func New(seed int64, faults ...Fault) *Injector {
 	in := &Injector{
 		rng:    mathx.NewRand(seed),

@@ -12,6 +12,8 @@
 // backoff schedule. The package sits in the determinism analyzer's
 // scope; the one timer it owns (the backoff sleep) is annotated, because
 // wait time never feeds a computed result.
+//
+//lint:allow deadexport no program imports the client yet; client_test.go drives every export against live servers under make test-chaos
 package client
 
 import (

@@ -46,11 +46,6 @@ type Options struct {
 	MaxValues int
 	// Threshold converts scores to match decisions (default 0.5).
 	Threshold float64
-	// WeightDecay applies AdamW-style decoupled weight decay during
-	// training (0, the paper's configuration, disables it). Non-zero
-	// values regularise the network's overconfidence on small training
-	// sets; see the ablation bench.
-	WeightDecay float64
 	// NoStandardize disables z-score standardisation of pair features
 	// (fitted on the training pairs, applied everywhere). Standardisation
 	// is on by default: the meta-feature counts live on a ~30× larger
@@ -276,12 +271,10 @@ func (m *Matcher) Train(ctx context.Context, pairs []LabeledPair) (float64, erro
 		return 0, fmt.Errorf("core: %w", err)
 	}
 	k, err := nn.NewTrainKernel(net, nn.TrainConfig{
-		Schedule:    m.opts.Schedule,
-		BatchSize:   m.opts.BatchSize,
-		Optimizer:   nn.NewAdam(),
-		WeightDecay: m.opts.WeightDecay,
-		Seed:        m.opts.Seed,
-		Workers:     m.opts.Workers,
+		Schedule:  m.opts.Schedule,
+		BatchSize: m.opts.BatchSize,
+		Seed:      m.opts.Seed,
+		Workers:   m.opts.Workers,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("core: training: %w", err)
@@ -511,9 +504,4 @@ func TrainingPairs(props []dataset.Property, negRatio int, rng *rand.Rand) []Lab
 		n++
 	}
 	return out
-}
-
-// Shuffle randomises training pair order in place (deterministic in rng).
-func Shuffle(pairs []LabeledPair, rng *rand.Rand) {
-	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 }

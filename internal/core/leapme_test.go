@@ -307,32 +307,6 @@ func TestMatchCandidates(t *testing.T) {
 	}
 }
 
-func TestShuffleDeterministic(t *testing.T) {
-	mk := func() []LabeledPair {
-		return []LabeledPair{
-			{A: dataset.Key{Source: "a", Name: "1"}},
-			{A: dataset.Key{Source: "b", Name: "2"}},
-			{A: dataset.Key{Source: "c", Name: "3"}},
-			{A: dataset.Key{Source: "d", Name: "4"}},
-		}
-	}
-	p1, p2 := mk(), mk()
-	Shuffle(p1, mathx.NewRand(5))
-	Shuffle(p2, mathx.NewRand(5))
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatal("Shuffle not deterministic under same seed")
-		}
-	}
-	set := map[string]bool{}
-	for _, p := range p1 {
-		set[p.A.Source] = true
-	}
-	if len(set) != 4 {
-		t.Error("Shuffle lost elements")
-	}
-}
-
 func TestFeatureConfigsProduceDifferentDims(t *testing.T) {
 	store := getStore(t)
 	dims := map[int]bool{}

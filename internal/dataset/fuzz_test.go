@@ -74,27 +74,6 @@ func FuzzReadJSONQuarantine(f *testing.F) {
 	})
 }
 
-// FuzzReadInstancesCSV: the CSV loader must never panic and must either
-// error or return instances for every row it consumed.
-func FuzzReadInstancesCSV(f *testing.F) {
-	f.Add([]byte("source,entity,property,value\ns1,e1,p1,v1\n"))
-	f.Add([]byte("s1,e1,p1,v1\ns2,e2,p2,v2\n"))
-	f.Add([]byte("just,three,columns\n"))
-	f.Add([]byte("a,b,c,d,e\n"))
-	f.Add([]byte("\"unterminated quote\n"))
-	f.Add([]byte(""))
-	f.Add([]byte("source\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ins, err := ReadInstancesCSV(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Loader output feeds FromInstances; grouping it must not panic
-		// regardless of what the rows contained.
-		_, _ = FromInstances("fuzz", "misc", ins)
-	})
-}
-
 // TestFuzzSeedsAreMeaningful pins the seed corpus behaviour so the fuzz
 // targets keep exercising both accept and reject paths.
 func TestFuzzSeedsAreMeaningful(t *testing.T) {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
 	"strings"
 	"testing"
 
@@ -234,16 +235,17 @@ func TestInstancesCSVRoundTrip(t *testing.T) {
 	if err := d.WriteInstancesCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadInstancesCSV(&buf)
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(d.Instances) {
-		t.Fatalf("CSV round trip: %d instances, want %d", len(got), len(d.Instances))
+	if len(rows) != len(d.Instances)+1 || strings.Join(rows[0], ",") != "source,entity,property,value" {
+		t.Fatalf("CSV round trip: %d rows (header %v), want a header and %d instances", len(rows), rows[0], len(d.Instances))
 	}
-	for i := range got {
-		if got[i] != d.Instances[i] {
-			t.Fatalf("instance %d changed: %v vs %v", i, got[i], d.Instances[i])
+	for i, row := range rows[1:] {
+		got := Instance{Source: row[0], Entity: row[1], Property: row[2], Value: row[3]}
+		if got != d.Instances[i] {
+			t.Fatalf("instance %d changed: %v vs %v", i, got, d.Instances[i])
 		}
 	}
 }

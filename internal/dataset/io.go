@@ -90,32 +90,6 @@ func (d *Dataset) WriteInstancesCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadInstancesCSV parses instance tuples from CSV (as written by
-// WriteInstancesCSV). It returns tuples only; callers construct a Dataset
-// by declaring sources/properties, e.g. via FromInstances.
-func ReadInstancesCSV(r io.Reader) ([]Instance, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading CSV: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	start := 0
-	if len(rows[0]) > 0 && rows[0][0] == "source" {
-		start = 1 // skip header
-	}
-	out := make([]Instance, 0, len(rows)-start)
-	for i, row := range rows[start:] {
-		if len(row) != 4 {
-			return nil, fmt.Errorf("dataset: CSV row %d has %d columns, want 4", i+start, len(row))
-		}
-		out = append(out, Instance{Source: row[0], Entity: row[1], Property: row[2], Value: row[3]})
-	}
-	return out, nil
-}
-
 // FromInstances builds an unlabeled dataset (no ground-truth Refs) from raw
 // instance tuples — the entry point for matching user-supplied data where
 // no reference alignment exists.

@@ -162,13 +162,3 @@ func LargeConfig(category *domain.Category, props, sources int, synonymRate floa
 	}
 	return cfg
 }
-
-// AllConfigs returns the four full presets in the paper's order.
-func AllConfigs(seed int64) []GenConfig {
-	return []GenConfig{
-		CamerasConfig(seed),
-		HeadphonesConfig(seed),
-		PhonesConfig(seed),
-		TVsConfig(seed),
-	}
-}

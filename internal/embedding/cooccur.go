@@ -102,21 +102,6 @@ func CountCooccurrences(sentences [][]string, vocab *Vocab, window int) *Cooccur
 // NumPairs returns the number of distinct unordered co-occurring pairs.
 func (co *Cooccurrence) NumPairs() int { return len(co.col) }
 
-// Get returns the accumulated count for the unordered pair {a, b}.
-func (co *Cooccurrence) Get(a, b int) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	if a < 0 || a+1 >= len(co.rowStart) {
-		return 0
-	}
-	lo, hi := co.rowStart[a], co.rowStart[a+1]
-	if c := lo + sort.SearchInts(co.col[lo:hi], b); c < hi && co.col[c] == b {
-		return co.val[c]
-	}
-	return 0
-}
-
 // example is one co-occurrence cell {i ≤ j} as a GloVe training example,
 // with the terms of the loss that stay fixed during training computed
 // once: the weight fx = f(x) and the target logx = log x.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"leapme/internal/mathx"
 	"leapme/internal/text"
 )
 
@@ -12,25 +13,38 @@ func encodeTestStore(t *testing.T) *Store {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	words := []string{"camera", "resolution", "hdmi", "port", "24", "mp", "weight", "größe"}
-	vecs := make([][]float64, len(words))
+	vecs := make([]float64, len(words)*8)
 	for i := range vecs {
-		v := make([]float64, 8)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
-		vecs[i] = v
+		vecs[i] = rng.NormFloat64()
 	}
-	s, err := NewStore(words, vecs)
+	s, err := NewStore(words, 8, vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-// TestEncodePhraseIntoBitIdentity pins EncodePhraseInto to EncodePhrase
-// bit for bit, including phrases that are all-unknown, empty, and mixed
-// known/unknown — the zero-vector adds must still happen so signed zeros
-// match.
+// averageOracle is the reference the phrase encoder is pinned to:
+// text.Tokenize, then each token's vector (the zero vector for an
+// unknown token) added to a zeroed sum in token order, scaled once by
+// 1/count.
+func averageOracle(s *Store, phrase string) []float64 {
+	toks := text.Tokenize(phrase)
+	out := make([]float64, s.Dim())
+	if len(toks) == 0 {
+		return out
+	}
+	for _, w := range toks {
+		mathx.AddTo(out, out, s.Vector(w))
+	}
+	mathx.ScaleTo(out, out, 1/float64(len(toks)))
+	return out
+}
+
+// TestEncodePhraseIntoBitIdentity pins EncodePhraseInto and EncodePhrase
+// to averageOracle bit for bit, including phrases that are all-unknown,
+// empty, and mixed known/unknown — the zero-vector adds must still
+// happen so signed zeros match.
 func TestEncodePhraseIntoBitIdentity(t *testing.T) {
 	s := encodeTestStore(t)
 	phrases := []string{
@@ -47,12 +61,17 @@ func TestEncodePhraseIntoBitIdentity(t *testing.T) {
 	var ts text.TokenScratch
 	dst := make([]float64, s.Dim())
 	for _, ph := range phrases {
-		want := s.EncodePhrase(ph)
+		want := averageOracle(s, ph)
 		s.EncodePhraseInto(dst, ph, &ts)
+		fresh := s.EncodePhrase(ph)
 		for i := range dst {
 			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("EncodePhraseInto(%q)[%d] = %x, EncodePhrase = %x",
+				t.Fatalf("EncodePhraseInto(%q)[%d] = %x, oracle = %x",
 					ph, i, math.Float64bits(dst[i]), math.Float64bits(want[i]))
+			}
+			if math.Float64bits(fresh[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("EncodePhrase(%q)[%d] = %x, oracle = %x",
+					ph, i, math.Float64bits(fresh[i]), math.Float64bits(want[i]))
 			}
 		}
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // allocLimit is the most one store load may allocate for an n-byte
-// file: the decoded words and vectors as they grow, NewStore's copies
-// and its word index, each a small multiple of the input. It is the
+// file: the decoded words and the vector slab as they grow and the
+// store's word index, each a small multiple of the input. It is the
 // bound the model loader's fuzzer holds core.ReadModel to.
 func allocLimit(n int) uint64 { return 64*uint64(n) + 1<<20 }
 

@@ -93,17 +93,17 @@ func TrainGloVe(sentences [][]string, cfg GloVeConfig) (*Store, error) {
 	// norms give the difference-based pair features the same cosine-like
 	// geometry the paper's web-scale vectors exhibit for its vocabulary.
 	n, d := vocab.Size(), cfg.Dim
-	vectors := make([][]float64, n)
+	vecs := make([]float64, n*d)
 	for i := 0; i < n; i++ {
-		v := mathx.Add(s.w[i*d:(i+1)*d], s.wc[i*d:(i+1)*d])
+		v := vecs[i*d : (i+1)*d]
+		mathx.AddTo(v, s.w[i*d:(i+1)*d], s.wc[i*d:(i+1)*d])
 		if !cfg.NoNormalize {
 			if norm := mathx.Norm2(v); norm > 0 {
 				mathx.ScaleTo(v, v, 1/norm)
 			}
 		}
-		vectors[i] = v
 	}
-	return NewStore(vocab.Words(), vectors)
+	return NewStore(vocab.Words(), d, vecs)
 }
 
 // gloveSlabs is the trainer's state on two flat slabs, one of parameters

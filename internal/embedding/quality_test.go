@@ -34,7 +34,7 @@ func TestMeasureQualitySeparatesGroups(t *testing.T) {
 }
 
 func TestMeasureQualityOOV(t *testing.T) {
-	s, _ := NewStore([]string{"known"}, [][]float64{{1, 0}})
+	s, _ := NewStore([]string{"known"}, 2, []float64{1, 0})
 	rep := s.MeasureQuality([][]string{{"known", "unknown"}})
 	if rep.OOVRate != 0.5 {
 		t.Errorf("OOVRate = %v, want 0.5", rep.OOVRate)
@@ -42,7 +42,7 @@ func TestMeasureQualityOOV(t *testing.T) {
 }
 
 func TestMeasureQualityEmpty(t *testing.T) {
-	s, _ := NewStore([]string{"w"}, [][]float64{{1}})
+	s, _ := NewStore([]string{"w"}, 1, []float64{1})
 	rep := s.MeasureQuality(nil)
 	if rep.Groups != 0 || rep.Separation != 0 {
 		t.Errorf("empty report = %+v", rep)

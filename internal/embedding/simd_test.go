@@ -122,7 +122,7 @@ func TestCooccurrenceOracleDeterminism(t *testing.T) {
 			t.Fatalf("window %d: %d cells, oracle %d", window, co.NumPairs(), len(oracle))
 		}
 		for k, want := range oracle {
-			if got := co.Get(k[0], k[1]); math.Float64bits(got) != math.Float64bits(want) {
+			if got := cell(co, k[0], k[1]); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("window %d: cell %v = %v, oracle %v", window, k, got, want)
 			}
 		}

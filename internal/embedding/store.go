@@ -16,45 +16,48 @@ import (
 // Store serves trained word vectors. It is immutable after construction
 // and safe for concurrent readers.
 type Store struct {
-	dim     int
-	ids     map[string]int
-	words   []string
-	vectors [][]float64
-	zero    []float64 // returned for unknown words, never mutated
+	dim   int
+	ids   map[string]int
+	words []string
+	vecs  []float64 // every vector on one n×dim row-major slab
+	zero  []float64 // returned for unknown words, never mutated
 }
 
-// NewStore builds a Store from parallel word/vector slices. All vectors
-// must share the same non-zero dimension and words must be unique.
-func NewStore(words []string, vectors [][]float64) (*Store, error) {
-	if len(words) != len(vectors) {
-		return nil, fmt.Errorf("embedding: %d words but %d vectors", len(words), len(vectors))
-	}
+// NewStore builds a Store over words and vecs, the n×dim row-major slab
+// of their vectors (word i's vector is vecs[i*dim:(i+1)*dim]). The store
+// keeps both slices, so the caller must not modify them afterwards.
+// Words must be unique and dim positive.
+func NewStore(words []string, dim int, vecs []float64) (*Store, error) {
 	if len(words) == 0 {
 		return nil, errors.New("embedding: empty store")
 	}
-	dim := len(vectors[0])
-	if dim == 0 {
-		return nil, errors.New("embedding: zero-dimensional vectors")
+	if dim <= 0 {
+		return nil, fmt.Errorf("embedding: dimension %d must be positive", dim)
+	}
+	if len(vecs) != len(words)*dim {
+		return nil, fmt.Errorf("embedding: %d floats for %d words of dim %d", len(vecs), len(words), dim)
 	}
 	s := &Store{
-		dim:     dim,
-		ids:     make(map[string]int, len(words)),
-		words:   make([]string, len(words)),
-		vectors: make([][]float64, len(vectors)),
-		zero:    make([]float64, dim),
+		dim:   dim,
+		ids:   make(map[string]int, len(words)),
+		words: words,
+		vecs:  vecs,
+		zero:  make([]float64, dim),
 	}
 	for i, w := range words {
 		if _, dup := s.ids[w]; dup {
 			return nil, fmt.Errorf("embedding: duplicate word %q", w)
 		}
-		if len(vectors[i]) != dim {
-			return nil, fmt.Errorf("embedding: vector %d has dim %d, want %d", i, len(vectors[i]), dim)
-		}
 		s.ids[w] = i
-		s.words[i] = w
-		s.vectors[i] = mathx.Clone(vectors[i])
 	}
 	return s, nil
+}
+
+// row returns word id's vector, with its capacity cut at the row's end so
+// a caller's append reallocates instead of writing into the next row.
+func (s *Store) row(id int) []float64 {
+	lo, hi := id*s.dim, (id+1)*s.dim
+	return s.vecs[lo:hi:hi]
 }
 
 // Dim returns the embedding dimension.
@@ -74,43 +77,31 @@ func (s *Store) Contains(w string) bool {
 // must not be modified.
 func (s *Store) Vector(w string) []float64 {
 	if id, ok := s.ids[w]; ok {
-		return s.vectors[id]
+		return s.row(id)
 	}
 	return s.zero
 }
 
-// Average returns the mean vector of the given words. Unknown words
-// contribute zero vectors but still count in the denominator, matching the
-// paper's "unknown words are mapped to a vector filled with zeroes". An
-// empty word list yields the zero vector.
-func (s *Store) Average(words []string) []float64 {
-	out := make([]float64, s.dim)
-	if len(words) == 0 {
-		return out
-	}
-	for _, w := range words {
-		mathx.AddTo(out, out, s.Vector(w))
-	}
-	mathx.ScaleTo(out, out, 1/float64(len(words)))
-	return out
-}
-
 // EncodePhrase tokenizes a free-text phrase and returns the average vector
 // of its tokens. This is the operation LEAPME applies to both property
-// names and property values.
+// names and property values. It is EncodePhraseInto on a fresh vector and
+// a fresh scratch.
 func (s *Store) EncodePhrase(phrase string) []float64 {
-	return s.Average(text.Tokenize(phrase))
+	dst := make([]float64, s.dim)
+	var ts text.TokenScratch
+	s.EncodePhraseInto(dst, phrase, &ts)
+	return dst
 }
 
-// EncodePhraseInto is EncodePhrase writing into dst (length Dim)
-// through a reusable token scratch instead of allocating: tokens are
-// scanned with text.ScanTokens (bit-identical to Tokenize) and looked up
-// without converting to string, and the average uses the exact
-// accumulation order of Average — zero dst, add each token's vector in
-// token order (unknown tokens add the zero vector, which still counts in
-// the denominator), then scale once. A warm scratch makes the whole call
-// allocation-free; the embedding tests cross-check the bits against
-// EncodePhrase.
+// EncodePhraseInto writes the average vector of phrase's tokens into dst
+// (length Dim) through a reusable token scratch: tokens are scanned with
+// text.ScanTokens (bit-identical to text.Tokenize) and looked up without
+// converting to string. The average zeroes dst, adds each token's vector
+// in token order (an unknown token adds the zero vector, which still
+// counts in the denominator: the paper maps unknown words to a vector
+// filled with zeroes), then scales once; no tokens leave the zero vector.
+// A warm scratch makes the whole call allocation-free; the embedding
+// tests pin the bits to a Tokenize-then-average reference.
 func (s *Store) EncodePhraseInto(dst []float64, phrase string, ts *text.TokenScratch) {
 	if len(dst) != s.dim {
 		panic(fmt.Sprintf("embedding: EncodePhraseInto dst has len %d, want %d", len(dst), s.dim))
@@ -124,7 +115,7 @@ func (s *Store) EncodePhraseInto(dst []float64, phrase string, ts *text.TokenScr
 	for i := 0; i < n; i++ {
 		vec := s.zero
 		if id, ok := s.ids[string(ts.Token(i))]; ok {
-			vec = s.vectors[id]
+			vec = s.row(id)
 		}
 		mathx.AddTo(dst, dst, vec)
 	}
@@ -150,13 +141,13 @@ func (s *Store) Nearest(w string, k int) []Neighbor {
 	if !ok || k <= 0 {
 		return nil
 	}
-	q := s.vectors[id]
+	q := s.row(id)
 	out := make([]Neighbor, 0, len(s.words)-1)
-	for i, v := range s.vectors {
+	for i, word := range s.words {
 		if i == id {
 			continue
 		}
-		out = append(out, Neighbor{Word: s.words[i], Sim: mathx.CosineSimilarity(q, v)})
+		out = append(out, Neighbor{Word: word, Sim: mathx.CosineSimilarity(q, s.row(i))})
 	}
 	sort.Slice(out, func(a, b int) bool {
 		//lint:allow floateq sort tie-break must be an exact total order; a tolerance comparator is not a strict weak ordering
@@ -206,7 +197,7 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 		if err := count(bw.WriteString(word)); err != nil {
 			return n, err
 		}
-		for _, x := range s.vectors[i] {
+		for _, x := range s.row(i) {
 			binary.LittleEndian.PutUint64(buf, math.Float64bits(x))
 			if err := count(bw.Write(buf)); err != nil {
 				return n, err
@@ -222,11 +213,11 @@ const readChunk = 512
 
 // ReadStore deserialises a store written by WriteTo, reading r through a
 // buffer. What it allocates follows the bytes that arrive, not the
-// header's claims: the word and vector lists grow from a capped
-// capacity as entries are read, and each vector is read readChunk
-// floats at a time, so a header claiming more than r holds fails at end
-// of input having allocated about as much as it read. Bytes after the
-// last vector are an error.
+// header's claims: the word list and the vector slab grow from a capped
+// capacity as entries are read, each vector appended to the slab
+// readChunk floats at a time, so a header claiming more than r holds
+// fails at end of input having allocated about as much as it read. Bytes
+// after the last vector are an error.
 func ReadStore(r io.Reader) (*Store, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(storeMagic))
@@ -246,7 +237,7 @@ func ReadStore(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("embedding: implausible header dim=%d n=%d", dim, n)
 	}
 	words := make([]string, 0, min(n, readChunk))
-	vectors := make([][]float64, 0, min(n, readChunk))
+	vecs := make([]float64, 0, min(n*dim, readChunk))
 	var wb []byte // word bytes, reused across words
 	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(br, buf[:4]); err != nil {
@@ -262,18 +253,17 @@ func ReadStore(r io.Reader) (*Store, error) {
 		if _, err := io.ReadFull(br, wb[:wlen]); err != nil {
 			return nil, fmt.Errorf("embedding: reading word %d: %w", i, err)
 		}
-		vec := make([]float64, 0, min(dim, readChunk))
-		for len(vec) < dim {
-			k := min(dim-len(vec), readChunk)
+		for c := 0; c < dim; {
+			k := min(dim-c, readChunk)
 			if _, err := io.ReadFull(br, buf[:8*k]); err != nil {
-				return nil, fmt.Errorf("embedding: reading vector %d[%d]: %w", i, len(vec), err)
+				return nil, fmt.Errorf("embedding: reading vector %d[%d]: %w", i, c, err)
 			}
 			for j := 0; j < k; j++ {
-				vec = append(vec, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:])))
+				vecs = append(vecs, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:])))
 			}
+			c += k
 		}
 		words = append(words, string(wb[:wlen]))
-		vectors = append(vectors, vec)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		if err == nil {
@@ -281,5 +271,5 @@ func ReadStore(r io.Reader) (*Store, error) {
 		}
 		return nil, fmt.Errorf("embedding: reading past the last vector: %w", err)
 	}
-	return NewStore(words, vectors)
+	return NewStore(words, dim, vecs)
 }

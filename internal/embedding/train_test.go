@@ -98,7 +98,7 @@ func TestTrainGloVeErrors(t *testing.T) {
 }
 
 func TestStoreBasics(t *testing.T) {
-	s, err := NewStore([]string{"a", "b"}, [][]float64{{1, 0}, {0, 1}})
+	s, err := NewStore([]string{"a", "b"}, 2, []float64{1, 0, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,41 +114,54 @@ func TestStoreBasics(t *testing.T) {
 }
 
 func TestStoreValidation(t *testing.T) {
-	if _, err := NewStore([]string{"a"}, [][]float64{{1}, {2}}); err == nil {
+	if _, err := NewStore([]string{"a"}, 1, []float64{1, 2}); err == nil {
 		t.Error("mismatched lengths should error")
 	}
-	if _, err := NewStore(nil, nil); err == nil {
+	if _, err := NewStore(nil, 1, nil); err == nil {
 		t.Error("empty store should error")
 	}
-	if _, err := NewStore([]string{"a", "a"}, [][]float64{{1}, {2}}); err == nil {
+	if _, err := NewStore([]string{"a", "a"}, 1, []float64{1, 2}); err == nil {
 		t.Error("duplicate words should error")
 	}
-	if _, err := NewStore([]string{"a", "b"}, [][]float64{{1}, {2, 3}}); err == nil {
-		t.Error("ragged vectors should error")
+	if _, err := NewStore([]string{"a", "b"}, 2, []float64{1, 2, 3}); err == nil {
+		t.Error("a slab short of n×dim should error")
 	}
-	if _, err := NewStore([]string{"a"}, [][]float64{{}}); err == nil {
+	if _, err := NewStore([]string{"a"}, 0, []float64{}); err == nil {
 		t.Error("zero-dim vectors should error")
 	}
 }
 
+// TestVectorAppendKeepsNextRow: the store's vectors share one slab, so
+// Vector must cap each row; an append by the caller reallocates instead
+// of writing into the next word's vector.
+func TestVectorAppendKeepsNextRow(t *testing.T) {
+	s, _ := NewStore([]string{"a", "b"}, 2, []float64{1, 2, 3, 4})
+	_ = append(s.Vector("a"), 99)
+	if b := s.Vector("b"); b[0] != 3 || b[1] != 4 {
+		t.Fatalf("append to a's vector wrote into b's: %v", b)
+	}
+}
+
+// TestStoreAverage pins the average EncodePhrase takes over a phrase's
+// tokens.
 func TestStoreAverage(t *testing.T) {
-	s, _ := NewStore([]string{"a", "b"}, [][]float64{{2, 0}, {0, 2}})
-	avg := s.Average([]string{"a", "b"})
+	s, _ := NewStore([]string{"a", "b"}, 2, []float64{2, 0, 0, 2})
+	avg := s.EncodePhrase("a b")
 	if avg[0] != 1 || avg[1] != 1 {
-		t.Errorf("Average = %v", avg)
+		t.Errorf("average = %v", avg)
 	}
 	// Unknown words count in the denominator (paper: zero vector).
-	avg = s.Average([]string{"a", "unknown"})
+	avg = s.EncodePhrase("a unknown")
 	if avg[0] != 1 || avg[1] != 0 {
-		t.Errorf("Average with unknown = %v", avg)
+		t.Errorf("average with unknown = %v", avg)
 	}
-	if z := s.Average(nil); mathx.Norm2(z) != 0 {
+	if z := s.EncodePhrase(""); mathx.Norm2(z) != 0 {
 		t.Error("empty average should be zero vector")
 	}
 }
 
 func TestEncodePhrase(t *testing.T) {
-	s, _ := NewStore([]string{"camera", "resolution"}, [][]float64{{1, 0}, {0, 1}})
+	s, _ := NewStore([]string{"camera", "resolution"}, 2, []float64{1, 0, 0, 1})
 	v := s.EncodePhrase("Camera-RESOLUTION")
 	if v[0] != 0.5 || v[1] != 0.5 {
 		t.Errorf("EncodePhrase = %v", v)
@@ -156,10 +169,7 @@ func TestEncodePhrase(t *testing.T) {
 }
 
 func TestNearest(t *testing.T) {
-	s, _ := NewStore(
-		[]string{"a", "b", "c"},
-		[][]float64{{1, 0}, {0.9, 0.1}, {0, 1}},
-	)
+	s, _ := NewStore([]string{"a", "b", "c"}, 2, []float64{1, 0, 0.9, 0.1, 0, 1})
 	nn := s.Nearest("a", 2)
 	if len(nn) != 2 || nn[0].Word != "b" {
 		t.Errorf("Nearest = %+v", nn)
@@ -210,7 +220,7 @@ func TestReadStoreBadInput(t *testing.T) {
 	}
 	// Truncated payload after a valid header.
 	var buf bytes.Buffer
-	s, _ := NewStore([]string{"a"}, [][]float64{{1, 2}})
+	s, _ := NewStore([]string{"a"}, 2, []float64{1, 2})
 	s.WriteTo(&buf)
 	trunc := buf.Bytes()[:buf.Len()-4]
 	if _, err := ReadStore(bytes.NewReader(trunc)); err == nil {

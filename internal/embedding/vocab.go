@@ -1,9 +1,6 @@
 package embedding
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Vocab maps words to dense integer ids. Ids are assigned by descending
 // corpus frequency (ties broken lexicographically) so that id 0 is the most
@@ -11,7 +8,6 @@ import (
 type Vocab struct {
 	words []string       // id → word
 	ids   map[string]int // word → id
-	count []int          // id → corpus frequency
 }
 
 // BuildVocab scans sentences and keeps every word occurring at least
@@ -46,12 +42,10 @@ func BuildVocab(sentences [][]string, minCount int) *Vocab {
 	v := &Vocab{
 		words: make([]string, len(kept)),
 		ids:   make(map[string]int, len(kept)),
-		count: make([]int, len(kept)),
 	}
 	for i, k := range kept {
 		v.words[i] = k.w
 		v.ids[k.w] = i
-		v.count[i] = k.c
 	}
 	return v
 }
@@ -64,17 +58,6 @@ func (v *Vocab) ID(w string) (int, bool) {
 	id, ok := v.ids[w]
 	return id, ok
 }
-
-// Word returns the word with the given id. It panics on out-of-range ids.
-func (v *Vocab) Word(id int) string {
-	if id < 0 || id >= len(v.words) {
-		panic(fmt.Sprintf("embedding: word id %d out of range [0,%d)", id, len(v.words)))
-	}
-	return v.words[id]
-}
-
-// Count returns the corpus frequency of the word with the given id.
-func (v *Vocab) Count(id int) int { return v.count[id] }
 
 // Words returns the words in id order. The returned slice must not be
 // modified.

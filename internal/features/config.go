@@ -132,7 +132,6 @@ type Block struct {
 // Extractor geometry. It precomputes the index layout once so the hot
 // pair loop is a straight gather.
 type Pairer struct {
-	cfg Config
 	// diffIdx are the indices of the property-vector difference block
 	// (row 7) that the config keeps.
 	diffIdx []int
@@ -149,7 +148,7 @@ func NewPairer(e *Extractor, cfg Config) (*Pairer, error) {
 		return nil, fmt.Errorf("features: config %v selects no features", cfg)
 	}
 	d := e.EmbeddingDim()
-	p := &Pairer{cfg: cfg}
+	p := &Pairer{}
 	// Property vector layout: [0,29) instance meta (non-emb, instance),
 	// [29, 29+D) instance embedding (emb, instance),
 	// [29+D, 29+2D) name embedding (emb, name).
@@ -192,9 +191,6 @@ func (p *Pairer) Blocks() []Block { return p.blocks }
 
 // Dim returns the pair-vector dimension under this config.
 func (p *Pairer) Dim() int { return p.dim }
-
-// Config returns the configuration the Pairer was built with.
-func (p *Pairer) Config() Config { return p.cfg }
 
 // PairVectorScratch writes the pair features of (a, b) into dst (length
 // Dim) — the paper's ppFeatures. The difference block uses the absolute

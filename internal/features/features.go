@@ -43,15 +43,8 @@ func (e *Extractor) InstanceDim() int { return MetaDim + e.store.Dim() }
 // PropertyDim returns the per-property feature dimension (29 + 2D).
 func (e *Extractor) PropertyDim() int { return MetaDim + 2*e.store.Dim() }
 
-// InstanceFeatures computes the feature vector of a single property value
-// (Table I rows 1–4), the paper's iFeatures.
-func (e *Extractor) InstanceFeatures(value string) []float64 {
-	out := make([]float64, e.InstanceDim())
-	var ts text.TokenScratch
-	e.instanceFeaturesInto(out, value, &ts)
-	return out
-}
-
+// instanceFeaturesInto writes the feature vector of a single property
+// value (Table I rows 1–4), the paper's iFeatures, into dst.
 func (e *Extractor) instanceFeaturesInto(dst []float64, value string, ts *text.TokenScratch) {
 	// Row 1: character classes. The paper's 9 types are upper, lower,
 	// letters of both cases, marks, numbers, punctuation, symbols,

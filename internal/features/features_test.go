@@ -9,24 +9,39 @@ import (
 	"leapme/internal/text"
 )
 
-func testStore(t *testing.T) *embedding.Store {
+func testStore(t testing.TB) *embedding.Store {
 	t.Helper()
 	words := []string{"camera", "resolution", "megapixels", "mp", "weight", "grams", "24", "500"}
-	vecs := [][]float64{
-		{1, 0, 0, 0},
-		{0.9, 0.1, 0, 0},
-		{0.8, 0.2, 0, 0},
-		{0.85, 0.15, 0, 0},
-		{0, 0, 1, 0},
-		{0, 0, 0.9, 0.1},
-		{0, 1, 0, 0},
-		{0, 0, 0, 1},
+	vecs := []float64{
+		1, 0, 0, 0,
+		0.9, 0.1, 0, 0,
+		0.8, 0.2, 0, 0,
+		0.85, 0.15, 0, 0,
+		0, 0, 1, 0,
+		0, 0, 0.9, 0.1,
+		0, 1, 0, 0,
+		0, 0, 0, 1,
 	}
-	s, err := embedding.NewStore(words, vecs)
+	s, err := embedding.NewStore(words, 4, vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// instanceFeatures returns the feature vector of one property value.
+func instanceFeatures(e *Extractor, value string) []float64 {
+	out := make([]float64, e.InstanceDim())
+	var ts text.TokenScratch
+	e.instanceFeaturesInto(out, value, &ts)
+	return out
+}
+
+func BenchmarkInstanceFeatures(b *testing.B) {
+	e := NewExtractor(testStore(b))
+	for i := 0; i < b.N; i++ {
+		instanceFeatures(e, "Nikon D850 45.7 MP full-frame CMOS")
+	}
 }
 
 func TestDims(t *testing.T) {
@@ -47,7 +62,7 @@ func TestDims(t *testing.T) {
 
 func TestInstanceFeaturesCharBlock(t *testing.T) {
 	e := NewExtractor(testStore(t))
-	f := e.InstanceFeatures("Ab 1.")
+	f := instanceFeatures(e, "Ab 1.")
 	// 5 runes: 1 upper, 1 lower, 2 letters total, 1 number, 1 punct, 1 sep.
 	wantFrac := map[int]float64{
 		0: 0.2, // upper fraction
@@ -74,10 +89,10 @@ func TestInstanceFeaturesCharBlock(t *testing.T) {
 func TestInstanceFeaturesNumericValue(t *testing.T) {
 	e := NewExtractor(testStore(t))
 	numIdx := 18 + 10 // after char and token blocks
-	if f := e.InstanceFeatures("42.5"); f[numIdx] != 42.5 {
+	if f := instanceFeatures(e, "42.5"); f[numIdx] != 42.5 {
 		t.Errorf("numeric value = %v, want 42.5", f[numIdx])
 	}
-	if f := e.InstanceFeatures("24 MP"); f[numIdx] != -1 {
+	if f := instanceFeatures(e, "24 MP"); f[numIdx] != -1 {
 		t.Errorf("non-numeric value = %v, want -1", f[numIdx])
 	}
 }
@@ -109,7 +124,7 @@ func TestNumericValue(t *testing.T) {
 
 func TestInstanceFeaturesEmbeddingBlock(t *testing.T) {
 	e := NewExtractor(testStore(t))
-	f := e.InstanceFeatures("camera 24")
+	f := instanceFeatures(e, "camera 24")
 	embBlock := f[MetaDim:]
 	// average of camera {1,0,0,0} and 24 {0,1,0,0} = {0.5, 0.5, 0, 0}
 	want := []float64{0.5, 0.5, 0, 0}
@@ -123,7 +138,7 @@ func TestInstanceFeaturesEmbeddingBlock(t *testing.T) {
 
 func TestInstanceFeaturesEmptyValue(t *testing.T) {
 	e := NewExtractor(testStore(t))
-	f := e.InstanceFeatures("")
+	f := instanceFeatures(e, "")
 	for i, v := range f {
 		if i == 28 { // numeric value slot: -1 for non-number
 			if v != -1 {

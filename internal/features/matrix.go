@@ -53,10 +53,6 @@ type Matrix struct {
 	Props []*Prop
 }
 
-// Row returns the i-th property's feature vector as a view into the
-// backing slab (identical to Props[i].Vec).
-func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Dim : (i+1)*m.Dim] }
-
 // FeatureMatrix featurises every input into a single (n × PropertyDim)
 // row-major slab, fanning the per-property work across workers with
 // per-unit panic isolation (a property that panics leaves a nil

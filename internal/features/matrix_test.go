@@ -13,11 +13,11 @@ import (
 func parStore(t *testing.T) *embedding.Store {
 	t.Helper()
 	words := []string{"alpha", "beta", "gamma", "price", "name", "model"}
-	var vecs [][]float64
+	var vecs []float64
 	for i := range words {
-		vecs = append(vecs, []float64{float64(i) * 0.25, 1 - float64(i)*0.1, 0.5, -float64(i)})
+		vecs = append(vecs, float64(i)*0.25, 1-float64(i)*0.1, 0.5, -float64(i))
 	}
-	s, err := embedding.NewStore(words, vecs)
+	s, err := embedding.NewStore(words, 4, vecs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,12 +223,11 @@ func testStore(t testing.TB, dim int) *embedding.Store {
 		"sensor", "lens", "flash", "screen", "video", "audio",
 	}
 	rng := mathx.NewRand(99)
-	vecs := make([][]float64, len(words))
-	for i := range vecs {
-		vecs[i] = make([]float64, dim)
-		mathx.FillNormal(vecs[i], 0, 1, rng)
+	vecs := make([]float64, len(words)*dim)
+	for i := range words {
+		mathx.FillNormal(vecs[i*dim:(i+1)*dim], 0, 1, rng)
 	}
-	st, err := embedding.NewStore(words, vecs)
+	st, err := embedding.NewStore(words, dim, vecs)
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}

@@ -47,26 +47,6 @@ func CosineSimilarity(a, b []float64) float64 {
 	return Dot(a, b) / (na * nb)
 }
 
-// EuclideanDistance returns the L2 distance between a and b.
-func EuclideanDistance(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mathx: EuclideanDistance length mismatch %d != %d", len(a), len(b)))
-	}
-	var s float64
-	for i, v := range a {
-		d := v - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// Add returns a new vector a+b.
-func Add(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	AddTo(out, a, b)
-	return out
-}
-
 // AddTo stores a+b into dst. dst may alias a or b.
 func AddTo(dst, a, b []float64) {
 	if len(a) != len(b) || len(dst) != len(a) {
@@ -84,16 +64,6 @@ func ScaleTo(dst, v []float64, s float64) {
 	}
 	for i := range v {
 		dst[i] = v[i] * s
-	}
-}
-
-// AxpyTo computes dst += alpha*x, the classic "axpy" update.
-func AxpyTo(dst []float64, alpha float64, x []float64) {
-	if len(dst) != len(x) {
-		panic("mathx: AxpyTo length mismatch")
-	}
-	for i := range x {
-		dst[i] += alpha * x[i]
 	}
 }
 
@@ -122,21 +92,6 @@ func Sum(v []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// ArgMax returns the index of the maximum element of v, or -1 for an
-// empty slice. Ties resolve to the lowest index.
-func ArgMax(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best, arg := v[0], 0
-	for i, x := range v[1:] {
-		if x > best {
-			best, arg = x, i+1
-		}
-	}
-	return arg
 }
 
 // MeanVectors returns the element-wise mean of the given vectors, all of

@@ -79,10 +79,10 @@ func TestCosineSimilarityBounds(t *testing.T) {
 func TestAddSubScale(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}
-	if got := Add(a, b); got[0] != 5 || got[1] != 7 || got[2] != 9 {
-		t.Errorf("Add = %v", got)
-	}
 	got := make([]float64, 3)
+	if AddTo(got, a, b); got[0] != 5 || got[1] != 7 || got[2] != 9 {
+		t.Errorf("AddTo = %v", got)
+	}
 	if ScaleTo(got, a, 2); got[0] != 2 || got[1] != 4 || got[2] != 6 {
 		t.Errorf("ScaleTo = %v", got)
 	}
@@ -90,8 +90,11 @@ func TestAddSubScale(t *testing.T) {
 
 func TestAddSubRoundTrip(t *testing.T) {
 	f := func(a, b [6]float64) bool {
-		r := Add(a[:], b[:])
-		AxpyTo(r, -1, b[:])
+		r := make([]float64, len(a))
+		AddTo(r, a[:], b[:])
+		neg := make([]float64, len(b))
+		ScaleTo(neg, b[:], -1)
+		AddTo(r, r, neg)
 		for i := range r {
 			if !almostEqual(r[i], a[i], 1e-6*(1+math.Abs(a[i])+math.Abs(b[i]))) {
 				return false
@@ -101,14 +104,6 @@ func TestAddSubRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAxpyTo(t *testing.T) {
-	dst := []float64{1, 1}
-	AxpyTo(dst, 2, []float64{3, 4})
-	if dst[0] != 7 || dst[1] != 9 {
-		t.Errorf("AxpyTo = %v", dst)
 	}
 }
 
@@ -133,16 +128,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestMinMaxArgMax(t *testing.T) {
-	v := []float64{3, -1, 7, 7, 0}
-	if got := ArgMax(v); got != 2 {
-		t.Errorf("ArgMax = %v, want first of tied maxima", got)
-	}
-	if got := ArgMax(nil); got != -1 {
-		t.Errorf("ArgMax(nil) = %v", got)
-	}
-}
-
 func TestMeanVectors(t *testing.T) {
 	got := MeanVectors([][]float64{{1, 2}, {3, 4}})
 	if got[0] != 2 || got[1] != 3 {
@@ -159,23 +144,5 @@ func TestCloneIndependence(t *testing.T) {
 	b[0] = 99
 	if a[0] != 1 {
 		t.Error("Clone shares backing array")
-	}
-}
-
-func TestEuclideanDistance(t *testing.T) {
-	if got := EuclideanDistance([]float64{0, 0}, []float64{3, 4}); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("EuclideanDistance = %v", got)
-	}
-}
-
-func TestEuclideanTriangleInequality(t *testing.T) {
-	f := func(a, b, c [5]float64) bool {
-		ab := EuclideanDistance(a[:], b[:])
-		bc := EuclideanDistance(b[:], c[:])
-		ac := EuclideanDistance(a[:], c[:])
-		return ac <= ab+bc+1e-9*(1+ab+bc)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

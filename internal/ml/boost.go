@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -30,10 +29,7 @@ func (s stump) predict(x []float64) int { // returns ±1
 	return v * s.polarity
 }
 
-// Name implements Classifier.
-func (a *AdaBoost) Name() string { return fmt.Sprintf("adaboost(rounds=%d)", a.Rounds) }
-
-// Fit implements Classifier.
+// Fit trains on feature vectors xs with labels ys in {0, 1}.
 func (a *AdaBoost) Fit(xs [][]float64, ys []int) error {
 	dim, err := validate(xs, ys)
 	if err != nil {
@@ -128,8 +124,8 @@ func (a *AdaBoost) Fit(xs [][]float64, ys []int) error {
 	return nil
 }
 
-// PredictProba implements Classifier, squashing the boosted margin through
-// a logistic link.
+// PredictProba returns the estimated probability of class 1, squashing
+// the boosted margin through a logistic link; 0.5 before Fit.
 func (a *AdaBoost) PredictProba(x []float64) float64 {
 	if len(a.stumps) == 0 {
 		return 0.5

@@ -1,10 +1,9 @@
-// Package ml implements the classic supervised classifiers used by the
-// Nezhadi et al. baseline (ontology alignment with machine learning over
-// string-similarity features): a CART decision tree, AdaBoost over decision
-// stumps, k-nearest-neighbours, Gaussian naive Bayes and logistic
-// regression. All are binary classifiers exposing a positive-class
-// probability, mirroring LEAPME's use of the network's positive output as
-// a similarity score.
+// Package ml implements the classifier of the Nezhadi et al. baseline
+// (ontology alignment with machine learning over string-similarity
+// features): discrete AdaBoost over decision stumps, the boosted ensemble
+// the original found strongest among the classic learners it compared. It
+// is a binary classifier exposing a positive-class probability, mirroring
+// LEAPME's use of the network's positive output as a similarity score.
 package ml
 
 import (
@@ -12,25 +11,8 @@ import (
 	"fmt"
 )
 
-// Classifier is a trainable binary classifier.
-type Classifier interface {
-	// Fit trains on feature vectors xs with labels ys in {0, 1}.
-	Fit(xs [][]float64, ys []int) error
-	// PredictProba returns the estimated probability of class 1.
-	PredictProba(x []float64) float64
-	// Name identifies the classifier.
-	Name() string
-}
-
-// Predict returns the hard class under threshold 0.5.
-func Predict(c Classifier, x []float64) int {
-	if c.PredictProba(x) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
-// validate checks a common precondition for all Fit implementations.
+// validate checks Fit's preconditions: a non-empty, rectangular,
+// non-zero-dimensional training set with one {0, 1} label per example.
 func validate(xs [][]float64, ys []int) (dim int, err error) {
 	if len(xs) == 0 {
 		return 0, errors.New("ml: empty training set")

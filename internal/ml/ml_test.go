@@ -39,139 +39,76 @@ func rings(n int, seed int64) ([][]float64, []int) {
 	return xs, ys
 }
 
-func accuracy(c Classifier, xs [][]float64, ys []int) float64 {
+func accuracy(c *AdaBoost, xs [][]float64, ys []int) float64 {
 	correct := 0
 	for i, x := range xs {
-		if Predict(c, x) == ys[i] {
+		pred := 0
+		if c.PredictProba(x) >= 0.5 {
+			pred = 1
+		}
+		if pred == ys[i] {
 			correct++
 		}
 	}
 	return float64(correct) / float64(len(xs))
 }
 
-func allClassifiers() []Classifier {
-	return []Classifier{
-		&DecisionTree{MaxDepth: 8},
-		&AdaBoost{Rounds: 40},
-		&KNN{K: 5},
-		&GaussianNB{},
-		&LogisticRegression{Iters: 300},
-	}
-}
-
 func TestAllLearnBlobs(t *testing.T) {
 	xs, ys := blobs(200, 1)
-	for _, c := range allClassifiers() {
-		if err := c.Fit(xs, ys); err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		if acc := accuracy(c, xs, ys); acc < 0.95 {
-			t.Errorf("%s: blob accuracy %.3f < 0.95", c.Name(), acc)
-		}
+	c := &AdaBoost{Rounds: 40}
+	if err := c.Fit(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	if acc := accuracy(c, xs, ys); acc < 0.95 {
+		t.Errorf("blob accuracy %.3f < 0.95", acc)
 	}
 }
 
 func TestNonLinearLearners(t *testing.T) {
 	xs, ys := rings(400, 2)
-	nonlinear := []Classifier{
-		&DecisionTree{MaxDepth: 10},
-		&AdaBoost{Rounds: 100},
-		&KNN{K: 7},
-	}
-	for _, c := range nonlinear {
-		if err := c.Fit(xs, ys); err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		if acc := accuracy(c, xs, ys); acc < 0.9 {
-			t.Errorf("%s: ring accuracy %.3f < 0.9", c.Name(), acc)
-		}
-	}
-	// Logistic regression cannot solve a ring — documents the contrast.
-	lr := &LogisticRegression{Iters: 300}
-	if err := lr.Fit(xs, ys); err != nil {
+	c := &AdaBoost{Rounds: 100}
+	if err := c.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
-	if acc := accuracy(lr, xs, ys); acc > 0.9 {
-		t.Errorf("logreg suspiciously good on rings (%.3f); test data degenerate?", acc)
+	if acc := accuracy(c, xs, ys); acc < 0.9 {
+		t.Errorf("ring accuracy %.3f < 0.9", acc)
 	}
 }
 
 func TestValidationErrors(t *testing.T) {
-	for _, c := range allClassifiers() {
-		if err := c.Fit(nil, nil); err == nil {
-			t.Errorf("%s: empty training set accepted", c.Name())
-		}
-		if err := c.Fit([][]float64{{1}}, []int{0, 1}); err == nil {
-			t.Errorf("%s: mismatched labels accepted", c.Name())
-		}
-		if err := c.Fit([][]float64{{1}, {1, 2}}, []int{0, 1}); err == nil {
-			t.Errorf("%s: ragged features accepted", c.Name())
-		}
-		if err := c.Fit([][]float64{{1}}, []int{3}); err == nil {
-			t.Errorf("%s: non-binary label accepted", c.Name())
-		}
+	c := &AdaBoost{Rounds: 40}
+	if err := c.Fit(nil, nil); err == nil {
+		t.Error("empty training set accepted")
+	}
+	if err := c.Fit([][]float64{{1}}, []int{0, 1}); err == nil {
+		t.Error("mismatched labels accepted")
+	}
+	if err := c.Fit([][]float64{{1}, {1, 2}}, []int{0, 1}); err == nil {
+		t.Error("ragged features accepted")
+	}
+	if err := c.Fit([][]float64{{1}}, []int{3}); err == nil {
+		t.Error("non-binary label accepted")
 	}
 }
 
 func TestProbaBounds(t *testing.T) {
 	xs, ys := blobs(100, 3)
-	for _, c := range allClassifiers() {
-		if err := c.Fit(xs, ys); err != nil {
-			t.Fatal(err)
-		}
-		for _, x := range xs {
-			p := c.PredictProba(x)
-			if p < 0 || p > 1 || math.IsNaN(p) {
-				t.Errorf("%s: probability %v outside [0,1]", c.Name(), p)
-			}
+	c := &AdaBoost{Rounds: 40}
+	if err := c.Fit(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range xs {
+		p := c.PredictProba(x)
+		if p < 0 || p > 1 || math.IsNaN(p) {
+			t.Errorf("probability %v outside [0,1]", p)
 		}
 	}
 }
 
 func TestUnfittedPredictIsNeutral(t *testing.T) {
-	for _, c := range allClassifiers() {
-		if p := c.PredictProba([]float64{1, 2}); p != 0.5 {
-			t.Errorf("%s: unfitted proba = %v, want 0.5", c.Name(), p)
-		}
-	}
-}
-
-func TestTreePureLeaf(t *testing.T) {
-	tr := &DecisionTree{}
-	xs := [][]float64{{1}, {2}, {3}}
-	ys := []int{1, 1, 1}
-	if err := tr.Fit(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Depth() != 0 {
-		t.Errorf("pure training set should yield a single leaf, depth=%d", tr.Depth())
-	}
-	if p := tr.PredictProba([]float64{99}); p != 1 {
-		t.Errorf("pure-positive leaf proba = %v", p)
-	}
-}
-
-func TestTreeMaxDepthRespected(t *testing.T) {
-	xs, ys := rings(300, 4)
-	tr := &DecisionTree{MaxDepth: 3}
-	if err := tr.Fit(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Depth() > 3 {
-		t.Errorf("depth %d exceeds MaxDepth 3", tr.Depth())
-	}
-}
-
-func TestTreeConstantFeature(t *testing.T) {
-	// A constant feature offers no split; the tree must not loop forever.
-	xs := [][]float64{{1, 5}, {1, 6}, {1, 7}, {1, 8}}
-	ys := []int{0, 0, 1, 1}
-	tr := &DecisionTree{}
-	if err := tr.Fit(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	if Predict(tr, []float64{1, 5}) != 0 || Predict(tr, []float64{1, 8}) != 1 {
-		t.Error("tree failed to use the informative feature")
+	c := &AdaBoost{Rounds: 40}
+	if p := c.PredictProba([]float64{1, 2}); p != 0.5 {
+		t.Errorf("unfitted proba = %v, want 0.5", p)
 	}
 }
 
@@ -189,65 +126,5 @@ func TestAdaBoostMargins(t *testing.T) {
 	p = ab.PredictProba([]float64{2, 2})
 	if p < 0.8 {
 		t.Errorf("deep class-1 point proba = %v", p)
-	}
-}
-
-func TestKNNSmallK(t *testing.T) {
-	knn := &KNN{K: 1}
-	xs := [][]float64{{0}, {10}}
-	ys := []int{0, 1}
-	if err := knn.Fit(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	if Predict(knn, []float64{1}) != 0 || Predict(knn, []float64{9}) != 1 {
-		t.Error("1-NN misclassifies obvious points")
-	}
-	// K larger than the training set must not panic.
-	knn2 := &KNN{K: 50}
-	knn2.Fit(xs, ys)
-	if p := knn2.PredictProba([]float64{5}); p != 0.5 {
-		t.Errorf("K>n proba = %v, want 0.5 (both neighbours)", p)
-	}
-}
-
-func TestGaussianNBSkewedPriors(t *testing.T) {
-	// 90% negatives: prior must pull ambiguous points negative.
-	rng := mathx.NewRand(6)
-	var xs [][]float64
-	var ys []int
-	for i := 0; i < 200; i++ {
-		label := 0
-		if i%10 == 0 {
-			label = 1
-		}
-		xs = append(xs, []float64{rng.NormFloat64()}) // identical class distributions
-		ys = append(ys, label)
-	}
-	nb := &GaussianNB{}
-	if err := nb.Fit(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	if p := nb.PredictProba([]float64{0}); p > 0.3 {
-		t.Errorf("skewed-prior proba = %v, want ≈0.1", p)
-	}
-}
-
-func TestLogisticRegressionWeightsSign(t *testing.T) {
-	xs, ys := blobs(200, 7)
-	lr := &LogisticRegression{Iters: 400}
-	if err := lr.Fit(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	// Class 1 lives at (+2,+2): both weights must be positive.
-	if lr.w[0] <= 0 || lr.w[1] <= 0 {
-		t.Errorf("weights = %v, want positive", lr.w)
-	}
-}
-
-func TestNames(t *testing.T) {
-	for _, c := range allClassifiers() {
-		if c.Name() == "" {
-			t.Error("classifier with empty name")
-		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package nn implements the dense feed-forward neural network behind
 // LEAPME's classifier: fully connected layers with ReLU activations, a
-// softmax output with cross-entropy loss, mini-batch training with SGD,
-// momentum or Adam, and the paper's staged learning-rate schedule (10
-// epochs at 1e-3, 5 at 1e-4, 5 at 1e-5 with batch size 32). The model
+// softmax output with cross-entropy loss, mini-batch training with Adam
+// (the Keras defaults the paper's implementation relied on), and the
+// paper's staged learning-rate schedule (10 epochs at 1e-3, 5 at 1e-4, 5
+// at 1e-5 with batch size 32). The model
 // has one representation, the Kernel's flat weight and bias slabs: New
 // and Read fill them, TrainKernel trains them in place, WriteTo writes
 // them and the Kernel's forward passes read them. Training is
@@ -98,12 +99,6 @@ type Config struct {
 	Activation Activation
 	// Seed drives weight initialisation.
 	Seed int64
-}
-
-// PaperConfig returns the architecture of Section IV-D: hidden layers of
-// 128 and 64 units and a 2-way softmax output.
-func PaperConfig(inDim int, seed int64) Config {
-	return Config{InDim: inDim, Hidden: []int{128, 64}, Out: 2, Activation: ActReLU, Seed: seed}
 }
 
 // New constructs a network with Glorot-uniform weights (Keras Dense

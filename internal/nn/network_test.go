@@ -17,27 +17,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestPaperConfigShape(t *testing.T) {
-	n, err := New(PaperConfig(700, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.InDim() != 700 || n.OutDim() != 2 {
-		t.Errorf("dims = %d → %d", n.InDim(), n.OutDim())
-	}
-	if len(n.layers) != 3 {
-		t.Errorf("layer count = %d, want 3 (128, 64, 2)", len(n.layers))
-	}
-	if h := n.Hidden(); len(h) != 2 || h[0] != 128 || h[1] != 64 {
-		t.Errorf("hidden widths = %v", h)
-	}
-	if len(n.w) != 700*128+128*64+64*2 || len(n.b) != 128+64+2 {
-		t.Errorf("slabs hold %d weights and %d biases", len(n.w), len(n.b))
-	}
-}
-
-// TestForwardIsDistribution: each row ForwardBatch writes is a
-// probability distribution over the classes.
 func TestForwardIsDistribution(t *testing.T) {
 	n, _ := New(Config{InDim: 4, Hidden: []int{8}, Out: 3, Seed: 1})
 	k := NewKernel(n)

@@ -48,7 +48,7 @@ func (m *matrix) MulVecT(dst, x []float64) {
 	}
 	mathx.Zero(dst)
 	for i := 0; i < m.Rows; i++ {
-		mathx.AxpyTo(dst, x[i], m.Row(i))
+		axpyTo(dst, x[i], m.Row(i))
 	}
 }
 
@@ -61,7 +61,7 @@ func (m *matrix) AddOuterTo(alpha float64, x, y []float64) {
 		if xi == 0 {
 			continue
 		}
-		mathx.AxpyTo(m.Row(i), alpha*xi, y)
+		axpyTo(m.Row(i), alpha*xi, y)
 	}
 }
 
@@ -77,7 +77,7 @@ func (m *matrix) AddScaled(alpha float64, other *matrix) {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
 		panic("oracle: AddScaled shape mismatch")
 	}
-	mathx.AxpyTo(m.Data, alpha, other.Data)
+	axpyTo(m.Data, alpha, other.Data)
 }
 
 func TestMatrixBasics(t *testing.T) {
@@ -194,24 +194,107 @@ func oracleForward(n *Network, x []float64) []float64 {
 	return p
 }
 
+// axpyTo computes dst += alpha*x, element by element in ascending order:
+// the accumulation every matrix kernel of the oracle runs.
+func axpyTo(dst []float64, alpha float64, x []float64) {
+	if len(dst) != len(x) {
+		panic("oracle: axpyTo length mismatch")
+	}
+	for i := range x {
+		dst[i] += alpha * x[i]
+	}
+}
+
+func TestAxpyTo(t *testing.T) {
+	dst := []float64{1, 1}
+	axpyTo(dst, 2, []float64{3, 4})
+	if dst[0] != 7 || dst[1] != 9 {
+		t.Errorf("axpyTo = %v", dst)
+	}
+}
+
+// argMax returns the index of the maximum element of v, or -1 for an
+// empty slice. Ties resolve to the lowest index, as Network.Classify's do.
+func argMax(v []float64) int {
+	if len(v) == 0 {
+		return -1
+	}
+	best, arg := v[0], 0
+	for i, x := range v[1:] {
+		if x > best {
+			best, arg = x, i+1
+		}
+	}
+	return arg
+}
+
+func TestArgMax(t *testing.T) {
+	v := []float64{3, -1, 7, 7, 0}
+	if got := argMax(v); got != 2 {
+		t.Errorf("argMax = %v, want first of tied maxima", got)
+	}
+	if got := argMax(nil); got != -1 {
+		t.Errorf("argMax(nil) = %v", got)
+	}
+}
+
+// treeReduce folds n buffers pairwise in a fixed binary-tree order:
+// stride 1 merges buffer i+1 into buffer i for even i, stride 2 merges
+// i+2 into i for i ≡ 0 (mod 4), and so on; buffer 0 ends up holding the
+// total. merge(dst, src) must fold buffer src into buffer dst. It is the
+// order TrainKernel.reduceGrads replays element-wise.
+func treeReduce(n int, merge func(dst, src int)) {
+	for stride := 1; stride < n; stride *= 2 {
+		for i := 0; i+stride < n; i += 2 * stride {
+			merge(i, i+stride)
+		}
+	}
+}
+
+func TestTreeReduceOrderIsFixed(t *testing.T) {
+	var seq []string
+	treeReduce(5, func(dst, src int) { seq = append(seq, fmt.Sprintf("%d<-%d", dst, src)) })
+	want := []string{"0<-1", "2<-3", "0<-2", "0<-4"}
+	if len(seq) != len(want) {
+		t.Fatalf("merge sequence = %v, want %v", seq, want)
+	}
+	for i := range want {
+		if seq[i] != want[i] {
+			t.Fatalf("merge sequence = %v, want %v", seq, want)
+		}
+	}
+}
+
+func TestTreeReduceSums(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 16, 33} {
+		buf := make([]int, n)
+		want := 0
+		for i := range buf {
+			buf[i] = i + 1
+			want += i + 1
+		}
+		treeReduce(n, func(dst, src int) { buf[dst] += buf[src] })
+		if buf[0] != want {
+			t.Errorf("n=%d: sum = %d, want %d", n, buf[0], want)
+		}
+	}
+}
+
 // oracleClassify returns the most probable class for x.
-func oracleClassify(n *Network, x []float64) int { return mathx.ArgMax(oracleForward(n, x)) }
+func oracleClassify(n *Network, x []float64) int { return argMax(oracleForward(n, x)) }
 
 // chunkedFit is the reference trainer TrainKernel's bytes are pinned to:
 // the per-example chunked path Network.Fit ran at Workers ≥ 1 before the
 // kernel became the only trainer. Every example runs its own forward and
 // backward pass over per-layer matrices; a batch splits into
 // gradChunkSize-example chunks whose gradients accumulate in example
-// order, the chunk partials fold with parallel.TreeReduce, and the
-// optimizers update layer by layer, all through oracleLayers views of
+// order, the chunk partials fold with treeReduce, and Adam updates
+// layer by layer, all through oracleLayers views of
 // the network's slabs. It runs single-threaded — the chunk structure,
 // not the scheduling, defines the bits — and expects valid input.
 func chunkedFit(ctx context.Context, n *Network, xs [][]float64, ys []int, cfg TrainConfig) (float64, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
-	}
-	if cfg.Optimizer == nil {
-		cfg.Optimizer = NewAdam()
 	}
 	if len(cfg.Schedule) == 0 {
 		cfg.Schedule = PaperSchedule()
@@ -237,7 +320,7 @@ func chunkedFit(ctx context.Context, n *Network, xs [][]float64, ys []int, cfg T
 		slots[i] = newOracleSlot(layers)
 	}
 	grad := zeroParams(layers)
-	opt := &oracleOpt{rule: cfg.Optimizer}
+	opt := &oracleOpt{}
 
 	var lastLoss float64
 	epoch := 0
@@ -265,7 +348,7 @@ func chunkedFit(ctx context.Context, n *Network, xs [][]float64, ys []int, cfg T
 						s.loss += s.example(layers, xs[ei], ys[ei])
 					}
 				}
-				parallel.TreeReduce(len(chunks), func(dst, src int) { slots[dst].merge(slots[src]) })
+				treeReduce(len(chunks), func(dst, src int) { slots[dst].merge(slots[src]) })
 				inv := 1 / float64(end-start)
 				for li := range layers {
 					grad.w[li].Zero()
@@ -277,12 +360,6 @@ func chunkedFit(ctx context.Context, n *Network, xs [][]float64, ys []int, cfg T
 				}
 				epochLoss += slots[0].loss
 				opt.step(layers, grad, lr)
-				if cfg.WeightDecay > 0 {
-					shrink := 1 - lr*cfg.WeightDecay
-					for _, l := range layers {
-						l.w.Scale(shrink)
-					}
-				}
 				if math.IsNaN(epochLoss) || math.IsInf(epochLoss, 0) {
 					break
 				}
@@ -412,60 +489,35 @@ func (s *oracleSlot) example(layers []oracleLayer, x []float64, label int) float
 	return -math.Log(p)
 }
 
-// oracleOpt applies the Adam and SGD update rules layer by layer, with
-// the moments and velocities in per-layer matrices.
+// oracleOpt applies the Adam update rule layer by layer, with the
+// moments in per-layer matrices.
 type oracleOpt struct {
-	rule Optimizer
 	t    int
-	m, v params // Adam moments
-	vel  params // SGD momentum velocities
+	m, v params
 }
 
-func (o *oracleOpt) reset() { o.t, o.m, o.v, o.vel = 0, params{}, params{}, params{} }
+func (o *oracleOpt) reset() { o.t, o.m, o.v = 0, params{}, params{} }
 
 func (o *oracleOpt) step(layers []oracleLayer, g params, lr float64) {
-	switch r := o.rule.(type) {
-	case *Adam:
-		if o.m.w == nil {
-			o.m, o.v = zeroParams(layers), zeroParams(layers)
+	if o.m.w == nil {
+		o.m, o.v = zeroParams(layers), zeroParams(layers)
+	}
+	// Variables, not the constants: 1-b1 must round as the kernel's
+	// float64 arithmetic does, not fold exactly as constant arithmetic.
+	b1, b2, eps := adamBeta1, adamBeta2, adamEps
+	o.t++
+	c1 := 1 - math.Pow(b1, float64(o.t))
+	c2 := 1 - math.Pow(b2, float64(o.t))
+	upd := func(w, g, m, v []float64) {
+		for j, gv := range g {
+			m[j] = b1*m[j] + (1-b1)*gv
+			v[j] = b2*v[j] + (1-b2)*gv*gv
+			w[j] -= lr * (m[j] / c1) / (math.Sqrt(v[j]/c2) + eps)
 		}
-		o.t++
-		c1 := 1 - math.Pow(r.Beta1, float64(o.t))
-		c2 := 1 - math.Pow(r.Beta2, float64(o.t))
-		upd := func(w, g, m, v []float64) {
-			for j, gv := range g {
-				m[j] = r.Beta1*m[j] + (1-r.Beta1)*gv
-				v[j] = r.Beta2*v[j] + (1-r.Beta2)*gv*gv
-				w[j] -= lr * (m[j] / c1) / (math.Sqrt(v[j]/c2) + r.Eps)
-			}
-		}
-		for i, l := range layers {
-			upd(l.w.Data, g.w[i].Data, o.m.w[i].Data, o.v.w[i].Data)
-			upd(l.b, g.b[i], o.m.b[i], o.v.b[i])
-		}
-	case *SGD:
-		if r.Momentum == 0 {
-			for i, l := range layers {
-				l.w.AddScaled(-lr, g.w[i])
-				mathx.AxpyTo(l.b, -lr, g.b[i])
-			}
-			return
-		}
-		if o.vel.w == nil {
-			o.vel = zeroParams(layers)
-		}
-		for i, l := range layers {
-			vw, vb := o.vel.w[i], o.vel.b[i]
-			vw.Scale(r.Momentum)
-			vw.AddScaled(-lr, g.w[i])
-			l.w.AddScaled(1, vw)
-			for j := range vb {
-				vb[j] = r.Momentum*vb[j] - lr*g.b[i][j]
-				l.b[j] += vb[j]
-			}
-		}
-	default:
-		panic("oracle: unsupported optimizer " + o.rule.Name())
+	}
+	for i, l := range layers {
+		upd(l.w.Data, g.w[i].Data, o.m.w[i].Data, o.v.w[i].Data)
+		upd(l.b, g.b[i], o.m.b[i], o.v.b[i])
 	}
 }
 

@@ -33,7 +33,7 @@ func trainToy(t *testing.T, workers int) ([]byte, *Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultTrainConfig(123)
+	cfg := TrainConfig{Seed: 123}
 	cfg.Schedule = []Phase{{Epochs: 4, LR: 1e-3}, {Epochs: 2, LR: 1e-4}}
 	cfg.Workers = workers
 	if _, err := n.Fit(context.Background(), xs, ys, cfg); err != nil {
@@ -98,7 +98,7 @@ func TestFitParallelCancellation(t *testing.T) {
 	}
 	xs := [][]float64{{1, 2, 3, 4}, {4, 3, 2, 1}}
 	ys := []int{0, 1}
-	cfg := DefaultTrainConfig(1)
+	cfg := TrainConfig{Seed: 1}
 	cfg.Workers = 4
 	if _, err := n.Fit(ctx, xs, ys, cfg); err != context.Canceled {
 		t.Errorf("Fit on cancelled ctx: err = %v, want context.Canceled", err)

@@ -27,7 +27,6 @@ func TestFitRecoversFromDivergence(t *testing.T) {
 		// 5e-3, which learns XOR (cf. TestFitLearnsXOR).
 		Schedule:  []Phase{{Epochs: 60, LR: 1e12}, {Epochs: 20, LR: 1e-3}},
 		BatchSize: 32,
-		Optimizer: NewAdam(),
 		Seed:      6,
 		LRBackoff: 5e-15,
 		OnRecovery: func(phase, retry int, lr float64, reason string) {
@@ -74,7 +73,6 @@ func TestFitDivergenceBudget(t *testing.T) {
 	cfg := TrainConfig{
 		Schedule:        []Phase{{Epochs: 5, LR: 1e12}},
 		BatchSize:       16,
-		Optimizer:       NewAdam(),
 		Seed:            7,
 		LRBackoff:       0.9,
 		MaxPhaseRetries: 2,
@@ -101,7 +99,7 @@ func TestFitDivergenceBudget(t *testing.T) {
 func TestFitRejectsNonFiniteFeatures(t *testing.T) {
 	n, _ := New(Config{InDim: 2, Out: 2, Seed: 1})
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := n.Fit(context.Background(), [][]float64{{1, bad}}, []int{0}, DefaultTrainConfig(1)); err == nil {
+		if _, err := n.Fit(context.Background(), [][]float64{{1, bad}}, []int{0}, TrainConfig{Seed: 1}); err == nil {
 			t.Errorf("non-finite feature %v accepted", bad)
 		}
 	}
@@ -114,13 +112,13 @@ func TestFitCancellation(t *testing.T) {
 	n, _ := New(Config{InDim: 2, Hidden: []int{16, 8}, Out: 2, Seed: 8})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := n.Fit(ctx, xs, ys, DefaultTrainConfig(8)); !errors.Is(err, context.Canceled) {
+	if _, err := n.Fit(ctx, xs, ys, TrainConfig{Seed: 8}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
-	cfg := DefaultTrainConfig(8)
+	cfg := TrainConfig{Seed: 8}
 	cfg.Schedule = []Phase{{Epochs: 100000, LR: 1e-3}}
 	start := time.Now()
 	_, err := n.Fit(ctx2, xs, ys, cfg)

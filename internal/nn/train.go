@@ -23,13 +23,6 @@ type TrainConfig struct {
 	Schedule []Phase
 	// BatchSize is the mini-batch size (paper: 32).
 	BatchSize int
-	// Optimizer defaults to Adam when nil.
-	Optimizer Optimizer
-	// WeightDecay applies decoupled L2 weight decay (AdamW-style) after
-	// each optimizer step: w ← w·(1 − lr·WeightDecay). The paper's
-	// configuration has none; the option exists for the regularisation
-	// ablation.
-	WeightDecay float64
 	// Seed drives batch shuffling.
 	Seed int64
 	// OnEpoch, if non-nil, receives (epochIndex, meanLoss) after each
@@ -67,12 +60,7 @@ func PaperSchedule() []Phase {
 	return []Phase{{Epochs: 10, LR: 1e-3}, {Epochs: 5, LR: 1e-4}, {Epochs: 5, LR: 1e-5}}
 }
 
-// DefaultTrainConfig returns the paper's training hyper-parameters.
-func DefaultTrainConfig(seed int64) TrainConfig {
-	return TrainConfig{Schedule: PaperSchedule(), BatchSize: 32, Optimizer: NewAdam(), Seed: seed}
-}
-
-// Fit trains the network on (xs, ys) with mini-batch gradient descent.
+// Fit trains the network on (xs, ys) with mini-batch Adam.
 // ys[i] is the class index of xs[i]. It returns the mean loss of the final
 // epoch. Fit packs the rows into one flat slab and trains through a
 // TrainKernel, so it produces exactly the bytes TrainKernel.Fit does.

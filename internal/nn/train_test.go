@@ -31,7 +31,7 @@ func xorData(n int, seed int64) ([][]float64, []int) {
 func TestFitLearnsXOR(t *testing.T) {
 	xs, ys := xorData(200, 1)
 	n, _ := New(Config{InDim: 2, Hidden: []int{16, 8}, Out: 2, Seed: 1})
-	cfg := DefaultTrainConfig(1)
+	cfg := TrainConfig{Seed: 1}
 	cfg.Schedule = []Phase{{Epochs: 60, LR: 5e-3}, {Epochs: 20, LR: 1e-3}}
 	loss, err := n.Fit(context.Background(), xs, ys, cfg)
 	if err != nil {
@@ -51,41 +51,23 @@ func TestFitLearnsXOR(t *testing.T) {
 	}
 }
 
-func TestFitWithSGDMomentum(t *testing.T) {
-	xs, ys := xorData(200, 2)
-	n, _ := New(Config{InDim: 2, Hidden: []int{16, 8}, Out: 2, Seed: 2})
-	cfg := TrainConfig{
-		Schedule:  []Phase{{Epochs: 150, LR: 0.1}},
-		BatchSize: 16,
-		Optimizer: NewSGD(0.9),
-		Seed:      2,
-	}
-	loss, err := n.Fit(context.Background(), xs, ys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss > 0.3 {
-		t.Errorf("SGD-momentum XOR loss = %v", loss)
-	}
-}
-
 func TestFitValidation(t *testing.T) {
 	n, _ := New(Config{InDim: 2, Out: 2, Seed: 1})
-	if _, err := n.Fit(context.Background(), nil, nil, DefaultTrainConfig(1)); err == nil {
+	if _, err := n.Fit(context.Background(), nil, nil, TrainConfig{Seed: 1}); err == nil {
 		t.Error("empty training set accepted")
 	}
-	if _, err := n.Fit(context.Background(), [][]float64{{1, 2}}, []int{0, 1}, DefaultTrainConfig(1)); err == nil {
+	if _, err := n.Fit(context.Background(), [][]float64{{1, 2}}, []int{0, 1}, TrainConfig{Seed: 1}); err == nil {
 		t.Error("mismatched labels accepted")
 	}
-	if _, err := n.Fit(context.Background(), [][]float64{{1}}, []int{0}, DefaultTrainConfig(1)); err == nil {
+	if _, err := n.Fit(context.Background(), [][]float64{{1}}, []int{0}, TrainConfig{Seed: 1}); err == nil {
 		t.Error("wrong input dim accepted")
 	}
 	// Ragged rows whose total length is still n×dim: only the per-row
 	// check catches them.
-	if _, err := n.Fit(context.Background(), [][]float64{{1}, {2, 3, 4}}, []int{0, 1}, DefaultTrainConfig(1)); err == nil {
+	if _, err := n.Fit(context.Background(), [][]float64{{1}, {2, 3, 4}}, []int{0, 1}, TrainConfig{Seed: 1}); err == nil {
 		t.Error("ragged rows accepted")
 	}
-	if _, err := n.Fit(context.Background(), [][]float64{{1, 2}}, []int{5}, DefaultTrainConfig(1)); err == nil {
+	if _, err := n.Fit(context.Background(), [][]float64{{1, 2}}, []int{5}, TrainConfig{Seed: 1}); err == nil {
 		t.Error("out-of-range label accepted")
 	}
 }
@@ -94,7 +76,7 @@ func TestFitDeterministic(t *testing.T) {
 	xs, ys := xorData(60, 3)
 	run := func() []float64 {
 		n, _ := New(Config{InDim: 2, Hidden: []int{8}, Out: 2, Seed: 3})
-		cfg := DefaultTrainConfig(3)
+		cfg := TrainConfig{Seed: 3}
 		cfg.Schedule = []Phase{{Epochs: 5, LR: 1e-3}}
 		if _, err := n.Fit(context.Background(), xs, ys, cfg); err != nil {
 			t.Fatal(err)
@@ -114,7 +96,7 @@ func TestOnEpochCallback(t *testing.T) {
 	n, _ := New(Config{InDim: 2, Hidden: []int{4}, Out: 2, Seed: 4})
 	var epochs []int
 	var losses []float64
-	cfg := DefaultTrainConfig(4)
+	cfg := TrainConfig{Seed: 4}
 	cfg.Schedule = []Phase{{Epochs: 3, LR: 1e-3}, {Epochs: 2, LR: 1e-4}}
 	cfg.OnEpoch = func(e int, l float64) {
 		epochs = append(epochs, e)
@@ -147,33 +129,10 @@ func TestPaperSchedule(t *testing.T) {
 	}
 }
 
-// TestOptimizerNamesAndReset: every optimizer is named, and the kernel's
-// rollback reset clears whatever state it keeps for the optimizer.
-func TestOptimizerNamesAndReset(t *testing.T) {
-	for _, o := range []Optimizer{NewSGD(0), NewSGD(0.9), NewAdam()} {
-		if o.Name() == "" {
-			t.Error("empty optimizer name")
-		}
-		k := gradKernel(t, o)
-		k.optStep(1e-3)
-		k.resetOpt()
-		if k.adamT != 0 {
-			t.Errorf("%s: reset left step count %d", o.Name(), k.adamT)
-		}
-		for _, slab := range [][]float64{k.mw, k.vw, k.mb, k.vb, k.velW, k.velB} {
-			for _, v := range slab {
-				if v != 0 {
-					t.Fatalf("%s: reset left optimizer state %v", o.Name(), v)
-				}
-			}
-		}
-	}
-}
-
 func TestSerializeRoundTrip(t *testing.T) {
 	xs, ys := xorData(80, 5)
 	n, _ := New(Config{InDim: 2, Hidden: []int{8, 4}, Out: 2, Seed: 5})
-	cfg := DefaultTrainConfig(5)
+	cfg := TrainConfig{Seed: 5}
 	cfg.Schedule = []Phase{{Epochs: 10, LR: 1e-3}}
 	if _, err := n.Fit(context.Background(), xs, ys, cfg); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ import (
 //
 //	w    ┌ layer0 rows×cols ┬ layer1 rows×cols ┬ … ┐   row-major weights
 //	b    ┌ layer0 rows      ┬ layer1 rows      ┬ … ┐   biases
-//	gw/gb, mw/vw/mb/vb, velW/velB, snap: same offsets as w and b
+//	gw/gb, mw/vw/mb/vb, snap: same offsets as w and b
 //
 // Per-chunk arenas hold activations and deltas unit-major with a fixed
 // stride of gradChunkSize: outs[li][r*8+e] is unit r of example e, so
@@ -53,13 +53,8 @@ type TrainKernel struct {
 	gw, gb []float64 // batch-averaged gradients, flat
 	snap   []float64 // phase checkpoint: w then b
 
-	// Optimizer state for the rule cfg.Optimizer selects.
-	optKind           int // optAdam or optSGD
-	beta1, beta2, eps float64
-	momentum          float64
-	adamT             int
-	mw, vw, mb, vb    []float64 // Adam moments (weights, biases)
-	velW, velB        []float64 // SGD momentum velocities
+	adamT          int       // Adam steps since the last reset
+	mw, vw, mb, vb []float64 // Adam moments (weights, biases)
 
 	cfg     TrainConfig
 	workers int
@@ -75,9 +70,12 @@ type TrainKernel struct {
 	done   chan struct{}
 }
 
+// Adam's hyper-parameters (Kingma & Ba 2015), the Keras defaults the
+// paper's implementation relied on. Training is always Adam.
 const (
-	optAdam = iota
-	optSGD
+	adamBeta1 = 0.9
+	adamBeta2 = 0.999
+	adamEps   = 1e-8
 )
 
 // gradChunkSize is the number of examples accumulated serially into one
@@ -102,19 +100,15 @@ type trainSlot struct {
 // NewTrainKernel builds a training kernel over n's own slabs,
 // pre-allocating every arena the epoch loop touches, so the loop itself
 // performs no heap allocations. Zero fields of cfg take their defaults
-// (batch 32, Adam, the paper's schedule, 3 retries per phase, backoff
-// 0.1, explode threshold 1e8, one worker per CPU); the optimizer must be
-// an *Adam or *SGD. Fit updates n's weights in place, so serialization
-// and inference read the trained bytes.
+// (batch 32, the paper's schedule, 3 retries per phase, backoff 0.1,
+// explode threshold 1e8, one worker per CPU). Fit updates n's weights in
+// place, so serialization and inference read the trained bytes.
 func NewTrainKernel(n *Network, cfg TrainConfig) (*TrainKernel, error) {
 	if n == nil {
 		return nil, errors.New("nn: NewTrainKernel on nil network")
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
-	}
-	if cfg.Optimizer == nil {
-		cfg.Optimizer = NewAdam()
 	}
 	if len(cfg.Schedule) == 0 {
 		cfg.Schedule = PaperSchedule()
@@ -134,25 +128,10 @@ func NewTrainKernel(n *Network, cfg TrainConfig) (*TrainKernel, error) {
 	k.gw = make([]float64, wlen)
 	k.gb = make([]float64, blen)
 	k.snap = make([]float64, wlen+blen)
-
-	switch opt := cfg.Optimizer.(type) {
-	case *Adam:
-		k.optKind = optAdam
-		k.beta1, k.beta2, k.eps = opt.Beta1, opt.Beta2, opt.Eps
-		k.mw = make([]float64, wlen)
-		k.vw = make([]float64, wlen)
-		k.mb = make([]float64, blen)
-		k.vb = make([]float64, blen)
-	case *SGD:
-		k.optKind = optSGD
-		k.momentum = opt.Momentum
-		if opt.Momentum != 0 {
-			k.velW = make([]float64, wlen)
-			k.velB = make([]float64, blen)
-		}
-	default:
-		return nil, fmt.Errorf("nn: NewTrainKernel does not support optimizer %s", cfg.Optimizer.Name())
-	}
+	k.mw = make([]float64, wlen)
+	k.vw = make([]float64, wlen)
+	k.mb = make([]float64, blen)
+	k.vb = make([]float64, blen)
 
 	numSlots := (cfg.BatchSize + gradChunkSize - 1) / gradChunkSize
 	for i := 0; i < numSlots; i++ {
@@ -310,8 +289,7 @@ func (k *TrainKernel) stopWorkers() {
 
 // runBatch computes one mini-batch update: fused chunk gradients (up to
 // k.workers in flight), the fused tree reduction with batch averaging,
-// one optimizer step, and decoupled weight decay. It returns the
-// batch's summed loss. Allocation-free; the chunk structure and every
+// and one Adam step. It returns the batch's summed loss. Allocation-free; the chunk structure and every
 // accumulation order are pure functions of the batch, never of the
 // worker count.
 //
@@ -337,12 +315,6 @@ func (k *TrainKernel) runBatch(xs []float64, ys []int, idx []int, lr float64) fl
 	}
 	loss := k.reduceGrads(nChunks, 1/float64(len(idx)))
 	k.optStep(lr)
-	if k.cfg.WeightDecay > 0 {
-		shrink := 1 - lr*k.cfg.WeightDecay
-		for j := range k.w {
-			k.w[j] *= shrink // biases are conventionally not decayed
-		}
-	}
 	return loss
 }
 
@@ -520,7 +492,7 @@ func (k *TrainKernel) accumLayerGrads(s *trainSlot, li int, insEM []float64, m i
 }
 
 // reduceGrads folds the first nChunks slots into the kernel's gradient
-// slabs with the parallel.TreeReduce combination order, the zero-grads
+// slabs in a fixed binary-tree combination order, the zero-grads
 // fold and the 1/batch scale fused into a single per-element pass:
 // g = (0 + tree(slots)) * inv, which is bit-identical to folding the
 // tree total into zeroed buffers and then scaling by inv. The explicit
@@ -569,8 +541,10 @@ func (k *TrainKernel) reduceGrads(nChunks int, inv float64) float64 {
 		}
 		return (a.loss + b.loss) + (c.loss + d.loss)
 	}
-	// General tree for batch sizes beyond 32: replay TreeReduce's merge
-	// sequence element-wise through the first slot's slab.
+	// General tree for batch sizes beyond 32: stride 1 merges slot i+1
+	// into slot i for even i, stride 2 merges i+2 into i for i ≡ 0
+	// (mod 4), and so on, element-wise through the first slot's slab (the
+	// oracle's treeReduce order).
 	for stride := 1; stride < nChunks; stride *= 2 {
 		for i := 0; i+stride < nChunks; i += 2 * stride {
 			dst, src := s[i], s[i+stride]
@@ -592,41 +566,17 @@ func (k *TrainKernel) reduceGrads(nChunks int, inv float64) float64 {
 	return s[0].loss
 }
 
-// optStep applies one optimizer update to the flat parameters; the
-// updates are element-independent, so iterating all weights then all
-// biases is bit-identical to any per-layer grouping.
+// optStep applies one Adam update to the flat parameters; the updates
+// are element-independent, so iterating all weights then all biases is
+// bit-identical to any per-layer grouping.
 //
 //lint:hotpath gated by TestTrainKernelEpochAllocs
 func (k *TrainKernel) optStep(lr float64) {
-	if k.optKind == optAdam {
-		k.adamT++
-		c1 := 1 - math.Pow(k.beta1, float64(k.adamT))
-		c2 := 1 - math.Pow(k.beta2, float64(k.adamT))
-		adamStep(k.w, k.gw, k.mw, k.vw, k.beta1, k.beta2, c1, c2, k.eps, lr)
-		adamStep(k.b, k.gb, k.mb, k.vb, k.beta1, k.beta2, c1, c2, k.eps, lr)
-		return
-	}
-	if k.momentum == 0 {
-		for j, g := range k.gw {
-			k.w[j] += -lr * g
-		}
-		for j, g := range k.gb {
-			k.b[j] += -lr * g
-		}
-		return
-	}
-	mom := k.momentum
-	for j, g := range k.gw {
-		v := k.velW[j] * mom
-		v += -lr * g
-		k.velW[j] = v
-		k.w[j] += 1 * v
-	}
-	for j, g := range k.gb {
-		v := mom*k.velB[j] - lr*g
-		k.velB[j] = v
-		k.b[j] += v
-	}
+	k.adamT++
+	c1 := 1 - math.Pow(adamBeta1, float64(k.adamT))
+	c2 := 1 - math.Pow(adamBeta2, float64(k.adamT))
+	adamStep(k.w, k.gw, k.mw, k.vw, adamBeta1, adamBeta2, c1, c2, adamEps, lr)
+	adamStep(k.b, k.gb, k.mb, k.vb, adamBeta1, adamBeta2, c1, c2, adamEps, lr)
 }
 
 // snapshot records the network's parameters as the phase checkpoint.
@@ -641,16 +591,14 @@ func (k *TrainKernel) restore() {
 	copy(k.b, k.snap[len(k.w):])
 }
 
-// resetOpt clears the optimizer state, so the next step runs as a first
-// step from the restored weights.
+// resetOpt clears the Adam state, so the next step runs as a first step
+// from the restored weights.
 func (k *TrainKernel) resetOpt() {
 	k.adamT = 0
 	mathx.Zero(k.mw)
 	mathx.Zero(k.vw)
 	mathx.Zero(k.mb)
 	mathx.Zero(k.vb)
-	mathx.Zero(k.velW)
-	mathx.Zero(k.velB)
 }
 
 // maxAbsParam is the exploding-weights detector over the flat

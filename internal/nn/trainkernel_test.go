@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -88,8 +87,8 @@ func trainKernel(t *testing.T, cfg Config, tc TrainConfig, flat []float64, ys []
 // TestTrainKernelMatchesChunkedFit pins the kernel's arithmetic: for
 // every worker count, 0 (all CPUs) included, TrainKernel trains
 // byte-identical weights and bit-equal losses to the chunkedFit
-// reference, across topologies, activations, optimizers, weight decay
-// and zero-padded partial chunks — with the AVX routines and with the
+// reference, across topologies, activations, batch sizes and
+// zero-padded partial chunks — with the AVX routines and with the
 // generic ones forced, the only arm on arm64 and pre-AVX CPUs.
 func TestTrainKernelMatchesChunkedFit(t *testing.T) {
 	saved := useAVX
@@ -107,17 +106,17 @@ func TestTrainKernelMatchesChunkedFit(t *testing.T) {
 			tc:   TrainConfig{Schedule: tkSchedule(), BatchSize: 32, Seed: 11},
 		},
 		{
-			name: "sigmoid-adam-decay",
+			name: "sigmoid-adam",
 			cfg:  Config{InDim: 13, Hidden: []int{10}, Out: 3, Activation: ActSigmoid, Seed: 9},
-			tc:   TrainConfig{Schedule: tkSchedule(), BatchSize: 16, Seed: 5, WeightDecay: 1e-4},
+			tc:   TrainConfig{Schedule: tkSchedule(), BatchSize: 16, Seed: 5},
 		},
 		{
-			name: "tanh-sgd-momentum",
+			name: "tanh-adam",
 			cfg:  Config{InDim: 13, Hidden: []int{12}, Out: 3, Activation: ActTanh, Seed: 3},
 			tc:   TrainConfig{Schedule: tkSchedule(), BatchSize: 24, Seed: 2},
 		},
 		{
-			name: "no-hidden-sgd",
+			name: "no-hidden-adam",
 			cfg:  Config{InDim: 13, Out: 3, Activation: ActReLU, Seed: 1},
 			tc:   TrainConfig{Schedule: []Phase{{Epochs: 4, LR: 1e-2}}, BatchSize: 32, Seed: 8},
 		},
@@ -129,21 +128,14 @@ func TestTrainKernelMatchesChunkedFit(t *testing.T) {
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			refTC := tt.tc
-			switch tt.name {
-			case "tanh-sgd-momentum":
-				refTC.Optimizer = &SGD{Momentum: 0.9}
-			case "no-hidden-sgd":
-				refTC.Optimizer = &SGD{}
-			}
-			ref, refLoss := trainOracle(t, tt.cfg, refTC, rows, ys)
+			ref, refLoss := trainOracle(t, tt.cfg, tt.tc, rows, ys)
 			for _, avx := range []bool{false, true} {
 				if avx && !saved {
 					continue // no AVX on this CPU: the generic arm is the only arm
 				}
 				useAVX = avx
 				for _, w := range []int{0, 1, 2, 3, 8} {
-					kTC := refTC
+					kTC := tt.tc
 					kTC.Workers = w
 					got, gotLoss := trainKernel(t, tt.cfg, kTC, flat, ys)
 					if !bytes.Equal(got, ref) {
@@ -281,41 +273,6 @@ func TestTrainKernelCancellationWritesBack(t *testing.T) {
 	}
 }
 
-// fakeOptimizer is an update rule the kernel does not implement.
-type fakeOptimizer struct{}
-
-func (fakeOptimizer) Name() string { return "fake" }
-
-// TestNewTrainKernelRejectsUnknownOptimizer: the kernel implements Adam
-// and SGD only, and keeps their state itself, so one optimizer value
-// may train any number of networks.
-func TestNewTrainKernelRejectsUnknownOptimizer(t *testing.T) {
-	cfg := Config{InDim: 4, Hidden: []int{4}, Out: 2, Activation: ActReLU, Seed: 1}
-	_, flat, ys := tkDataset(16, 4, 2, 1)
-
-	adam := NewAdam()
-	tc := TrainConfig{Schedule: []Phase{{Epochs: 1, LR: 1e-3}}, Optimizer: adam}
-	var models [][]byte
-	for i := 0; i < 2; i++ {
-		net := mustNet(t, cfg)
-		k, err := NewTrainKernel(net, tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := k.Fit(context.Background(), flat, ys); err != nil {
-			t.Fatal(err)
-		}
-		models = append(models, netBytes(t, net))
-	}
-	if !bytes.Equal(models[0], models[1]) {
-		t.Fatal("reusing an Adam value changed the trained model")
-	}
-	_, err := NewTrainKernel(mustNet(t, cfg), TrainConfig{Optimizer: fakeOptimizer{}})
-	if err == nil || !strings.Contains(err.Error(), "fake") {
-		t.Fatalf("err = %v, want an unsupported-optimizer error naming it", err)
-	}
-}
-
 func TestTrainKernelValidation(t *testing.T) {
 	cfg := Config{InDim: 4, Hidden: []int{4}, Out: 2, Activation: ActReLU, Seed: 1}
 	k, err := NewTrainKernel(mustNet(t, cfg), TrainConfig{Workers: 1})
@@ -348,11 +305,10 @@ func TestTrainKernelEpochAllocs(t *testing.T) {
 
 	for _, workers := range []int{1, 2} {
 		k, err := NewTrainKernel(mustNet(t, cfg), TrainConfig{
-			Schedule:    []Phase{{Epochs: 1, LR: 1e-3}},
-			BatchSize:   32,
-			Seed:        1,
-			Workers:     workers,
-			WeightDecay: 1e-4,
+			Schedule:  []Phase{{Epochs: 1, LR: 1e-3}},
+			BatchSize: 32,
+			Seed:      1,
+			Workers:   workers,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -13,13 +13,13 @@
 //     serial loop for any worker count, because the floating-point
 //     additions happen in exactly the serial order.
 //
-//   - Chunks + TreeReduce: when the per-unit accumulation itself must be
-//     parallelised (mini-batch gradients), the work is split into
-//     fixed-size chunks — the chunk structure depends only on the input
-//     length, never on the worker count — and the per-chunk partial sums
-//     are folded in a fixed binary-tree order. The grouping of additions
-//     is then a pure function of the input size, so any worker count
-//     produces the same bits.
+//   - Chunks: when the per-unit accumulation itself must be parallelised
+//     (mini-batch gradients), the work is split into fixed-size chunks —
+//     the chunk structure depends only on the input length, never on the
+//     worker count — and the caller folds the per-chunk partial sums in a
+//     fixed order (nn's TrainKernel uses a binary tree). The grouping of
+//     additions is then a pure function of the input size, so any worker
+//     count produces the same bits.
 //
 //   - SeedStream: per-repetition RNG streams derived from a master seed
 //     with SplitMix64, so repetition i consumes the same random sequence

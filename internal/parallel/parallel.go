@@ -74,20 +74,6 @@ func Chunks(n, size int) []Span {
 	return out
 }
 
-// TreeReduce folds n buffers pairwise in a fixed binary-tree order:
-// stride 1 merges buffer i+1 into buffer i for even i, stride 2 merges
-// i+2 into i for i ≡ 0 (mod 4), and so on; buffer 0 ends up holding the
-// total. merge(dst, src) must fold buffer src into buffer dst. The
-// reduction order is a pure function of n, so the result is bit-identical
-// no matter how many workers produced the buffers.
-func TreeReduce(n int, merge func(dst, src int)) {
-	for stride := 1; stride < n; stride *= 2 {
-		for i := 0; i+stride < n; i += 2 * stride {
-			merge(i, i+stride)
-		}
-	}
-}
-
 // SeedStream derives the i-th independent RNG stream from a master seed
 // using the SplitMix64 finalizer. Streams are decorrelated even for
 // adjacent i (unlike master+i, which feeds nearly identical seeds to

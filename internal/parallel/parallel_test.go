@@ -3,7 +3,6 @@ package parallel
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -103,37 +102,6 @@ func TestChunksStructureIsWorkerIndependent(t *testing.T) {
 	}
 	if got := Chunks(5, 0); len(got) != 1 || got[0] != (Span{0, 5}) {
 		t.Errorf("Chunks(5, 0) = %v, want one full span", got)
-	}
-}
-
-// TestTreeReduceOrderIsFixed pins the exact merge sequence: the grouping
-// of floating-point additions downstream depends on it.
-func TestTreeReduceOrderIsFixed(t *testing.T) {
-	var seq []string
-	TreeReduce(5, func(dst, src int) { seq = append(seq, fmt.Sprintf("%d<-%d", dst, src)) })
-	want := []string{"0<-1", "2<-3", "0<-2", "0<-4"}
-	if len(seq) != len(want) {
-		t.Fatalf("merge sequence = %v, want %v", seq, want)
-	}
-	for i := range want {
-		if seq[i] != want[i] {
-			t.Fatalf("merge sequence = %v, want %v", seq, want)
-		}
-	}
-}
-
-func TestTreeReduceSums(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 16, 33} {
-		buf := make([]int, n)
-		want := 0
-		for i := range buf {
-			buf[i] = i + 1
-			want += i + 1
-		}
-		TreeReduce(n, func(dst, src int) { buf[dst] += buf[src] })
-		if buf[0] != want {
-			t.Errorf("n=%d: sum = %d, want %d", n, buf[0], want)
-		}
 	}
 }
 

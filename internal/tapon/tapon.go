@@ -238,7 +238,7 @@ func (l *Labeler) Train(ctx context.Context, d *dataset.Dataset) error {
 	}
 	cfg := nn.TrainConfig{
 		Schedule: l.opts.Schedule, BatchSize: l.opts.BatchSize,
-		Optimizer: nn.NewAdam(), Seed: l.opts.Seed, Workers: l.opts.Workers,
+		Seed: l.opts.Seed, Workers: l.opts.Workers,
 	}
 	if _, err := net1.Fit(ctx, xs1, ys, cfg); err != nil {
 		return fmt.Errorf("tapon: phase 1: %w", err)

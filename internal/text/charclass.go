@@ -93,33 +93,6 @@ func (c TokenClass) String() string {
 	return tokenClassNames[c]
 }
 
-// ClassifyToken reports which token classes tok belongs to. The classes are
-// not mutually exclusive: "Nikon" is both a word and capitalized.
-func ClassifyToken(tok string) (in [NumTokenClasses]bool) {
-	if tok == "" {
-		return in
-	}
-	runes := []rune(tok)
-	hasLetter := false
-	allUpper := true
-	for _, r := range runes {
-		if unicode.IsLetter(r) {
-			hasLetter = true
-			if !unicode.IsUpper(r) {
-				allUpper = false
-			}
-		} else {
-			allUpper = false
-		}
-	}
-	in[TokWord] = hasLetter
-	in[TokLowerInit] = unicode.IsLower(runes[0])
-	in[TokCapital] = unicode.IsUpper(runes[0]) && len(runes) > 1 && !unicode.IsSpace(runes[1])
-	in[TokUpper] = hasLetter && allUpper
-	in[TokNumeric] = isNumericString(tok)
-	return in
-}
-
 // TokenClassCounts counts, over the whitespace tokens of s, how many tokens
 // fall in each token class, plus the total token count. It scans the
 // whitespace fields in place — the same maximal non-space runs Words

@@ -3,6 +3,7 @@ package text
 import (
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestClassifyRune(t *testing.T) {
@@ -116,4 +117,31 @@ func TestCharClassString(t *testing.T) {
 	if TokWord.String() != "word" || TokenClass(99).String() != "invalid" {
 		t.Error("TokenClass.String broken")
 	}
+}
+
+// ClassifyToken reports which token classes tok belongs to. The classes are
+// not mutually exclusive: "Nikon" is both a word and capitalized.
+func ClassifyToken(tok string) (in [NumTokenClasses]bool) {
+	if tok == "" {
+		return in
+	}
+	runes := []rune(tok)
+	hasLetter := false
+	allUpper := true
+	for _, r := range runes {
+		if unicode.IsLetter(r) {
+			hasLetter = true
+			if !unicode.IsUpper(r) {
+				allUpper = false
+			}
+		} else {
+			allUpper = false
+		}
+	}
+	in[TokWord] = hasLetter
+	in[TokLowerInit] = unicode.IsLower(runes[0])
+	in[TokCapital] = unicode.IsUpper(runes[0]) && len(runes) > 1 && !unicode.IsSpace(runes[1])
+	in[TokUpper] = hasLetter && allUpper
+	in[TokNumeric] = isNumericString(tok)
+	return in
 }

@@ -1,8 +1,10 @@
 // Package text implements the lexical machinery LEAPME's features are built
 // on: a tokenizer shared by the feature extractor and the embedding corpus
-// reader, Unicode character classification matching the TAPON meta-features
-// (Table I rows 1–2 of the paper), q-gram profiles, and the eight string
-// distances used as property-pair features (Table I rows 8–15):
+// reader, Unicode character and token classification matching the TAPON
+// meta-features (Table I rows 1–2 of the paper), the string similarities
+// the baselines use (Jaro, Jaro–Winkler, longest common subsequence,
+// Monge–Elkan), and the eight string distances used as property-pair
+// features (Table I rows 8–15):
 //
 //   - optimal string alignment distance (restricted Damerau–Levenshtein)
 //   - Levenshtein distance
@@ -13,17 +15,18 @@
 //   - Jaccard distance between 3-gram profiles
 //   - Jaro–Winkler distance
 //
-// All pairwise distances are exposed both raw and normalised to [0, 1] so
-// classifiers see comparable scales regardless of string length.
+// Every pair distance is normalised to [0, 1] so classifiers see
+// comparable scales regardless of string length.
 //
 // # One implementation on the feature path
 //
-// The string-taking functions (Levenshtein, OSA, TriGrams, JaroWinkler, …)
-// are the reference definitions. The feature path computes the eight
-// distances through one function instead: NewNameProfile prepares a name
-// once (its runes, an ASCII flag, and its padded 3-grams as sorted packed
-// ids with counts), and NameDistances computes all eight for two profiles
-// with an EditScratch that makes a warm call allocation-free.
+// The eight distances have one implementation. The string-taking
+// functions that define them (NormalizedLevenshtein, NormalizedOSA,
+// TriGramDistance, JaroWinklerDistance, …) live in the package's tests as
+// the reference. NewNameProfile prepares a name once (its runes, an ASCII
+// flag, and its padded 3-grams as sorted packed ids with counts), and
+// NameDistances computes all eight for two profiles with an EditScratch
+// that makes a warm call allocation-free.
 //
 // When both names are ASCII and at most 64 runes long — every name the
 // dataset presets generate — NameDistances runs word-size algorithms with

@@ -1,7 +1,5 @@
 package text
 
-import "math"
-
 // Hybrid (token-level × character-level) similarities, used by matcher
 // ensembles such as AML's word matchers. They compare token multisets but
 // score token pairs with a character-level inner similarity, so
@@ -33,76 +31,4 @@ func MongeElkan(a, b []string, inner func(x, y string) float64) float64 {
 // the mean of both directions.
 func MongeElkanSym(a, b []string, inner func(x, y string) float64) float64 {
 	return (MongeElkan(a, b, inner) + MongeElkan(b, a, inner)) / 2
-}
-
-// TokenIDF computes inverse document frequencies over a corpus of token
-// lists: idf(t) = log(1 + N / df(t)). It feeds SoftTFIDF.
-func TokenIDF(docs [][]string) map[string]float64 {
-	df := map[string]int{}
-	for _, doc := range docs {
-		seen := map[string]bool{}
-		for _, t := range doc {
-			if !seen[t] {
-				seen[t] = true
-				df[t]++
-			}
-		}
-	}
-	n := float64(len(docs))
-	idf := make(map[string]float64, len(df))
-	for t, d := range df {
-		idf[t] = math.Log(1 + n/float64(d))
-	}
-	return idf
-}
-
-// SoftTFIDF returns the soft TF-IDF similarity of two token lists
-// (Cohen et al. 2003): a TF-IDF cosine where tokens match softly through
-// the inner similarity above the given threshold. Unknown tokens get the
-// maximum IDF observed (they are maximally surprising).
-func SoftTFIDF(a, b []string, idf map[string]float64, inner func(x, y string) float64, threshold float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	maxIDF := 1.0
-	for _, v := range idf {
-		if v > maxIDF {
-			maxIDF = v
-		}
-	}
-	weight := func(t string) float64 {
-		if w, ok := idf[t]; ok {
-			return w
-		}
-		return maxIDF
-	}
-	norm := func(ts []string) float64 {
-		var s float64
-		for _, t := range ts {
-			w := weight(t)
-			s += w * w
-		}
-		return math.Sqrt(s)
-	}
-	var sum float64
-	for _, ta := range a {
-		best, bestSim := "", 0.0
-		for _, tb := range b {
-			if s := inner(ta, tb); s >= threshold && s > bestSim {
-				best, bestSim = tb, s
-			}
-		}
-		if best != "" {
-			sum += weight(ta) * weight(best) * bestSim
-		}
-	}
-	na, nb := norm(a), norm(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	sim := sum / (na * nb)
-	if sim > 1 {
-		sim = 1 // soft matching can slightly overshoot the cosine bound
-	}
-	return sim
 }

@@ -52,63 +52,3 @@ func TestMongeElkanAsymmetry(t *testing.T) {
 		t.Error("Sym is not the mean of both directions")
 	}
 }
-
-func TestTokenIDF(t *testing.T) {
-	docs := [][]string{
-		{"camera", "resolution"},
-		{"camera", "weight"},
-		{"camera", "price"},
-	}
-	idf := TokenIDF(docs)
-	// "camera" is in every doc → lowest idf.
-	if idf["camera"] >= idf["weight"] {
-		t.Errorf("idf(camera)=%v should be below idf(weight)=%v", idf["camera"], idf["weight"])
-	}
-	// Duplicate tokens in one doc count once.
-	idf2 := TokenIDF([][]string{{"x", "x"}, {"y"}})
-	if idf2["x"] != idf2["y"] {
-		t.Errorf("df should be document frequency: %v vs %v", idf2["x"], idf2["y"])
-	}
-}
-
-func TestSoftTFIDF(t *testing.T) {
-	docs := [][]string{
-		{"camera", "resolution"},
-		{"camera", "weight"},
-		{"sensor", "type"},
-		{"shutter", "speed"},
-	}
-	idf := TokenIDF(docs)
-	selfSim := SoftTFIDF([]string{"camera", "resolution"}, []string{"camera", "resolution"}, idf, JaroWinkler, 0.9)
-	if math.Abs(selfSim-1) > 1e-9 {
-		t.Errorf("self soft-tfidf = %v", selfSim)
-	}
-	// Rare-token agreement outweighs common-token agreement.
-	rare := SoftTFIDF([]string{"camera", "resolution"}, []string{"sensor", "resolution"}, idf, JaroWinkler, 0.9)
-	common := SoftTFIDF([]string{"camera", "resolution"}, []string{"camera", "speed"}, idf, JaroWinkler, 0.9)
-	if rare <= common {
-		t.Errorf("rare-token match (%v) should beat common-token match (%v)", rare, common)
-	}
-	if got := SoftTFIDF(nil, []string{"x"}, idf, JaroWinkler, 0.9); got != 0 {
-		t.Errorf("empty soft-tfidf = %v", got)
-	}
-	// Soft matching: morphological variant still matches.
-	soft := SoftTFIDF([]string{"resolutions"}, []string{"resolution"}, idf, JaroWinkler, 0.9)
-	if soft <= 0 {
-		t.Error("soft matching failed on near-identical tokens")
-	}
-}
-
-func TestSoftTFIDFBounds(t *testing.T) {
-	idf := TokenIDF([][]string{{"a"}, {"b"}, {"c"}})
-	for _, pair := range [][2][]string{
-		{{"a", "b"}, {"b", "c"}},
-		{{"a"}, {"a", "b", "c"}},
-		{{"zz", "qq"}, {"zz"}},
-	} {
-		got := SoftTFIDF(pair[0], pair[1], idf, JaroWinkler, 0.9)
-		if got < 0 || got > 1 {
-			t.Errorf("SoftTFIDF(%v, %v) = %v outside [0,1]", pair[0], pair[1], got)
-		}
-	}
-}

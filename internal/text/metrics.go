@@ -1,169 +1,9 @@
 package text
 
-// This file implements the edit-distance family of string metrics used as
-// property-pair features (Table I rows 8–11 and 15). All functions operate
-// on runes, not bytes, so multi-byte property names compare correctly.
-
-// Levenshtein returns the classic edit distance between a and b
-// (insertions, deletions, substitutions, unit cost).
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[lb]
-}
-
-// OSA returns the optimal string alignment distance (also called the
-// restricted Damerau–Levenshtein distance): Levenshtein plus transposition
-// of two adjacent characters, with the restriction that no substring is
-// edited more than once. Unlike the full Damerau–Levenshtein distance it
-// does not satisfy the triangle inequality (e.g. "ca" → "abc").
-func OSA(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	// Three rolling rows: i-2, i-1, i.
-	prev2 := make([]int, lb+1)
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			d := min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
-				if t := prev2[j-2] + 1; t < d {
-					d = t
-				}
-			}
-			cur[j] = d
-		}
-		prev2, prev, cur = prev, cur, prev2
-	}
-	return prev[lb]
-}
-
-// DamerauLevenshtein returns the full (unrestricted) Damerau–Levenshtein
-// distance, which allows transposed characters to be edited again and is a
-// true metric. This is the O(|a|·|b|) alphabet-indexed algorithm of
-// Lowrance & Wagner.
-func DamerauLevenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	inf := la + lb + 1
-	// d is (la+2)×(lb+2) with a sentinel row/column of `inf`.
-	w := lb + 2
-	d := make([]int, (la+2)*w)
-	at := func(i, j int) int { return d[i*w+j] }
-	set := func(i, j, v int) { d[i*w+j] = v }
-	set(0, 0, inf)
-	for i := 0; i <= la; i++ {
-		set(i+1, 0, inf)
-		set(i+1, 1, i)
-	}
-	for j := 0; j <= lb; j++ {
-		set(0, j+1, inf)
-		set(1, j+1, j)
-	}
-	lastRow := map[rune]int{} // last row where each rune occurred in a
-	for i := 1; i <= la; i++ {
-		lastCol := 0 // last column in this row where ra[i-1] == rb[j-1]
-		for j := 1; j <= lb; j++ {
-			i1 := lastRow[rb[j-1]]
-			j1 := lastCol
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-				lastCol = j
-			}
-			sub := at(i, j) + cost
-			ins := at(i+1, j) + 1
-			del := at(i, j+1) + 1
-			trans := inf
-			if i1 > 0 && j1 > 0 {
-				trans = at(i1, j1) + (i - i1 - 1) + 1 + (j - j1 - 1)
-			}
-			set(i+1, j+1, min4(sub, ins, del, trans))
-		}
-		lastRow[ra[i-1]] = i
-	}
-	return at(la+1, lb+1)
-}
-
-// LongestCommonSubstring returns the length of the longest contiguous
-// substring shared by a and b.
-func LongestCommonSubstring(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 || len(rb) == 0 {
-		return 0
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	best := 0
-	for i := 1; i <= len(ra); i++ {
-		for j := 1; j <= len(rb); j++ {
-			if ra[i-1] == rb[j-1] {
-				cur[j] = prev[j-1] + 1
-				if cur[j] > best {
-					best = cur[j]
-				}
-			} else {
-				cur[j] = 0
-			}
-		}
-		prev, cur = cur, prev
-	}
-	return best
-}
-
-// LCSubstringDistance is the longest-common-substring distance used by the
-// paper: max(|a|,|b|) − LCSubstring(a,b), normalised later per feature.
-func LCSubstringDistance(a, b string) int {
-	la, lb := len([]rune(a)), len([]rune(b))
-	m := la
-	if lb > m {
-		m = lb
-	}
-	return m - LongestCommonSubstring(a, b)
-}
+// This file implements the string similarities the AML and SemProp
+// baselines call directly (the pair features compute theirs through
+// NameDistances). All functions operate on runes, not bytes, so
+// multi-byte property names compare correctly.
 
 // LongestCommonSubsequence returns the length of the longest (not
 // necessarily contiguous) common subsequence. Used by the AML baseline's
@@ -251,40 +91,6 @@ func JaroWinkler(a, b string) float64 {
 		prefix++
 	}
 	return j + float64(prefix)*0.1*(1-j)
-}
-
-// JaroWinklerDistance returns 1 − JaroWinkler(a, b), the form used as a
-// property-pair feature (Table I row 15).
-func JaroWinklerDistance(a, b string) float64 { return 1 - JaroWinkler(a, b) }
-
-// NormalizedLevenshtein returns Levenshtein(a,b) / max(|a|,|b|) in [0, 1],
-// with distance 0 for two empty strings.
-func NormalizedLevenshtein(a, b string) float64 {
-	return normalizeByMaxLen(Levenshtein(a, b), a, b)
-}
-
-// NormalizedOSA returns OSA(a,b) / max(|a|,|b|) in [0, 1].
-func NormalizedOSA(a, b string) float64 {
-	return normalizeByMaxLen(OSA(a, b), a, b)
-}
-
-// NormalizedDamerauLevenshtein returns DamerauLevenshtein(a,b) / max(|a|,|b|).
-func NormalizedDamerauLevenshtein(a, b string) float64 {
-	return normalizeByMaxLen(DamerauLevenshtein(a, b), a, b)
-}
-
-// NormalizedLCSubstring returns LCSubstringDistance(a,b) / max(|a|,|b|).
-func NormalizedLCSubstring(a, b string) float64 {
-	return normalizeByMaxLen(LCSubstringDistance(a, b), a, b)
-}
-
-func normalizeByMaxLen(d int, a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	m := max2(la, lb)
-	if m == 0 {
-		return 0
-	}
-	return float64(d) / float64(m)
 }
 
 func min2(a, b int) int {

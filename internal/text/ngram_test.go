@@ -1,6 +1,7 @@
 package text
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -107,4 +108,13 @@ func TestSimilarStringsCloserThanDissimilar(t *testing.T) {
 	if near >= far {
 		t.Errorf("3-gram distance should rank near pair first: near=%v far=%v", near, far)
 	}
+}
+
+// NGrams returns the padded q-gram profile of s. A non-positive q is an
+// input error, not a panic: q often arrives from user configuration.
+func NGrams(s string, q int) (NGramProfile, error) {
+	if q <= 0 {
+		return nil, fmt.Errorf("text: NGrams with non-positive q %d", q)
+	}
+	return ngrams(s, q), nil
 }

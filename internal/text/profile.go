@@ -12,9 +12,8 @@ import (
 // property, and NameDistances, which computes all eight for a pair of
 // profiles. The package doc lists the algorithms and the word-size gate;
 // the rune DPs of scratch.go serve every pair outside it. Every value is
-// bit-identical to the string-taking functions of metrics.go and
-// ngram.go, which stay as the oracle: TestNameDistancesMatchOracle and
-// FuzzNameDistances pin it.
+// bit-identical to the string-taking functions of oracle_test.go:
+// TestNameDistancesMatchOracle and FuzzNameDistances pin it.
 
 // NumNameDistances is the number of values NameDistances writes.
 const NumNameDistances = 8
@@ -22,6 +21,10 @@ const NumNameDistances = 8
 // maxWordRunes is the longest name the word-size path takes: one bit of
 // a uint64 per rune.
 const maxWordRunes = 64
+
+// padRune pads a name on both sides before its 3-grams are taken, so
+// the padding grams mark word edges (Ukkonen 1992).
+const padRune = '\x20'
 
 // NameProfile is one name prepared for NameDistances: its runes, whether
 // they are all ASCII, and the multiset of its padded 3-grams (the

@@ -58,13 +58,6 @@ func Tokenize(s string) []string {
 	return toks
 }
 
-// Words splits s on Unicode whitespace without lowercasing or splitting on
-// punctuation. It is the raw token stream the TAPON token-type features
-// (Table I row 2) are computed over, where capitalisation matters.
-func Words(s string) []string {
-	return strings.FieldsFunc(s, unicode.IsSpace)
-}
-
 // NormalizeName canonicalises a property name for comparison: it joins the
 // Tokenize tokens with single spaces, so "Camera-Resolution",
 // "camera_resolution" and "cameraResolution" all normalise to

@@ -2,7 +2,9 @@ package text
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
+	"unicode"
 )
 
 // tokenCorpus is the shared boundary-rule corpus: every shape the
@@ -140,4 +142,11 @@ func TestTokenClassCountsZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("TokenClassCounts allocated %.1f times per run, want 0", allocs)
 	}
+}
+
+// Words splits s on Unicode whitespace without lowercasing or splitting on
+// punctuation. It is the raw token stream the TAPON token-type features
+// (Table I row 2) are computed over, where capitalisation matters.
+func Words(s string) []string {
+	return strings.FieldsFunc(s, unicode.IsSpace)
 }
