@@ -58,10 +58,14 @@ test-determinism:
 # The overload/fault-injection suite: the chaos and client packages in
 # full, plus the serve-layer chaos and reload-failure tests, all under
 # -race — injected panics, stalls and corrupt reloads must never
-# surface as data races or dropped requests.
+# surface as data races or dropped requests. The batcher tests run 20
+# times over: the dispatcher's handoff is a select between handing a
+# batch to an idle worker and taking the next span, and repetition
+# varies which of the two wins.
 test-chaos:
 	$(GO) test -race -count=1 ./internal/chaos ./internal/client
 	$(GO) test -race -count=1 -run 'Chaos|ReloadFailure|Admission|DeadlineHeader' ./internal/serve
+	$(GO) test -race -count=20 -run 'Batcher|LoneRequest' ./internal/serve
 
 # Short fuzz pass over the dataset JSON loaders, the serving JSON API, the
 # pair distances (against their string oracle), the model and index

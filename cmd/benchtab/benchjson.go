@@ -310,6 +310,13 @@ func benchServe(fx *benchFixture, rep *benchReport, quick bool) error {
 		return err
 	}
 	rep.Config["pairs_per_request"] = pairsPerReq
+	// A request smaller than one 32-pair micro-batch: the batcher hands
+	// it to a worker as a partial batch.
+	const smallPairs = 8
+	smallBody, err := benchPairs(fx, smallPairs)
+	if err != nil {
+		return err
+	}
 
 	// newServer spins up an httptest server; cache toggles the feature
 	// cache so cold vs warm isolates its effect.
@@ -324,7 +331,7 @@ func benchServe(fx *benchFixture, rep *benchReport, quick bool) error {
 		}
 		return s, httptest.NewServer(s.Handler()), nil
 	}
-	post := func(ts *httptest.Server) error {
+	post := func(ts *httptest.Server, body []byte) error {
 		resp, err := ts.Client().Post(ts.URL+"/v1/match", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return err
@@ -348,13 +355,13 @@ func benchServe(fx *benchFixture, rep *benchReport, quick bool) error {
 		}
 		return nil
 	}
-	benchHTTP := func(name string, cacheSize int, parallel bool) (benchResult, error) {
+	benchHTTP := func(name string, body []byte, pairs, cacheSize int, parallel bool) (benchResult, error) {
 		s, ts, err := newServer(cacheSize)
 		if err != nil {
 			return benchResult{}, err
 		}
 		defer func() { ts.Close(); s.Close() }()
-		if err := post(ts); err != nil { // warm-up (fills cache when enabled)
+		if err := post(ts, body); err != nil { // warm-up (fills cache when enabled)
 			return benchResult{}, err
 		}
 		var r testing.BenchmarkResult
@@ -363,7 +370,7 @@ func benchServe(fx *benchFixture, rep *benchReport, quick bool) error {
 			r = testing.Benchmark(func(b *testing.B) {
 				b.RunParallel(func(pb *testing.PB) {
 					for pb.Next() {
-						if err := post(ts); err != nil {
+						if err := post(ts, body); err != nil {
 							benchErr = err
 							return
 						}
@@ -374,26 +381,32 @@ func benchServe(fx *benchFixture, rep *benchReport, quick bool) error {
 				return benchResult{}, benchErr
 			}
 		} else {
-			if r, err = benchOp(quick, func() error { return post(ts) }); err != nil {
+			if r, err = benchOp(quick, func() error { return post(ts, body) }); err != nil {
 				return benchResult{}, err
 			}
 		}
-		return resultOf(name, pairsPerReq, r), nil
+		return resultOf(name, pairs, r), nil
 	}
 
-	cold, err := benchHTTP("http_match_cold_cache_off", -1, false)
+	cold, err := benchHTTP("http_match_cold_cache_off", body, pairsPerReq, -1, false)
 	if err != nil {
 		return err
 	}
-	warm, err := benchHTTP("http_match_warm_cache_on", 0, false)
+	warm, err := benchHTTP("http_match_warm_cache_on", body, pairsPerReq, 0, false)
 	if err != nil {
 		return err
 	}
-	conc, err := benchHTTP("http_match_concurrent_cache_on", 0, true)
+	// Serial small requests on a warm cache: each one finds the worker
+	// pool idle, so its time is what a lone request waits.
+	small, err := benchHTTP("http_match_warm_8pairs", smallBody, smallPairs, 0, false)
 	if err != nil {
 		return err
 	}
-	rep.Results = append(rep.Results, cold, warm, conc)
+	conc, err := benchHTTP("http_match_concurrent_cache_on", body, pairsPerReq, 0, true)
+	if err != nil {
+		return err
+	}
+	rep.Results = append(rep.Results, cold, warm, small, conc)
 
 	// Library scorer baseline: same pairs, no HTTP, no batching — the
 	// floor the serving layers are compared against.

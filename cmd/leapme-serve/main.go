@@ -65,7 +65,6 @@ func run(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 4, "batch-scoring workers (also sizes each model's scorer pool)")
 	maxBatch := fs.Int("max-batch", 32, "max pairs per micro-batch")
-	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "micro-batch flush deadline")
 	cacheSize := fs.Int("cache", 4096, "feature cache entries per model (-1 disables)")
 	threshold := fs.Float64("threshold", 0, "every model's match threshold (model files store none; 0 means the default 0.5)")
 	maxValues := fs.Int("max-values", 0, "cap instance values per served property (0 = all)")
@@ -103,7 +102,6 @@ func run(args []string) error {
 		Active:          *active,
 		Workers:         *workers,
 		MaxBatch:        *maxBatch,
-		MaxWait:         *maxWait,
 		CacheSize:       *cacheSize,
 		Threshold:       *threshold,
 		MaxValues:       *maxValues,

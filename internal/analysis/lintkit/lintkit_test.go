@@ -164,8 +164,17 @@ func TestRunAnalyzersSurfacesTypeErrors(t *testing.T) {
 	}
 	sawTypecheck := false
 	for _, f := range findings {
-		if f.Analyzer == "typecheck" {
-			sawTypecheck = true
+		if f.Analyzer != "typecheck" {
+			continue
+		}
+		sawTypecheck = true
+		// The finding is positioned at the error, and its message holds
+		// no path: it prints as file:line:col: msg and sorts with its file.
+		if f.Position.Filename != fn || f.Position.Line != 3 {
+			t.Errorf("typecheck finding at %v, want %s:3", f.Position, fn)
+		}
+		if strings.Contains(f.Message, "fixture.go") || !strings.Contains(f.Message, "undefinedIdent") {
+			t.Errorf("typecheck message %q: want the checker's message without a path", f.Message)
 		}
 	}
 	if !sawTypecheck {

@@ -1,8 +1,10 @@
 package lintkit
 
 import (
+	"errors"
 	"fmt"
 	"go/token"
+	"go/types"
 	"sort"
 )
 
@@ -65,10 +67,15 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, extraKnown ...string) 
 			}
 		}
 		for _, te := range p.TypeErrors {
-			findings = append(findings, Finding{
-				Analyzer: "typecheck",
-				Message:  te.Error(),
-			})
+			f := Finding{Analyzer: "typecheck", Message: te.Error()}
+			// A checker error carries its own position; report it there,
+			// so it prints relative and sorts with its file.
+			var terr types.Error
+			if errors.As(te, &terr) {
+				f.Position = terr.Fset.Position(terr.Pos)
+				f.Message = terr.Msg
+			}
+			findings = append(findings, f)
 		}
 	}
 	for _, a := range analyzers {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"testing"
-	"time"
 
 	"leapme/internal/features"
 )
@@ -21,8 +20,9 @@ import (
 func TestSpanAllocRegression(t *testing.T) {
 	md := testModel(t)
 	// One worker makes batching deterministic: a 32-pair span is exactly
-	// one full batch, a 1-pair span one timer-flushed batch.
-	b := newBatcher(1, 32, time.Millisecond, newMetrics(), nil)
+	// one full batch, and a lone 1-pair span goes straight to the idle
+	// worker as a batch of its own.
+	b := newBatcher(1, 32, newMetrics(), nil)
 	defer b.Close()
 	ctx := context.Background()
 
@@ -77,7 +77,7 @@ func TestSpanAllocRegression(t *testing.T) {
 // it fails `make lint`.
 func TestRunBatchFixedAllocs(t *testing.T) {
 	md := testModel(t)
-	b := newBatcher(1, 32, time.Millisecond, newMetrics(), nil)
+	b := newBatcher(1, 32, newMetrics(), nil)
 	defer b.Close()
 
 	specs := somePairs(t, 32)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"leapme/internal/chaos"
 	"leapme/internal/features"
@@ -67,20 +66,20 @@ type pairRef struct {
 
 // batcher coalesces concurrent pair-scoring requests into micro-batches:
 // a dispatcher collects up to maxBatch pairs — splitting large spans and
-// packing small ones — flushing early after maxWait, and a worker pool
-// scores each same-model run of a batch in one batched forward pass on a
-// scorer clone of that model. A panic poisons only that pair's slot in
+// packing small ones — and hands each batch to the first idle worker, so
+// pairs wait for company only while the whole pool is busy. Each worker
+// scores every same-model run of a batch in one batched forward pass on
+// a scorer clone of that model. A panic poisons only that pair's slot in
 // its span.
 type batcher struct {
 	maxBatch int
-	maxWait  time.Duration
 	met      *Metrics
 	chaos    *chaos.Injector // nil in production: inert hooks
 
 	mu     sync.RWMutex // guards closed vs. queue sends
 	closed bool
 	queue  chan *span
-	work   chan []pairRef
+	work   chan []pairRef // unbuffered: a send completes only at an idle worker
 	bufs   chan []pairRef // batch-buffer freelist
 	wg     sync.WaitGroup // dispatcher + workers
 }
@@ -88,23 +87,19 @@ type batcher struct {
 // newBatcher starts the dispatcher and workers worker goroutines. inj
 // arms the chaos hooks (PointBatch before each batch, PointScore inside
 // each pair's guard unit); nil leaves them inert.
-func newBatcher(workers, maxBatch int, maxWait time.Duration, met *Metrics, inj *chaos.Injector) *batcher {
+func newBatcher(workers, maxBatch int, met *Metrics, inj *chaos.Injector) *batcher {
 	if workers <= 0 {
 		workers = 4
 	}
 	if maxBatch <= 0 {
 		maxBatch = 32
 	}
-	if maxWait <= 0 {
-		maxWait = 2 * time.Millisecond
-	}
 	b := &batcher{
 		maxBatch: maxBatch,
-		maxWait:  maxWait,
 		met:      met,
 		chaos:    inj,
 		queue:    make(chan *span, workers*maxBatch),
-		work:     make(chan []pairRef, workers),
+		work:     make(chan []pairRef),
 		bufs:     make(chan []pairRef, workers+2),
 	}
 	b.wg.Add(1)
@@ -167,19 +162,16 @@ func (b *batcher) putBuf(buf []pairRef) {
 	}
 }
 
-// dispatch implements the size-or-deadline batching policy over spans:
+// dispatch implements the work-conserving batching policy over spans:
 // the current batch fills pair by pair, splitting a span larger than
-// maxBatch across batches and packing small spans together, and flushes
-// when full or maxWait after its first pair arrived. One timer is reused
-// across batches.
+// maxBatch across batches and packing small spans together. A full batch
+// waits for a worker. A partial batch first takes every span already
+// queued, then goes to the first idle worker, and takes further spans
+// only while every worker is busy — so a batch never waits while a
+// worker idles, and batches grow exactly when the pool is saturated.
 func (b *batcher) dispatch() {
 	defer b.wg.Done()
 	defer close(b.work)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
 	var cur *span // partially dispatched span
 	var off int
 	for {
@@ -191,8 +183,6 @@ func (b *batcher) dispatch() {
 			cur, off = sp, 0
 		}
 		batch := b.getBuf()
-		timer.Reset(b.maxWait)
-		fired := false
 	fill:
 		for {
 			for cur != nil && len(batch) < b.maxBatch {
@@ -203,23 +193,29 @@ func (b *batcher) dispatch() {
 				}
 			}
 			if len(batch) == b.maxBatch {
+				b.work <- batch
 				break fill
 			}
+			// The batch is partial, so cur is nil: take a queued span,
+			// else hand the batch to an idle worker or take the next
+			// span, whichever comes first.
+			var sp *span
+			var ok bool
 			select {
-			case sp, ok := <-b.queue:
-				if !ok {
+			case sp, ok = <-b.queue:
+			default:
+				select {
+				case b.work <- batch:
 					break fill
+				case sp, ok = <-b.queue:
 				}
-				cur, off = sp, 0
-			case <-timer.C:
-				fired = true
-				break fill
 			}
+			if !ok { // closed and drained: flush what is left
+				b.work <- batch
+				return
+			}
+			cur, off = sp, 0
 		}
-		if !fired && !timer.Stop() {
-			<-timer.C
-		}
-		b.work <- batch
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"leapme/internal/chaos"
 	"leapme/internal/features"
 )
 
@@ -52,7 +52,7 @@ func awaitSpan(t *testing.T, sp *span) {
 func TestBatcherPoisonIsolation(t *testing.T) {
 	md := testModel(t)
 	met := newMetrics()
-	b := newBatcher(2, 8, time.Millisecond, met, nil)
+	b := newBatcher(2, 8, met, nil)
 	defer b.Close()
 
 	as, bs := featurize(md, somePairs(t, 4))
@@ -116,42 +116,59 @@ func TestBatcherPoisonIsolation(t *testing.T) {
 	}
 }
 
+// TestBatcherCoalesces pins the work-conserving policy: pairs that
+// queue while every worker is busy ride in shared batches, as few as
+// MaxBatch allows. A chaos stall holds the one worker on a first span
+// while 24 single-pair spans queue behind it.
 func TestBatcherCoalesces(t *testing.T) {
 	md := testModel(t)
 	met := newMetrics()
-	// Long flush deadline: concurrent pairs must ride in shared batches.
-	b := newBatcher(2, 16, 50*time.Millisecond, met, nil)
+	inj := chaos.New(1, chaos.Fault{Point: chaos.PointBatch, Mode: chaos.Stall, Delay: 10 * time.Second, Count: 1})
+	const maxBatch = 16
+	b := newBatcher(1, maxBatch, met, inj)
 	defer b.Close()
+	defer inj.Disarm() // before Close, so a failed test does not wait out the stall
 
-	as, bs := featurize(md, somePairs(t, 24))
-	var wg sync.WaitGroup
-	for i := range as {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sp, err := b.EnqueueSpan(context.Background(), md, as[i:i+1], bs[i:i+1], nil)
-			if err != nil {
-				t.Errorf("pair %d: %v", i, err)
-				return
-			}
-			if _, ok := sp.next(context.Background()); !ok || sp.errs[0] != nil {
-				t.Errorf("pair %d: %v", i, sp.errs[0])
-			}
-		}(i)
+	as, bs := featurize(md, somePairs(t, 25))
+	if len(as) != 25 {
+		t.Fatalf("fixture has %d pairs, want 25", len(as))
 	}
-	wg.Wait()
+	ctx := context.Background()
+	first, err := b.EnqueueSpan(ctx, md, as[:1], bs[:1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for inj.Fired(chaos.PointBatch) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	var spans []*span
+	for i := 1; i < len(as); i++ {
+		sp, err := b.EnqueueSpan(ctx, md, as[i:i+1], bs[i:i+1], nil)
+		if err != nil {
+			t.Fatalf("pair %d: %v", i, err)
+		}
+		spans = append(spans, sp)
+	}
+	inj.Disarm()
+	for i, sp := range append(spans, first) {
+		awaitSpan(t, sp)
+		if sp.errs[0] != nil {
+			t.Errorf("span %d: %v", i, sp.errs[0])
+		}
+	}
 	batches, scored := met.Batches.Load(), met.BatchPairs.Load()
 	if scored != int64(len(as)) {
 		t.Fatalf("scored %d pairs, want %d", scored, len(as))
 	}
-	if batches >= scored {
-		t.Errorf("no coalescing: %d batches for %d pairs", batches, scored)
+	queued := len(as) - 1
+	if limit := int64(1 + (queued+maxBatch-1)/maxBatch); batches > limit {
+		t.Errorf("%d batches for %d pairs, want at most %d: pairs queued behind a busy worker must share batches", batches, scored, limit)
 	}
 }
 
 func TestBatcherDrain(t *testing.T) {
 	md := testModel(t)
-	b := newBatcher(1, 4, time.Millisecond, newMetrics(), nil)
+	b := newBatcher(1, 4, newMetrics(), nil)
 
 	ctx := context.Background()
 	as, bs := featurize(md, somePairs(t, 6))

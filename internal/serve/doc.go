@@ -34,18 +34,22 @@
 // # Micro-batching scorer
 //
 // Concurrent pair-scoring requests are coalesced by a dispatcher into
-// batches of at most MaxBatch pairs, flushed early after MaxWait (the
-// classic size-or-deadline micro-batch policy, default 32 pairs / 2 ms).
-// A pool of workers executes batches. A worker gathers each run of
-// same-model pairs into its own buffers, checks a scorer clone out of
-// that model and scores the run with core.Scorer.ScoreIsolated: one
-// batched forward pass for the whole run, while distinct workers score
-// in parallel on independent clones. A pair that panics or errors (a
-// poisoned input) fails alone: internal/guard recovers the batch, the
-// run is scored again pair by pair, and only that pair carries an
-// error, counted in the metrics. Its request still answers 200, with
-// the error in that pair's result; only a request whose every pair
-// failed answers 500. The server and the rest of the batch keep going.
+// batches of at most MaxBatch pairs (default 32). The policy is
+// work-conserving: a batch goes to the first idle worker as soon as one
+// is free, after taking in every request already queued, and it grows
+// further only while every worker is busy. A lone request is therefore
+// scored at once, and batches fill up exactly when the pool saturates;
+// no timer holds a batch back. A pool of workers executes batches. A
+// worker gathers each run of same-model pairs into its own buffers,
+// checks a scorer clone out of that model and scores the run with
+// core.Scorer.ScoreIsolated: one batched forward pass for the whole
+// run, while distinct workers score in parallel on independent clones.
+// A pair that panics or errors (a poisoned input) fails alone:
+// internal/guard recovers the batch, the run is scored again pair by
+// pair, and only that pair carries an error, counted in the metrics.
+// Its request still answers 200, with the error in that pair's result;
+// only a request whose every pair failed answers 500. The server and
+// the rest of the batch keep going.
 //
 // # Feature cache
 //

@@ -36,7 +36,11 @@ type Config struct {
 	Workers int
 	// MaxBatch caps pairs per micro-batch (default 32).
 	MaxBatch int
-	// MaxWait is the micro-batch flush deadline (default 2ms).
+	// MaxWait is ignored: the batcher hands each micro-batch to the
+	// first idle worker and coalesces pairs only while every worker is
+	// busy, so no batch waits on a timer.
+	//
+	// Deprecated: MaxWait has no effect and will be removed.
 	MaxWait time.Duration
 	// CacheSize bounds each model's feature cache in entries (default
 	// 4096, -1 disables).
@@ -158,7 +162,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		reg:   reg,
-		batch: newBatcher(cfg.Workers, cfg.MaxBatch, cfg.MaxWait, met, cfg.Chaos),
+		batch: newBatcher(cfg.Workers, cfg.MaxBatch, met, cfg.Chaos),
 		adm:   newAdmission(cfg.MaxQueuedPairs, cfg.HighWaterFrac, cfg.RetryAfter),
 		met:   met,
 		mux:   http.NewServeMux(),

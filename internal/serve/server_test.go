@@ -97,6 +97,25 @@ func TestMatchEndpointBitIdentical(t *testing.T) {
 	}
 }
 
+// TestLoneRequestDoesNotWait pins the work-conserving batcher from the
+// outside: a request that finds every worker idle is scored at once. The
+// deprecated flush deadline is set to an hour, so any batch held back
+// for company would hold this request for that long.
+func TestLoneRequestDoesNotWait(t *testing.T) {
+	s, _ := newTestServer(t, func(c *Config) { c.MaxWait = time.Hour })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ts.Client().Timeout = 5 * time.Second
+
+	resp, raw := postJSON(t, ts, "/v1/match", matchRequest{Pairs: somePairs(t, 1)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	if mr := decodeMatch(t, raw); len(mr.Results) != 1 || mr.Results[0].Error != "" {
+		t.Fatalf("want one scored pair, got %s", raw)
+	}
+}
+
 func TestMatchEndpointCacheHitBitIdentical(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
