@@ -68,9 +68,10 @@ test-chaos:
 	$(GO) test -race -count=20 -run 'Batcher|LoneRequest' ./internal/serve
 
 # Short fuzz pass over the dataset JSON loaders, the serving JSON API, the
-# pair distances (against their string oracle), the model and index
-# snapshot loaders (mutated payloads re-sealed past their CRC) and the
-# embedding store loader; extend -fuzztime for real runs. CI runs this
+# pair distances (against their string oracle), the nn AVX routines
+# (against their generic Go references), the model and index snapshot
+# loaders (mutated payloads re-sealed past their CRC) and the embedding
+# store loader; extend -fuzztime for real runs. CI runs this
 # target, so a fuzzer added here runs there too. The binary
 # loader targets skip minimisation: their inputs are kilobytes long,
 # and minimising each new-coverage input would spend most of a 10 s
@@ -81,6 +82,7 @@ fuzz:
 	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzMatchRequest$$' -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzMatchAllRequest$$' -fuzztime=10s
 	$(GO) test ./internal/text -run='^$$' -fuzz='^FuzzNameDistances$$' -fuzztime=10s
+	$(GO) test ./internal/nn -run='^$$' -fuzz='^FuzzSIMDKernels$$' -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzReadModel$$' -fuzztime=10s -fuzzminimizetime=0
 	$(GO) test ./internal/index -run='^$$' -fuzz='^FuzzReadSnapshot$$' -fuzztime=10s -fuzzminimizetime=0
 	$(GO) test ./internal/embedding -run='^$$' -fuzz='^FuzzReadStore$$' -fuzztime=10s -fuzzminimizetime=0

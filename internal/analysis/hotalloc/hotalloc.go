@@ -53,8 +53,8 @@ var Seeded = []SeededFunc{
 	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "runBatch"},
 	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "chunkGrads"},
 	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "accumLayerGrads"},
-	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "reduceGrads"},
-	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "optStep"},
+	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "stepRange"},
+	{Pkg: "leapme/internal/nn", Recv: "TrainKernel", Name: "beginStep"},
 	{Pkg: "leapme/internal/text", Name: "NameDistances"},
 	{Pkg: "leapme/internal/features", Recv: "Extractor", Name: "accumulateInstances"},
 	{Pkg: "leapme/internal/features", Recv: "Pairer", Name: "PairVectorScratch"},

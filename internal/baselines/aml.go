@@ -11,28 +11,26 @@ import (
 // original further applies a selection step that keeps, per property, only
 // matches within a margin of its best match — reproduced here — which is
 // why AML's profile is very high precision at moderate recall.
-type AML struct {
-	// Threshold is the ensemble acceptance threshold. AML's published
+type AML struct{}
+
+const (
+	// amlThreshold is the ensemble acceptance threshold. AML's published
 	// configuration leans on high thresholds for its string matchers;
 	// 0.9 reproduces its very-high-precision / moderate-recall profile.
-	Threshold float64
-	// SelectionMargin keeps matches within this margin of a property's
-	// best match (default 0.05). Negative disables selection.
-	SelectionMargin float64
-}
+	amlThreshold = 0.9
+	// amlSelectionMargin keeps matches within this margin of a
+	// property's best match.
+	amlSelectionMargin = 0.05
+)
 
-// NewAML returns AML with its default thresholds.
-func NewAML() *AML { return &AML{Threshold: 0.9, SelectionMargin: 0.05} }
+// NewAML returns AML.
+func NewAML() *AML { return &AML{} }
 
 // Name implements Matcher.
 func (a *AML) Name() string { return "AML" }
 
 // Match implements Matcher.
 func (a *AML) Match(in Input) ([]Match, error) {
-	th := a.Threshold
-	if th <= 0 {
-		th = 0.6
-	}
 	type cand struct {
 		pair  dataset.Pair
 		score float64
@@ -47,7 +45,7 @@ func (a *AML) Match(in Input) ([]Match, error) {
 	}
 	dataset.CrossSourcePairs(in.Props, func(p, q dataset.Property) bool {
 		s := amlSimilarity(norm[p.Key()], norm[q.Key()], toks[p.Key()], toks[q.Key()])
-		if s < th {
+		if s < amlThreshold {
 			return true
 		}
 		pair := dataset.Pair{A: p.Key(), B: q.Key()}.Canonical()
@@ -62,10 +60,8 @@ func (a *AML) Match(in Input) ([]Match, error) {
 	})
 	var out []Match
 	for _, c := range cands {
-		if a.SelectionMargin >= 0 {
-			if c.score < best[c.pair.A]-a.SelectionMargin && c.score < best[c.pair.B]-a.SelectionMargin {
-				continue // dominated on both sides: AML's selector drops it
-			}
+		if c.score < best[c.pair.A]-amlSelectionMargin && c.score < best[c.pair.B]-amlSelectionMargin {
+			continue // dominated on both sides: AML's selector drops it
 		}
 		out = append(out, Match{Pair: c.pair, Score: c.score})
 	}

@@ -16,64 +16,46 @@ import (
 // estimated Jaccard similarity clears a threshold. The paper runs it
 // "using minhash with a band size of 1" — every single signature row is
 // its own band, the most recall-friendly banding.
-type LSH struct {
-	// Hashes is the MinHash signature length (default 64).
-	Hashes int
-	// BandSize is the number of rows per band (the paper uses 1).
-	BandSize int
-	// Threshold on the estimated Jaccard similarity (default 0.5).
-	Threshold float64
-	// MaxTokens caps the value-token set per property (0 = unlimited).
-	MaxTokens int
-	// Seed salts the hash family.
-	Seed uint64
-}
+type LSH struct{}
+
+// LSH's configuration in the paper's evaluation.
+const (
+	lshHashes    = 64   // MinHash signature length
+	lshBandSize  = 1    // rows per band (the paper's band size)
+	lshThreshold = 0.5  // on the estimated Jaccard similarity
+	lshMaxTokens = 4096 // cap on a property's value-token set
+	lshSeed      = 1    // salts the hash family
+)
 
 // NewLSH returns LSH configured as in the paper's evaluation.
-func NewLSH() *LSH {
-	return &LSH{Hashes: 64, BandSize: 1, Threshold: 0.5, MaxTokens: 4096, Seed: 1}
-}
+func NewLSH() *LSH { return &LSH{} }
 
 // Name implements Matcher.
 func (l *LSH) Name() string { return "LSH" }
 
 // Match implements Matcher.
 func (l *LSH) Match(in Input) ([]Match, error) {
-	h := l.Hashes
-	if h <= 0 {
-		h = 64
-	}
-	band := l.BandSize
-	if band <= 0 {
-		band = 1
-	}
-	th := l.Threshold
-	if th <= 0 {
-		th = 0.5
-	}
-
 	// MinHash signatures over instance-value token sets.
 	sigs := make([][]uint64, len(in.Props))
 	empty := make([]bool, len(in.Props))
 	for i, p := range in.Props {
-		tokens := valueTokens(in.Values[p.Key()], l.MaxTokens)
+		tokens := valueTokens(in.Values[p.Key()])
 		if len(tokens) == 0 {
 			empty[i] = true
 			continue
 		}
-		sigs[i] = minhash(tokens, h, l.Seed)
+		sigs[i] = minhash(tokens, lshHashes, lshSeed)
 	}
 
 	// Banding: group properties by each band's hashed rows.
 	candidates := map[[2]int]bool{}
-	numBands := h / band
-	for bi := 0; bi < numBands; bi++ {
+	for bi := 0; bi < lshHashes/lshBandSize; bi++ {
 		buckets := map[uint64][]int{}
 		for i := range in.Props {
 			if empty[i] {
 				continue
 			}
-			key := bandKey(sigs[i][bi*band : (bi+1)*band])
+			key := bandKey(sigs[i][bi*lshBandSize : (bi+1)*lshBandSize])
 			buckets[key] = append(buckets[key], i)
 		}
 		for _, members := range buckets {
@@ -100,13 +82,13 @@ func (l *LSH) Match(in Input) ([]Match, error) {
 	for c := range candidates {
 		i, j := c[0], c[1]
 		agree := 0
-		for k := 0; k < h; k++ {
+		for k := 0; k < lshHashes; k++ {
 			if sigs[i][k] == sigs[j][k] {
 				agree++
 			}
 		}
-		est := float64(agree) / float64(h)
-		if est >= th {
+		est := float64(agree) / lshHashes
+		if est >= lshThreshold {
 			out = append(out, Match{
 				Pair:  dataset.Pair{A: in.Props[i].Key(), B: in.Props[j].Key()}.Canonical(),
 				Score: est,
@@ -129,13 +111,14 @@ func (l *LSH) Match(in Input) ([]Match, error) {
 	return out, nil
 }
 
-// valueTokens builds the token set of a property's values.
-func valueTokens(values []string, cap int) map[string]bool {
+// valueTokens builds the token set of a property's values, capped at
+// lshMaxTokens tokens.
+func valueTokens(values []string) map[string]bool {
 	set := map[string]bool{}
 	for _, v := range values {
 		for _, tok := range text.Tokenize(v) {
 			set[tok] = true
-			if cap > 0 && len(set) >= cap {
+			if len(set) >= lshMaxTokens {
 				return set
 			}
 		}

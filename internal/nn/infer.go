@@ -148,30 +148,27 @@ func (k *Kernel) ForwardBatch(probs, xs []float64, n int, scratch []float64) {
 // lane is a zero-seeded sequential dot in ascending c, the mathx.Dot
 // order of the oracle forward pass, so a lane's bits do not depend on
 // the chunk it rides in or on the other lanes. Row pairs run the fused
-// two-row routine, an odd last row the single-row one.
-// Kernel.ForwardBatch and TrainKernel's forward pass share it; both pad
-// a partial chunk with zero lanes.
+// two-row routine, an odd last row the single-row one; both add the
+// bias and apply ReLU as they store, so a ReLU or identity layer is
+// finished in those calls, and a sigmoid or tanh layer applies its
+// activation to the biased sums afterwards. Kernel.ForwardBatch and
+// TrainKernel's forward pass share it; both pad a partial chunk with
+// zero lanes.
 func (l *kernLayer) forwardChunk(out, in, w, b []float64) {
 	w = w[l.woff : l.woff+l.rows*l.cols]
 	b = b[l.boff : l.boff+l.rows]
-	var acc2 [2 * gradChunkSize]float64
+	relu := l.act == ActReLU
 	r := 0
 	for ; r+2 <= l.rows; r += 2 {
-		fwd2Row8(&acc2, in, w[r*l.cols:(r+2)*l.cols])
-		bv0, bv1 := b[r], b[r+1]
-		o := out[r*gradChunkSize : (r+2)*gradChunkSize]
-		for e := 0; e < gradChunkSize; e++ {
-			o[e] = l.act.apply(acc2[e] + bv0)
-			o[gradChunkSize+e] = l.act.apply(acc2[gradChunkSize+e] + bv1)
-		}
+		fwd2Row8((*[2 * gradChunkSize]float64)(out[r*gradChunkSize:]), in, w[r*l.cols:(r+2)*l.cols], b[r:r+2], relu)
 	}
 	if r < l.rows {
-		var acc [gradChunkSize]float64
-		fwdRow8(&acc, in, w[r*l.cols:(r+1)*l.cols])
-		bv := b[r]
-		o := out[r*gradChunkSize : (r+1)*gradChunkSize]
-		for e := 0; e < gradChunkSize; e++ {
-			o[e] = l.act.apply(acc[e] + bv)
+		fwdRow8((*[gradChunkSize]float64)(out[r*gradChunkSize:]), in, w[r*l.cols:(r+1)*l.cols], b[r:r+1], relu)
+	}
+	if l.act == ActSigmoid || l.act == ActTanh {
+		o := out[:l.rows*gradChunkSize]
+		for i, v := range o {
+			o[i] = l.act.apply(v)
 		}
 	}
 }

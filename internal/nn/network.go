@@ -47,10 +47,7 @@ func (a Activation) String() string {
 func (a Activation) apply(x float64) float64 {
 	switch a {
 	case ActReLU:
-		if x > 0 {
-			return x
-		}
-		return 0
+		return reluOf(x)
 	case ActSigmoid:
 		return 1 / (1 + math.Exp(-x))
 	case ActTanh:
@@ -58,6 +55,15 @@ func (a Activation) apply(x float64) float64 {
 	default:
 		return x
 	}
+}
+
+// reluOf is ReLU: x when x > 0, else +0, so NaN and −0 map to +0 too.
+// The forward routines' AVX epilogue reproduces it with VMAXPD.
+func reluOf(x float64) float64 {
+	if x > 0 {
+		return x
+	}
+	return 0
 }
 
 // derivFromOutput returns dσ/dx given σ(x) (all supported activations
@@ -75,6 +81,28 @@ func (a Activation) derivFromOutput(y float64) float64 {
 		return 1 - y*y
 	default:
 		return 1
+	}
+}
+
+// mulDeriv multiplies each delta d[i] by the derivative at output y[i],
+// d[i] *= a.derivFromOutput(y[i]). For ReLU it selects the factor, 1 or
+// +0, on its bits: gc compiles that integer select to CMOV, so the loop
+// does not branch on each output, about half of which are zero.
+func (a Activation) mulDeriv(d, y []float64) {
+	y = y[:len(d)]
+	if a != ActReLU {
+		for i, v := range y {
+			d[i] *= a.derivFromOutput(v)
+		}
+		return
+	}
+	one := math.Float64bits(1)
+	for i, v := range y {
+		var g uint64
+		if v > 0 {
+			g = one
+		}
+		d[i] *= math.Float64frombits(g)
 	}
 }
 

@@ -92,7 +92,7 @@ func TestGradientCheck(t *testing.T) {
 	for _, p := range []struct {
 		name         string
 		params, grad []float64
-	}{{"weight", n.w, k.gw}, {"bias", n.b, k.gb}} {
+	}{{"weight", n.w, k.g[:len(n.w)]}, {"bias", n.b, k.g[len(n.w):]}} {
 		for i, orig := range p.params {
 			p.params[i] = orig + eps
 			up := loss()
@@ -103,6 +103,25 @@ func TestGradientCheck(t *testing.T) {
 			if ana := p.grad[i]; math.Abs(num-ana) > 1e-5*(1+math.Abs(num)) {
 				t.Fatalf("%s %d: numeric %g vs analytic %g", p.name, i, num, ana)
 			}
+		}
+	}
+}
+
+// TestMulDerivMatchesDerivFromOutput pins mulDeriv, whose ReLU arm
+// selects its factor on the bits, to derivFromOutput bit for bit, with
+// every edge value as an output and as a delta.
+func TestMulDerivMatchesDerivFromOutput(t *testing.T) {
+	for _, a := range []Activation{ActReLU, ActSigmoid, ActTanh, ActIdentity} {
+		for _, y := range specialVals {
+			d := append([]float64(nil), specialVals...)
+			ys := make([]float64, len(d))
+			want := make([]float64, len(d))
+			for i, v := range d {
+				ys[i] = y
+				want[i] = v * a.derivFromOutput(y)
+			}
+			a.mulDeriv(d, ys)
+			bitsEqual(t, a.String(), d, want)
 		}
 	}
 }
@@ -166,8 +185,10 @@ func TestDeterministicInit(t *testing.T) {
 	}
 }
 
-// batchGrads returns a training kernel over n whose gradient slabs hold
-// the batch-averaged gradient of (xs, ys), a batch of at most one chunk.
+// batchGrads returns a training kernel over n whose gradient slab holds
+// the batch-averaged gradient of (xs, ys), a batch of at most one chunk,
+// with n's parameters left where the gradient was taken: the optimizer
+// step that reduces the gradient also moves them, so they are restored.
 func batchGrads(t *testing.T, n *Network, xs [][]float64, ys []int) *TrainKernel {
 	t.Helper()
 	k, err := NewTrainKernel(n, TrainConfig{Workers: 1})
@@ -182,7 +203,10 @@ func batchGrads(t *testing.T, n *Network, xs [][]float64, ys []int) *TrainKernel
 	}
 	k.curXS, k.curYS, k.curIdx = flat, ys, idx
 	k.chunkGrads(0)
-	k.reduceGrads(1, 1/float64(len(xs)))
+	k.snapshot()
+	k.beginStep(1, 1/float64(len(xs)), 1e-3)
+	k.run(true, k.ranges)
+	k.restore()
 	return k
 }
 
@@ -197,8 +221,8 @@ func TestGradAccumulationScaling(t *testing.T) {
 	x := []float64{1, -1}
 	one := batchGrads(t, mk(), [][]float64{x}, []int{0})
 	two := batchGrads(t, mk(), [][]float64{x, x}, []int{0, 0})
-	for i := range one.gw {
-		if math.Abs(two.gw[i]-one.gw[i]) > 1e-12 {
+	for i := range one.g {
+		if math.Abs(two.g[i]-one.g[i]) > 1e-12 {
 			t.Fatal("gradient accumulation + scaling is not an average")
 		}
 	}

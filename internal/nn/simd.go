@@ -18,39 +18,47 @@ import (
 // packed mul/add are IEEE 754 correctly-rounded per element, each lane
 // stays an independent sequential chain, and no fused multiply-add is
 // used (FMA rounds once where mul+add rounds twice, which would change
-// bits). The assembly paths are therefore bit-identical to the generic
-// Go paths below, which remain the reference semantics and the fallback
-// for non-amd64 builds and pre-AVX CPUs.
+// bits). The forward routines finish each lane in registers: the bias
+// is one VADDPD with the sum as the left operand, and ReLU is one
+// VMAXPD against a +0 register given as the second source, which yields
+// that +0 whenever the lane is not > 0 — NaN and −0 included — exactly
+// as reluOf's branch does. The outer-product routine keeps each
+// column's zero-seeded chain over the live lanes in lane order. The
+// assembly paths are therefore bit-identical to the generic Go paths
+// below, which remain the reference semantics and the fallback for
+// non-amd64 builds and pre-AVX CPUs.
 //
 // useAVX is resolved once at init via CPUID (mathx.HasAVX: OSXSAVE +
 // AVX + YMM state enabled in XCR0); it is false off amd64.
 var useAVX = mathx.HasAVX()
 
-// fwdRow8 computes one weight row's contribution to a full chunk:
-// acc[e] = Σ_c w[c]·x[c*8+e], each lane a sequential dot chain in
-// ascending c starting from zero (the mathx.Dot order per example).
-// x is unit-major with stride 8 and must hold len(w)*8 values.
-func fwdRow8(acc *[gradChunkSize]float64, x, w []float64) {
+// fwdRow8 computes one weight row's activations for a full chunk:
+// out[e] = act(Σ_c w[c]·x[c*8+e] + b[0]), each lane a sequential dot
+// chain in ascending c starting from zero (the mathx.Dot order per
+// example), the bias added to the finished sum, and act ReLU when relu
+// is set, else the identity. x is unit-major with stride 8 and must
+// hold len(w)*8 values.
+func fwdRow8(out *[gradChunkSize]float64, x, w, b []float64, relu bool) {
 	if useAVX {
-		fwdrow8AVX(&x[0], &w[0], len(w), &acc[0])
+		fwdrow8AVX(&x[0], &w[0], &b[0], len(w), &out[0], relu)
 		return
 	}
-	fwdrow8Generic(acc, x, w)
+	fwdrow8Generic(out, x, w, b[0], relu)
 }
 
 // fwd2Row8 runs fwdRow8 for two adjacent weight rows against the
-// same chunk: w holds both rows back to back (len 2·cols), acc[0:8]
-// gets the first row's lanes and acc[8:16] the second's. Fusing the
-// rows keeps four independent accumulator chains in flight, hiding
-// the add latency that bounds the single-row loop; each chain is
-// still a strictly sequential dot in ascending c, so the bits match
-// two fwdRow8 calls exactly.
-func fwd2Row8(acc *[2 * gradChunkSize]float64, x, w []float64) {
+// same chunk: w holds both rows back to back (len 2·cols), b their two
+// biases; out[0:8] gets the first row's lanes and out[8:16] the
+// second's. Fusing the rows keeps four independent accumulator chains
+// in flight, hiding the add latency that bounds the single-row loop;
+// each chain is still a strictly sequential dot in ascending c, so the
+// bits match two fwdRow8 calls exactly.
+func fwd2Row8(out *[2 * gradChunkSize]float64, x, w, b []float64, relu bool) {
 	if useAVX {
-		fwd2row8AVX(&x[0], &w[0], len(w)/2, &acc[0])
+		fwd2row8AVX(&x[0], &w[0], &b[0], len(w)/2, &out[0], relu)
 		return
 	}
-	fwd2row8Generic(acc, x, w)
+	fwd2row8Generic(out, x, w, b, relu)
 }
 
 // bwdRow8 propagates one row's deltas into the previous layer's
@@ -65,25 +73,30 @@ func bwdRow8(d, w, dprev []float64) {
 	bwdrow8Generic(d, w, dprev)
 }
 
-// axpySet stores dst[i] = 0 + a·x[i]. The leading zero is
+// outerRow stores one weight row's chunk gradient from its live lanes:
+// lane k has delta d[k] and its input row at x[off[k]:], and
+//
+//	dst[c] = ((0 + d[0]·x[off[0]+c]) + d[1]·x[off[1]+c]) + …
+//
+// over the first n lanes in the order given. The leading zero is
 // load-bearing: it normalises a −0 product to +0 exactly as
-// accumulating into a zeroed buffer does.
-func axpySet(dst, x []float64, a float64) {
+// accumulating into a zeroed buffer does. With no live lane every
+// column is +0. The generic path runs it as one axpySetGeneric sweep
+// and n−1 axpyAddGeneric sweeps over dst; the AVX routine computes the
+// same chain per column and stores each column block once.
+func outerRow(dst, x []float64, d *[gradChunkSize]float64, off *[gradChunkSize]int, n int) {
 	if useAVX {
-		axpySetAVX(&dst[0], &x[0], len(dst), a)
+		outerRowAVX(&dst[0], &x[0], &d[0], &off[0], n, len(dst))
 		return
 	}
-	axpySetGeneric(dst, x, a)
-}
-
-// axpyAdd accumulates dst[i] += a·x[i] with dst as the left operand
-// of each add, matching the scalar accumulation order.
-func axpyAdd(dst, x []float64, a float64) {
-	if useAVX {
-		axpyAddAVX(&dst[0], &x[0], len(dst), a)
+	if n == 0 {
+		clear(dst)
 		return
 	}
-	axpyAddGeneric(dst, x, a)
+	axpySetGeneric(dst, x[off[0]:][:len(dst)], d[0])
+	for k := 1; k < n; k++ {
+		axpyAddGeneric(dst, x[off[k]:][:len(dst)], d[k])
+	}
 }
 
 // adamStep applies one flat Adam update over n elements:
@@ -103,7 +116,7 @@ func adamStep(w, g, mw, vw []float64, b1, b2, c1, c2, eps, lr float64) {
 	adamStepGeneric(w, g, mw, vw, b1, b2, c1, c2, eps, lr)
 }
 
-func fwdrow8Generic(acc *[gradChunkSize]float64, x, w []float64) {
+func fwdrow8Generic(out *[gradChunkSize]float64, x, w []float64, b float64, relu bool) {
 	var a0, a1, a2, a3, a4, a5, a6, a7 float64
 	for c, wv := range w {
 		cb := c * gradChunkSize
@@ -117,17 +130,19 @@ func fwdrow8Generic(acc *[gradChunkSize]float64, x, w []float64) {
 		a6 += wv * xc[6]
 		a7 += wv * xc[7]
 	}
-	acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
-	acc[4], acc[5], acc[6], acc[7] = a4, a5, a6, a7
+	out[0], out[1], out[2], out[3] = a0+b, a1+b, a2+b, a3+b
+	out[4], out[5], out[6], out[7] = a4+b, a5+b, a6+b, a7+b
+	if relu {
+		for e, v := range out {
+			out[e] = reluOf(v)
+		}
+	}
 }
 
-func fwd2row8Generic(acc *[2 * gradChunkSize]float64, x, w []float64) {
+func fwd2row8Generic(out *[2 * gradChunkSize]float64, x, w, b []float64, relu bool) {
 	cols := len(w) / 2
-	var a [gradChunkSize]float64
-	fwdrow8Generic(&a, x, w[:cols])
-	copy(acc[:gradChunkSize], a[:])
-	fwdrow8Generic(&a, x, w[cols:])
-	copy(acc[gradChunkSize:], a[:])
+	fwdrow8Generic((*[gradChunkSize]float64)(out[:gradChunkSize]), x, w[:cols], b[0], relu)
+	fwdrow8Generic((*[gradChunkSize]float64)(out[gradChunkSize:]), x, w[cols:], b[1], relu)
 }
 
 func bwdrow8Generic(d, w, dprev []float64) {

@@ -5,18 +5,23 @@
 // FMA), accumulators are always the left operand of each add, and
 // sums that start from zero start from a real zero register so −0
 // products normalise to +0 exactly as the scalar code's `var sum
-// float64; sum += ...` does. See simd.go for the reference Go
+// float64; sum += ...` does. ReLU is VMAXPD with a +0 register as the
+// second source (the first operand in Go's assembler order), which
+// returns that +0 for NaN, −0 and +0 exactly as Go's `if x > 0 {
+// return x }; return 0` does. See simd.go for the reference Go
 // semantics each TEXT block must reproduce.
 
 #include "textflag.h"
 
-// func fwdrow8AVX(x, w *float64, cols int, acc *float64)
-// acc[e] = Σ_c w[c]·x[c*8+e]; x unit-major stride 8, acc 8 wide.
-TEXT ·fwdrow8AVX(SB), NOSPLIT, $0-32
+// func fwdrow8AVX(x, w, b *float64, cols int, out *float64, relu bool)
+// out[e] = act(Σ_c w[c]·x[c*8+e] + b[0]); x unit-major stride 8, out
+// 8 wide. act is ReLU when relu is set, else the identity.
+TEXT ·fwdrow8AVX(SB), NOSPLIT, $0-41
 	MOVQ x+0(FP), SI
 	MOVQ w+8(FP), DI
-	MOVQ cols+16(FP), CX
-	MOVQ acc+24(FP), DX
+	MOVQ b+16(FP), BX
+	MOVQ cols+24(FP), CX
+	MOVQ out+32(FP), DX
 	VXORPD Y0, Y0, Y0 // lanes 0-3
 	VXORPD Y1, Y1, Y1 // lanes 4-7
 	TESTQ CX, CX
@@ -32,21 +37,31 @@ f1loop:
 	DECQ CX
 	JNZ  f1loop
 f1done:
+	VBROADCASTSD (BX), Y2
+	VADDPD Y2, Y0, Y0 // acc + bias, acc left
+	VADDPD Y2, Y1, Y1
+	CMPB relu+40(FP), $0
+	JEQ  f1store
+	VXORPD Y5, Y5, Y5
+	VMAXPD Y5, Y0, Y0 // +0 second source: x > 0 ? x : +0
+	VMAXPD Y5, Y1, Y1
+f1store:
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
 	VZEROUPPER
 	RET
 
-// func fwd2row8AVX(x, w *float64, cols int, acc *float64)
-// Two adjacent weight rows (w and w+cols) against the same chunk:
-// acc[0:8] for row 0, acc[8:16] for row 1. Four accumulator chains
-// keep both rows' add latencies overlapped; each chain is still
-// strictly sequential in c.
-TEXT ·fwd2row8AVX(SB), NOSPLIT, $0-32
+// func fwd2row8AVX(x, w, b *float64, cols int, out *float64, relu bool)
+// Two adjacent weight rows (w and w+cols) against the same chunk, with
+// biases b[0] and b[1]: out[0:8] for row 0, out[8:16] for row 1. Four
+// accumulator chains keep both rows' add latencies overlapped; each
+// chain is still strictly sequential in c.
+TEXT ·fwd2row8AVX(SB), NOSPLIT, $0-41
 	MOVQ x+0(FP), SI
 	MOVQ w+8(FP), DI
-	MOVQ cols+16(FP), CX
-	MOVQ acc+24(FP), DX
+	MOVQ b+16(FP), BX
+	MOVQ cols+24(FP), CX
+	MOVQ out+32(FP), DX
 	MOVQ CX, R8
 	SHLQ $3, R8
 	ADDQ DI, R8       // second row: w + cols*8 bytes
@@ -75,6 +90,20 @@ f2loop:
 	DECQ CX
 	JNZ  f2loop
 f2done:
+	VBROADCASTSD (BX), Y4
+	VBROADCASTSD 8(BX), Y5
+	VADDPD Y4, Y0, Y0 // acc + bias, acc left
+	VADDPD Y4, Y1, Y1
+	VADDPD Y5, Y2, Y2
+	VADDPD Y5, Y3, Y3
+	CMPB relu+40(FP), $0
+	JEQ  f2store
+	VXORPD Y6, Y6, Y6
+	VMAXPD Y6, Y0, Y0 // +0 second source: x > 0 ? x : +0
+	VMAXPD Y6, Y1, Y1
+	VMAXPD Y6, Y2, Y2
+	VMAXPD Y6, Y3, Y3
+f2store:
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
 	VMOVUPD Y2, 64(DX)
@@ -111,75 +140,101 @@ b1done:
 	VZEROUPPER
 	RET
 
-// func axpySetAVX(dst, x *float64, n int, a float64)
-// dst[i] = 0 + a·x[i]; the zero register is the left add operand so
-// −0 products normalise exactly like the scalar zeroed accumulator.
-TEXT ·axpySetAVX(SB), NOSPLIT, $0-32
+// func outerRowAVX(dst, x, d *float64, off *int, lanes, cols int)
+// dst[c] = ((0 + d[0]·x[off[0]+c]) + d[1]·x[off[1]+c]) + … over the
+// lanes live lanes, in ascending lane order: per column the chain one
+// axpySetGeneric and lanes−1 axpyAddGeneric sweeps run, term for term,
+// but each column block is stored once. Sixteen columns (four chains)
+// per block, then four, then one.
+TEXT ·outerRowAVX(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD a+24(FP), Y0
+	MOVQ d+16(FP), R8
+	MOVQ off+24(FP), R9
+	MOVQ lanes+32(FP), R10
+	MOVQ cols+40(FP), CX
+	MOVQ CX, BX
+	SHRQ $4, BX
+	JZ   o4
+o16loop:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-	MOVQ CX, BX
-	SHRQ $2, BX
-	JZ   astail
-asloop:
-	VMULPD (SI), Y0, Y1
-	VADDPD Y1, Y3, Y2  // 0 + a·x
-	VMOVUPD Y2, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
+	XORQ AX, AX
+	TESTQ R10, R10
+	JZ   o16store
+o16lane:
+	VBROADCASTSD (R8)(AX*8), Y4 // d[k]
+	MOVQ (R9)(AX*8), R11
+	LEAQ (SI)(R11*8), R12       // lane k's row at this block
+	VMULPD (R12), Y4, Y5
+	VADDPD Y5, Y0, Y0           // acc is the left add operand
+	VMULPD 32(R12), Y4, Y6
+	VADDPD Y6, Y1, Y1
+	VMULPD 64(R12), Y4, Y7
+	VADDPD Y7, Y2, Y2
+	VMULPD 96(R12), Y4, Y8
+	VADDPD Y8, Y3, Y3
+	INCQ AX
+	CMPQ AX, R10
+	JNE  o16lane
+o16store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, SI
 	DECQ BX
-	JNZ  asloop
-astail:
-	ANDQ $3, CX
-	JZ   asdone
-astloop:
-	VMOVSD (SI), X1
-	VMULSD X1, X0, X1  // a·x
-	VADDSD X1, X3, X2  // 0 + a·x
-	VMOVSD X2, (DI)
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JNZ  astloop
-asdone:
-	VZEROUPPER
-	RET
-
-// func axpyAddAVX(dst, x *float64, n int, a float64)
-// dst[i] += a·x[i], dst as the left add operand.
-TEXT ·axpyAddAVX(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD a+24(FP), Y0
+	JNZ  o16loop
+o4:
 	MOVQ CX, BX
+	ANDQ $15, BX
 	SHRQ $2, BX
-	JZ   aatail
-aaloop:
-	VMULPD (SI), Y0, Y1
-	VMOVUPD (DI), Y2
-	VADDPD Y1, Y2, Y2
-	VMOVUPD Y2, (DI)
-	ADDQ $32, SI
+	JZ   o1
+o4loop:
+	VXORPD Y0, Y0, Y0
+	XORQ AX, AX
+	TESTQ R10, R10
+	JZ   o4store
+o4lane:
+	VBROADCASTSD (R8)(AX*8), Y4
+	MOVQ (R9)(AX*8), R11
+	VMULPD (SI)(R11*8), Y4, Y5
+	VADDPD Y5, Y0, Y0
+	INCQ AX
+	CMPQ AX, R10
+	JNE  o4lane
+o4store:
+	VMOVUPD Y0, (DI)
 	ADDQ $32, DI
+	ADDQ $32, SI
 	DECQ BX
-	JNZ  aaloop
-aatail:
+	JNZ  o4loop
+o1:
 	ANDQ $3, CX
-	JZ   aadone
-aatloop:
-	VMOVSD (SI), X1
-	VMULSD X1, X0, X1
-	VMOVSD (DI), X2
-	VADDSD X1, X2, X2
-	VMOVSD X2, (DI)
-	ADDQ $8, SI
+	JZ   odone
+o1loop:
+	VXORPD X0, X0, X0
+	XORQ AX, AX
+	TESTQ R10, R10
+	JZ   o1store
+o1lane:
+	VMOVSD (R8)(AX*8), X4
+	MOVQ (R9)(AX*8), R11
+	VMULSD (SI)(R11*8), X4, X5
+	VADDSD X5, X0, X0
+	INCQ AX
+	CMPQ AX, R10
+	JNE  o1lane
+o1store:
+	VMOVSD X0, (DI)
 	ADDQ $8, DI
+	ADDQ $8, SI
 	DECQ CX
-	JNZ  aatloop
-aadone:
+	JNZ  o1loop
+odone:
 	VZEROUPPER
 	RET
 

@@ -5,11 +5,11 @@ package nn
 // Non-amd64 builds have mathx.HasAVX false; the AVX entry points are
 // declared only so simd.go compiles and are never reached.
 
-func fwdrow8AVX(x, w *float64, cols int, acc *float64) {
+func fwdrow8AVX(x, w, b *float64, cols int, out *float64, relu bool) {
 	panic("nn: AVX kernel on non-amd64 build")
 }
 
-func fwd2row8AVX(x, w *float64, cols int, acc *float64) {
+func fwd2row8AVX(x, w, b *float64, cols int, out *float64, relu bool) {
 	panic("nn: AVX kernel on non-amd64 build")
 }
 
@@ -17,11 +17,7 @@ func bwdrow8AVX(d, w, dprev *float64, cols int) {
 	panic("nn: AVX kernel on non-amd64 build")
 }
 
-func axpySetAVX(dst, x *float64, n int, a float64) {
-	panic("nn: AVX kernel on non-amd64 build")
-}
-
-func axpyAddAVX(dst, x *float64, n int, a float64) {
+func outerRowAVX(dst, x, d *float64, off *int, lanes, cols int) {
 	panic("nn: AVX kernel on non-amd64 build")
 }
 

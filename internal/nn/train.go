@@ -28,8 +28,9 @@ type TrainConfig struct {
 	// OnEpoch, if non-nil, receives (epochIndex, meanLoss) after each
 	// epoch — useful for logging and learning curves.
 	OnEpoch func(epoch int, loss float64)
-	// Workers is how many goroutines compute a mini-batch's chunk
-	// gradients; 0 (the default) and negative values mean one per CPU.
+	// Workers is how many pool goroutines compute a mini-batch's chunk
+	// gradients and optimizer step, with the calling goroutine taking
+	// part; 0 (the default) and negative values mean one per CPU.
 	// The chunk structure and the reduction order depend only on the
 	// batch size, so every value trains the same network down to the
 	// byte — Workers only changes wall-clock time.

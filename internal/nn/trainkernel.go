@@ -21,7 +21,7 @@ import (
 //
 //	w    ┌ layer0 rows×cols ┬ layer1 rows×cols ┬ … ┐   row-major weights
 //	b    ┌ layer0 rows      ┬ layer1 rows      ┬ … ┐   biases
-//	gw/gb, mw/vw/mb/vb, snap: same offsets as w and b
+//	g, m, v, snap: w's layout, then b's, on one slab
 //
 // Per-chunk arenas hold activations and deltas unit-major with a fixed
 // stride of gradChunkSize: outs[li][r*8+e] is unit r of example e, so
@@ -47,27 +47,49 @@ import (
 // only — see simd.go for why that preserves the contract bit for bit);
 // everywhere else their generic Go loops are the implementation as well
 // as the reference.
+//
+// The pool also runs the optimizer step. Once every chunk is done, the
+// parameters are cut into fixed ranges of stepSpan elements (a function
+// of the parameter count alone), and each range's tree reduction and
+// Adam update is one pool task. Every element's reduction and update
+// depend on that element alone, so the ranges change no bit; only the
+// batch-loss tree stays on the calling goroutine. The calling goroutine
+// is part of the pool: it runs queued chunks and ranges itself while it
+// waits (see run).
 type TrainKernel struct {
 	*Kernel // the network being trained: its layers and parameter slabs
 
-	gw, gb []float64 // batch-averaged gradients, flat
-	snap   []float64 // phase checkpoint: w then b
+	g    []float64 // batch-averaged gradients: weights then biases
+	snap []float64 // phase checkpoint: w then b
 
-	adamT          int       // Adam steps since the last reset
-	mw, vw, mb, vb []float64 // Adam moments (weights, biases)
+	adamT int       // Adam steps since the last reset
+	m, v  []float64 // Adam moments, g's layout
 
 	cfg     TrainConfig
 	workers int
 
-	slots []*trainSlot
+	slots  []*trainSlot
+	ranges int // optimizer-step ranges: ceil(len(g) / stepSpan)
 
-	// Per-batch dispatch state for the persistent worker pool. The
-	// channels are buffered to len(slots) so a batch's sends never block.
-	curXS  []float64
-	curYS  []int
-	curIdx []int
-	tasks  chan int
-	done   chan struct{}
+	// Per-batch state the pool tasks read: the batch (chunkGrads) and
+	// the step constants beginStep sets (stepRange). The channels are
+	// buffered to the larger of len(slots) and ranges, so a batch's
+	// sends never block.
+	curXS     []float64
+	curYS     []int
+	curIdx    []int
+	curChunks int
+	inv, lr   float64 // 1/batch size, learning rate
+	c1, c2    float64 // Adam's bias corrections for step adamT
+	tasks     chan poolTask
+	done      chan struct{}
+}
+
+// poolTask is one unit of pool work: chunk i's gradients, or the
+// optimizer step over parameter range i.
+type poolTask struct {
+	step bool
+	i    int
 }
 
 // Adam's hyper-parameters (Kingma & Ba 2015), the Keras defaults the
@@ -82,12 +104,17 @@ const (
 // gradient slot. A constant — never derived from the worker count.
 const gradChunkSize = 8
 
+// stepSpan is the number of parameters one optimizer-step task reduces
+// and updates. A constant, so the ranges depend only on the parameter
+// count; each range's slot and moment slices stay cache-resident.
+const stepSpan = 2048
+
 // trainSlot is one chunk's fused forward/backward arena. Activation and
-// delta blocks are unit-major with stride gradChunkSize; gradient slabs
-// mirror the kernel's flat layout so the reduction indexes them
-// uniformly.
+// delta blocks are unit-major with stride gradChunkSize; the gradient
+// slab mirrors the kernel's g so the reduction indexes them uniformly.
 type trainSlot struct {
-	gw, gb []float64   // per-chunk gradient sums, flat kernel layout
+	g      []float64   // per-chunk gradient sums, g's layout
+	gw, gb []float64   // g's weight and bias parts
 	outs   [][]float64 // per-layer activations, unit-major [r*8+e]
 	outsEM [][]float64 // the same activations example-major [e*rows+r]
 	deltas [][]float64 // per-layer dL/d(pre-activation), unit-major
@@ -124,20 +151,20 @@ func NewTrainKernel(n *Network, cfg TrainConfig) (*TrainKernel, error) {
 	}
 
 	k := &TrainKernel{Kernel: &n.Kernel, cfg: cfg}
-	wlen, blen := len(k.w), len(k.b)
-	k.gw = make([]float64, wlen)
-	k.gb = make([]float64, blen)
-	k.snap = make([]float64, wlen+blen)
-	k.mw = make([]float64, wlen)
-	k.vw = make([]float64, wlen)
-	k.mb = make([]float64, blen)
-	k.vb = make([]float64, blen)
+	wlen, plen := len(k.w), len(k.w)+len(k.b)
+	k.g = make([]float64, plen)
+	k.snap = make([]float64, plen)
+	k.m = make([]float64, plen)
+	k.v = make([]float64, plen)
+	k.ranges = (plen + stepSpan - 1) / stepSpan
 
 	numSlots := (cfg.BatchSize + gradChunkSize - 1) / gradChunkSize
 	for i := 0; i < numSlots; i++ {
+		g := make([]float64, plen)
 		s := &trainSlot{
-			gw:    make([]float64, wlen),
-			gb:    make([]float64, blen),
+			g:     g,
+			gw:    g[:wlen],
+			gb:    g[wlen:],
 			inT:   make([]float64, k.inDim*gradChunkSize),
 			inEM:  make([]float64, k.inDim*gradChunkSize),
 			probs: make([]float64, k.outDim*gradChunkSize),
@@ -261,12 +288,14 @@ func (k *TrainKernel) Fit(ctx context.Context, xs []float64, ys []int) (float64,
 }
 
 // startWorkers launches the persistent chunk workers for one Fit run.
-// Sends of a chunk index happen-before the worker's reads of the batch
-// state, and the worker's slot writes happen-before the main
-// goroutine's done receive, so the pool is race-free by construction.
+// Sends of a task happen-before the worker's reads of the batch state,
+// and the worker's slot writes happen-before the main goroutine's done
+// receive; the tasks the main goroutine takes itself are sequenced on
+// it. So the pool is race-free by construction.
 func (k *TrainKernel) startWorkers() {
-	k.tasks = make(chan int, len(k.slots))
-	k.done = make(chan struct{}, len(k.slots))
+	n := max(len(k.slots), k.ranges)
+	k.tasks = make(chan poolTask, n)
+	k.done = make(chan struct{}, n)
 	// Workers capture the channels as locals: a goroutine the scheduler
 	// never runs until after Fit returns must not read the struct fields
 	// stopWorkers nils out.
@@ -274,8 +303,8 @@ func (k *TrainKernel) startWorkers() {
 	for w := 0; w < k.workers; w++ {
 		//lint:allow guardgo a panicking gradient chunk must crash Fit loudly; guard isolation would return a silently partial gradient sum
 		go func() {
-			for ci := range tasks {
-				k.chunkGrads(ci)
+			for t := range tasks {
+				k.runTask(t)
 				done <- struct{}{}
 			}
 		}()
@@ -287,35 +316,69 @@ func (k *TrainKernel) stopWorkers() {
 	k.tasks, k.done = nil, nil
 }
 
-// runBatch computes one mini-batch update: fused chunk gradients (up to
-// k.workers in flight), the fused tree reduction with batch averaging,
-// and one Adam step. It returns the batch's summed loss. Allocation-free; the chunk structure and every
-// accumulation order are pure functions of the batch, never of the
-// worker count.
+// runBatch computes one mini-batch update: fused chunk gradients, then
+// the optimizer step — the tree reduction with batch averaging and one
+// Adam update, range by range — each on the pool (up to k.workers tasks
+// in flight, plus the caller's), then the batch-loss tree on the
+// caller. It returns the
+// batch's summed loss. Allocation-free; the chunk structure, the ranges
+// and every accumulation order are pure functions of the batch and the
+// parameter count, never of the worker count.
 //
 //lint:hotpath gated by TestTrainKernelEpochAllocs
 func (k *TrainKernel) runBatch(xs []float64, ys []int, idx []int, lr float64) float64 {
 	nChunks := (len(idx) + gradChunkSize - 1) / gradChunkSize
-	workers := k.workers
-	if workers > nChunks {
-		workers = nChunks
-	}
 	k.curXS, k.curYS, k.curIdx = xs, ys, idx
-	if workers <= 1 || k.tasks == nil {
-		for ci := 0; ci < nChunks; ci++ {
-			k.chunkGrads(ci)
+	k.run(false, nChunks)
+	k.beginStep(nChunks, 1/float64(len(idx)), lr)
+	k.run(true, k.ranges)
+	return k.batchLoss(nChunks)
+}
+
+// run executes n tasks of one kind — chunks, or step ranges when step
+// is set — on the worker pool, or on the caller when no pool is running
+// or there is a single task, and returns once all n are done.
+//
+// The caller queues the tasks and then takes queued ones itself until
+// the queue is empty, and only then waits for the tasks the workers
+// took. A parked worker can take longer to wake than a step range
+// takes to run, so a caller that blocked at once would wait on
+// wake-ups twice a batch; running queued tasks instead turns a late
+// wake-up into less parallelism rather than a stall. Which goroutine
+// runs a task changes no bit: each task writes only its own slot or
+// range.
+func (k *TrainKernel) run(step bool, n int) {
+	if k.tasks == nil || n == 1 {
+		for i := 0; i < n; i++ {
+			k.runTask(poolTask{step: step, i: i})
 		}
-	} else {
-		for ci := 0; ci < nChunks; ci++ {
-			k.tasks <- ci
-		}
-		for i := 0; i < nChunks; i++ {
-			<-k.done
+		return
+	}
+	for i := 0; i < n; i++ {
+		k.tasks <- poolTask{step: step, i: i}
+	}
+	mine := 0
+drain:
+	for mine < n {
+		select {
+		case t := <-k.tasks:
+			k.runTask(t)
+			mine++
+		default:
+			break drain
 		}
 	}
-	loss := k.reduceGrads(nChunks, 1/float64(len(idx)))
-	k.optStep(lr)
-	return loss
+	for i := mine; i < n; i++ {
+		<-k.done
+	}
+}
+
+func (k *TrainKernel) runTask(t poolTask) {
+	if t.step {
+		k.stepRange(t.i)
+	} else {
+		k.chunkGrads(t.i)
+	}
 }
 
 // chunkGrads runs the fused forward/backward pass for chunk ci of the
@@ -416,32 +479,26 @@ func (k *TrainKernel) chunkGrads(ci int) {
 		dcur := s.deltas[li]
 		dprev := s.deltas[li-1]
 		pn := l.cols * gradChunkSize
-		for i := 0; i < pn; i++ {
-			dprev[i] = 0
-		}
+		clear(dprev[:pn])
 		// MulVecT order: dst[c] += delta[r]*w[r][c], r ascending,
 		// unconditional (no zero-skip — signed zeros must match).
 		for r := 0; r < l.rows; r++ {
 			rb := r * gradChunkSize
 			bwdRow8(dcur[rb:rb+gradChunkSize], w[r*l.cols:(r+1)*l.cols], dprev)
 		}
-		prevAct := k.layers[li-1].act
-		prevOut := s.outs[li-1]
-		for i := 0; i < pn; i++ {
-			dprev[i] *= prevAct.derivFromOutput(prevOut[i])
-		}
+		k.layers[li-1].act.mulDeriv(dprev[:pn], s.outs[li-1])
 	}
 	k.accumLayerGrads(s, 0, s.inEM, m)
 }
 
 // accumLayerGrads stores layer li's chunk gradient sums — gw from the
-// outer products delta×input, gb from the delta sums — as one axpy
-// sweep per live delta lane over the example-major inputs, lanes in
-// ascending example order. The AddOuterTo zero-skip is preserved per
+// outer products delta×input, gb from the delta sums — one outerRow
+// call per row over the example-major inputs, live lanes in ascending
+// example order. The AddOuterTo zero-skip is preserved per
 // (example, row): a zero delta contributes nothing to gw (its lane is
-// compacted away), while gb adds unconditionally, exactly as
-// the per-example reference does; per column the sweep order reproduces
-// the column-major zero-skip chain term for term.
+// compacted away), while gb adds unconditionally, exactly as the
+// per-example reference does; per column outerRow's chain is the
+// column-major zero-skip chain term for term.
 //
 //lint:hotpath gated by TestTrainKernelEpochAllocs
 func (k *TrainKernel) accumLayerGrads(s *trainSlot, li int, insEM []float64, m int) {
@@ -450,133 +507,118 @@ func (k *TrainKernel) accumLayerGrads(s *trainSlot, li int, insEM []float64, m i
 	gw := s.gw[l.woff : l.woff+l.rows*l.cols]
 	gb := s.gb[l.boff : l.boff+l.rows]
 	for r := 0; r < l.rows; r++ {
-		// Compact the nonzero delta lanes up front (ascending, so the
-		// per-column accumulation order is exactly AddOuterTo's zero-skip
-		// order) instead of re-testing every lane in the column loop.
-		var dr [gradChunkSize]float64
-		var nzi [gradChunkSize]int32
+		// Compact the nonzero delta lanes up front, ascending, so the
+		// per-column accumulation order is exactly AddOuterTo's
+		// zero-skip order; off[k] locates live lane k's input row.
+		// Every lane is written at nz and kept by counting it, which gc
+		// compiles to CMOV instead of a branch on each delta.
+		var dz [gradChunkSize]float64
+		var off [gradChunkSize]int
 		nz := 0
+		var bs float64
 		rb := r * gradChunkSize
 		for e := 0; e < m; e++ {
 			v := d[rb+e]
-			dr[e] = v
+			bs += v
+			dz[nz], off[nz] = v, e*l.cols
 			if v != 0 {
-				nzi[nz] = int32(e)
 				nz++
 			}
 		}
-		var bs float64
-		for e := 0; e < m; e++ {
-			bs += dr[e]
-		}
 		gb[r] = bs
-		grow := gw[r*l.cols : (r+1)*l.cols]
-		if nz == 0 {
-			// Every example skipped this row: the slot value is the
-			// untouched zero, exactly as AddOuterTo leaves it.
-			for c := range grow {
-				grow[c] = 0
-			}
-			continue
-		}
-		// First live lane seeds each column with 0 + d·x (the leading
-		// zero is load-bearing for −0 products), the rest accumulate in
-		// ascending example order — per column exactly the zero-skip
-		// chain the oracle's AddOuterTo runs.
-		e0 := int(nzi[0])
-		axpySet(grow, insEM[e0*l.cols:][:len(grow)], dr[e0])
-		for _, e := range nzi[1:nz] {
-			axpyAdd(grow, insEM[int(e)*l.cols:][:len(grow)], dr[e])
-		}
+		outerRow(gw[r*l.cols:(r+1)*l.cols], insEM, &dz, &off, nz)
 	}
 }
 
-// reduceGrads folds the first nChunks slots into the kernel's gradient
-// slabs in a fixed binary-tree combination order, the zero-grads
-// fold and the 1/batch scale fused into a single per-element pass:
+// beginStep sets the constants of the batch's optimizer step — its
+// chunk count, the 1/batch scale, the learning rate and Adam's bias
+// corrections for the next step count — once, before the ranges run.
+//
+//lint:hotpath gated by TestTrainKernelEpochAllocs
+func (k *TrainKernel) beginStep(nChunks int, inv, lr float64) {
+	k.adamT++
+	k.curChunks, k.inv, k.lr = nChunks, inv, lr
+	k.c1 = 1 - math.Pow(adamBeta1, float64(k.adamT))
+	k.c2 = 1 - math.Pow(adamBeta2, float64(k.adamT))
+}
+
+// stepRange is the optimizer step over parameter range ri,
+// g[ri·stepSpan : (ri+1)·stepSpan]: it folds the batch's chunk slots
+// into g in a fixed binary-tree combination order, the zero-grads fold
+// and the 1/batch scale fused into one per-element pass,
 // g = (0 + tree(slots)) * inv, which is bit-identical to folding the
 // tree total into zeroed buffers and then scaling by inv. The explicit
 // leading zero is load-bearing: it normalises a −0 tree total to +0
-// exactly as the fold into zeroed buffers does. Returns the batch loss (the same tree
-// over the slot losses, unscaled).
+// exactly as the fold into zeroed buffers does. Then it applies one
+// Adam update to the range's weights and biases. Every element is
+// independent, so the bits do not depend on the ranges.
 //
 //lint:hotpath gated by TestTrainKernelEpochAllocs
-func (k *TrainKernel) reduceGrads(nChunks int, inv float64) float64 {
-	s := k.slots
-	switch nChunks {
+func (k *TrainKernel) stepRange(ri int) {
+	lo := ri * stepSpan
+	hi := min(lo+stepSpan, len(k.g))
+	g, inv, s := k.g[lo:hi], k.inv, k.slots
+	switch k.curChunks {
 	case 1:
-		a := s[0]
-		for j, v := range a.gw {
-			k.gw[j] = (0 + v) * inv
+		for j, v := range s[0].g[lo:hi] {
+			g[j] = (0 + v) * inv
 		}
-		for j, v := range a.gb {
-			k.gb[j] = (0 + v) * inv
-		}
-		return a.loss
 	case 2:
-		a, b := s[0], s[1]
-		for j, v := range a.gw {
-			k.gw[j] = (0 + (v + b.gw[j])) * inv
+		b := s[1].g[lo:hi]
+		for j, v := range s[0].g[lo:hi] {
+			g[j] = (0 + (v + b[j])) * inv
 		}
-		for j, v := range a.gb {
-			k.gb[j] = (0 + (v + b.gb[j])) * inv
-		}
-		return a.loss + b.loss
 	case 3:
-		a, b, c := s[0], s[1], s[2]
-		for j, v := range a.gw {
-			k.gw[j] = (0 + ((v + b.gw[j]) + c.gw[j])) * inv
+		b, c := s[1].g[lo:hi], s[2].g[lo:hi]
+		for j, v := range s[0].g[lo:hi] {
+			g[j] = (0 + ((v + b[j]) + c[j])) * inv
 		}
-		for j, v := range a.gb {
-			k.gb[j] = (0 + ((v + b.gb[j]) + c.gb[j])) * inv
-		}
-		return (a.loss + b.loss) + c.loss
 	case 4:
-		a, b, c, d := s[0], s[1], s[2], s[3]
-		for j, v := range a.gw {
-			k.gw[j] = (0 + ((v + b.gw[j]) + (c.gw[j] + d.gw[j]))) * inv
+		b, c, d := s[1].g[lo:hi], s[2].g[lo:hi], s[3].g[lo:hi]
+		for j, v := range s[0].g[lo:hi] {
+			g[j] = (0 + ((v + b[j]) + (c[j] + d[j]))) * inv
 		}
-		for j, v := range a.gb {
-			k.gb[j] = (0 + ((v + b.gb[j]) + (c.gb[j] + d.gb[j]))) * inv
-		}
-		return (a.loss + b.loss) + (c.loss + d.loss)
-	}
-	// General tree for batch sizes beyond 32: stride 1 merges slot i+1
-	// into slot i for even i, stride 2 merges i+2 into i for i ≡ 0
-	// (mod 4), and so on, element-wise through the first slot's slab (the
-	// oracle's treeReduce order).
-	for stride := 1; stride < nChunks; stride *= 2 {
-		for i := 0; i+stride < nChunks; i += 2 * stride {
-			dst, src := s[i], s[i+stride]
-			for j, v := range src.gw {
-				dst.gw[j] += v
+	default:
+		// General tree for batch sizes beyond 32: stride 1 merges slot
+		// i+1 into slot i for even i, stride 2 merges i+2 into i for
+		// i ≡ 0 (mod 4), and so on, element-wise through the first
+		// slot's slab (the oracle's treeReduce order).
+		n := k.curChunks
+		for stride := 1; stride < n; stride *= 2 {
+			for i := 0; i+stride < n; i += 2 * stride {
+				dst, src := s[i].g[lo:hi], s[i+stride].g[lo:hi]
+				for j, v := range src {
+					dst[j] += v
+				}
 			}
-			for j, v := range src.gb {
-				dst.gb[j] += v
-			}
-			dst.loss += src.loss
+		}
+		for j, v := range s[0].g[lo:hi] {
+			g[j] = (0 + v) * inv
 		}
 	}
-	for j, v := range s[0].gw {
-		k.gw[j] = (0 + v) * inv
+	nw := len(k.w)
+	if lo < nw {
+		e := min(hi, nw)
+		adamStep(k.w[lo:e], k.g[lo:e], k.m[lo:e], k.v[lo:e], adamBeta1, adamBeta2, k.c1, k.c2, adamEps, k.lr)
 	}
-	for j, v := range s[0].gb {
-		k.gb[j] = (0 + v) * inv
+	if hi > nw {
+		b := max(lo, nw)
+		adamStep(k.b[b-nw:hi-nw], k.g[b:hi], k.m[b:hi], k.v[b:hi], adamBeta1, adamBeta2, k.c1, k.c2, adamEps, k.lr)
 	}
-	return s[0].loss
 }
 
-// optStep applies one Adam update to the flat parameters; the updates
-// are element-independent, so iterating all weights then all biases is
-// bit-identical to any per-layer grouping.
+// batchLoss folds the first nChunks slot losses with the gradients'
+// tree and returns the batch's summed loss (unscaled).
 //
 //lint:hotpath gated by TestTrainKernelEpochAllocs
-func (k *TrainKernel) optStep(lr float64) {
-	k.adamT++
-	c1 := 1 - math.Pow(adamBeta1, float64(k.adamT))
-	c2 := 1 - math.Pow(adamBeta2, float64(k.adamT))
-	adamStep(k.w, k.gw, k.mw, k.vw, adamBeta1, adamBeta2, c1, c2, adamEps, lr)
-	adamStep(k.b, k.gb, k.mb, k.vb, adamBeta1, adamBeta2, c1, c2, adamEps, lr)
+func (k *TrainKernel) batchLoss(nChunks int) float64 {
+	s := k.slots
+	for stride := 1; stride < nChunks; stride *= 2 {
+		for i := 0; i+stride < nChunks; i += 2 * stride {
+			s[i].loss += s[i+stride].loss
+		}
+	}
+	return s[0].loss
 }
 
 // snapshot records the network's parameters as the phase checkpoint.
@@ -595,10 +637,8 @@ func (k *TrainKernel) restore() {
 // from the restored weights.
 func (k *TrainKernel) resetOpt() {
 	k.adamT = 0
-	mathx.Zero(k.mw)
-	mathx.Zero(k.vw)
-	mathx.Zero(k.mb)
-	mathx.Zero(k.vb)
+	mathx.Zero(k.m)
+	mathx.Zero(k.v)
 }
 
 // maxAbsParam is the exploding-weights detector over the flat

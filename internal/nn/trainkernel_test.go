@@ -89,7 +89,10 @@ func trainKernel(t *testing.T, cfg Config, tc TrainConfig, flat []float64, ys []
 // byte-identical weights and bit-equal losses to the chunkedFit
 // reference, across topologies, activations, batch sizes and
 // zero-padded partial chunks — with the AVX routines and with the
-// generic ones forced, the only arm on arm64 and pre-AVX CPUs.
+// generic ones forced, the only arm on arm64 and pre-AVX CPUs. Odd
+// hidden widths run the single-row forward routine, and a network of
+// more than stepSpan parameters splits the optimizer step into ranges,
+// one of them straddling the weight/bias boundary.
 func TestTrainKernelMatchesChunkedFit(t *testing.T) {
 	saved := useAVX
 	defer func() { useAVX = saved }()
@@ -124,6 +127,16 @@ func TestTrainKernelMatchesChunkedFit(t *testing.T) {
 			name: "uneven-batch",
 			cfg:  Config{InDim: 13, Hidden: []int{8}, Out: 3, Activation: ActReLU, Seed: 4},
 			tc:   TrainConfig{Schedule: tkSchedule(), BatchSize: 19, Seed: 6},
+		},
+		{
+			name: "relu-odd-widths",
+			cfg:  Config{InDim: 13, Hidden: []int{9, 5}, Out: 3, Activation: ActReLU, Seed: 10},
+			tc:   TrainConfig{Schedule: tkSchedule(), BatchSize: 32, Seed: 12},
+		},
+		{
+			name: "relu-ranged-step",
+			cfg:  Config{InDim: 13, Hidden: []int{64, 32}, Out: 3, Activation: ActReLU, Seed: 13},
+			tc:   TrainConfig{Schedule: tkSchedule(), BatchSize: 32, Seed: 14},
 		},
 	}
 	for _, tt := range cases {
@@ -297,11 +310,14 @@ func TestTrainKernelValidation(t *testing.T) {
 
 // TestTrainKernelEpochAllocs is the dynamic half of the hotalloc gate:
 // the warm epoch inner loop — runBatch dispatch, chunkGrads fused
-// passes, reduceGrads, optStep — performs zero heap allocations, serial
-// and with the worker pool alike.
+// passes, the optimizer step's beginStep and stepRange ranges, the
+// batch-loss tree — performs zero heap allocations, serial and with the
+// worker pool alike. The paper's hidden widths give the network more
+// than stepSpan parameters, so at two workers the step ranges run on
+// the pool.
 func TestTrainKernelEpochAllocs(t *testing.T) {
 	_, flat, ys := tkDataset(64, 9, 2, 13)
-	cfg := Config{InDim: 9, Hidden: []int{16, 8}, Out: 2, Activation: ActReLU, Seed: 5}
+	cfg := Config{InDim: 9, Hidden: []int{128, 64}, Out: 2, Activation: ActReLU, Seed: 5}
 
 	for _, workers := range []int{1, 2} {
 		k, err := NewTrainKernel(mustNet(t, cfg), TrainConfig{
@@ -328,31 +344,48 @@ func TestTrainKernelEpochAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("workers=%d: warm runBatch allocated %.1f times per run, want 0", workers, allocs)
 		}
+		if k.ranges < 2 {
+			t.Fatalf("%d optimizer-step ranges, want several", k.ranges)
+		}
 		allocs = testing.AllocsPerRun(50, func() {
 			k.chunkGrads(0)
 			k.accumLayerGrads(k.slots[0], 0, k.slots[0].inEM, 8)
-			k.reduceGrads(4, 1.0/32)
-			k.optStep(1e-3)
+			k.beginStep(4, 1.0/32, 1e-3)
+			k.stepRange(k.ranges - 1)
+			k.run(true, k.ranges)
+			k.batchLoss(4)
 		})
 		if allocs != 0 {
-			t.Fatalf("workers=%d: warm chunkGrads/reduceGrads/optStep allocated %.1f times per run, want 0", workers, allocs)
+			t.Fatalf("workers=%d: warm chunkGrads/beginStep/stepRange/batchLoss allocated %.1f times per run, want 0", workers, allocs)
 		}
 	}
 }
 
 // TestTrainKernelGeneralTreeReduce exercises the nChunks > 4 generic
-// reduction (batch sizes beyond 32) against the chunkedFit reference.
+// reduction (batch sizes beyond 32) against the chunkedFit reference,
+// with the AVX routines and with the generic ones forced, over one
+// optimizer-step range and (hidden {64, 32}) over two.
 func TestTrainKernelGeneralTreeReduce(t *testing.T) {
+	saved := useAVX
+	defer func() { useAVX = saved }()
 	rows, flat, ys := tkDataset(200, 6, 2, 29)
-	cfg := Config{InDim: 6, Hidden: []int{8}, Out: 2, Activation: ActReLU, Seed: 3}
 	tc := TrainConfig{Schedule: []Phase{{Epochs: 2, LR: 1e-3}}, BatchSize: 96, Seed: 7, Workers: 1}
-	ref, _ := trainOracle(t, cfg, tc, rows, ys)
-	for _, w := range []int{0, 1, 4} {
-		kTC := tc
-		kTC.Workers = w
-		got, _ := trainKernel(t, cfg, kTC, flat, ys)
-		if !bytes.Equal(got, ref) {
-			t.Fatalf("workers=%d: bytes differ with 12-chunk batches", w)
+	for _, hidden := range [][]int{{8}, {64, 32}} {
+		cfg := Config{InDim: 6, Hidden: hidden, Out: 2, Activation: ActReLU, Seed: 3}
+		ref, _ := trainOracle(t, cfg, tc, rows, ys)
+		for _, avx := range []bool{false, true} {
+			if avx && !saved {
+				continue // no AVX on this CPU: the generic arm is the only arm
+			}
+			useAVX = avx
+			for _, w := range []int{0, 1, 4} {
+				kTC := tc
+				kTC.Workers = w
+				got, _ := trainKernel(t, cfg, kTC, flat, ys)
+				if !bytes.Equal(got, ref) {
+					t.Fatalf("hidden=%v avx=%v workers=%d: bytes differ with 12-chunk batches", hidden, avx, w)
+				}
+			}
 		}
 	}
 }
