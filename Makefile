@@ -3,7 +3,7 @@ GO ?= go
 PACKAGES := ./...
 # Packages with new parallel paths; test-determinism re-runs their
 # determinism suites under different scheduler conditions.
-DETERMINISM_PACKAGES := ./internal/nn ./internal/features ./internal/core ./internal/eval ./internal/tapon ./internal/index ./internal/blocking ./internal/embedding
+DETERMINISM_PACKAGES := ./internal/nn ./internal/features ./internal/core ./internal/eval ./internal/index ./internal/blocking ./internal/embedding ./internal/graph
 
 # External analyzers run by lint-ext. Pinned here (not in go.mod: the
 # repo builds offline, and `go run pkg@version` resolves these only on
@@ -55,15 +55,15 @@ test-determinism:
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'Determinism' $(DETERMINISM_PACKAGES)
 	GOMAXPROCS=4 $(GO) test -count=1 -run 'Determinism' $(DETERMINISM_PACKAGES)
 
-# The overload/fault-injection suite: the chaos and client packages in
-# full, plus the serve-layer chaos and reload-failure tests, all under
-# -race — injected panics, stalls and corrupt reloads must never
-# surface as data races or dropped requests. The batcher tests run 20
-# times over: the dispatcher's handoff is a select between handing a
-# batch to an idle worker and taking the next span, and repetition
-# varies which of the two wins.
+# The overload/fault-injection suite: the chaos package in full, plus
+# the serve-layer chaos and reload-failure tests, all under -race —
+# injected panics, stalls and corrupt reloads must never surface as
+# data races or dropped requests. The batcher tests run 20 times over:
+# the dispatcher's handoff is a select between handing a batch to an
+# idle worker and taking the next span, and repetition varies which of
+# the two wins.
 test-chaos:
-	$(GO) test -race -count=1 ./internal/chaos ./internal/client
+	$(GO) test -race -count=1 ./internal/chaos
 	$(GO) test -race -count=1 -run 'Chaos|ReloadFailure|Admission|DeadlineHeader' ./internal/serve
 	$(GO) test -race -count=20 -run 'Batcher|LoneRequest' ./internal/serve
 

@@ -20,7 +20,6 @@ import (
 	"leapme/internal/embedding"
 	"leapme/internal/eval"
 	"leapme/internal/features"
-	"leapme/internal/nn"
 	"leapme/internal/text"
 )
 
@@ -344,30 +343,6 @@ func BenchmarkMatchThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(scored)/b.Elapsed().Seconds(), "pairs/s")
-}
-
-func BenchmarkNNTraining(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([][]float64, 512)
-	ys := make([]int, 512)
-	for i := range xs {
-		xs[i] = make([]float64, 100)
-		for j := range xs[i] {
-			xs[i][j] = rng.NormFloat64()
-		}
-		ys[i] = i % 2
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net, err := nn.New(nn.Config{InDim: 100, Hidden: []int{128, 64}, Out: 2, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := nn.TrainConfig{Schedule: []nn.Phase{{Epochs: 5, LR: 1e-3}}, Seed: 1}
-		if _, err := net.Fit(context.Background(), xs, ys, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkBlocking(b *testing.B) {

@@ -32,7 +32,7 @@
 // client's X-Leapme-Deadline-Ms header clamped to -max-deadline); an
 // expired budget answers a typed 504 without stalling the scorer pool.
 // See the README's "Overload & failure behavior" section for the full
-// semantics and internal/client for a retrying client.
+// semantics.
 package main
 
 import (

@@ -5,7 +5,6 @@
 //	leapme match   -data data/cameras -store store.bin -train source00,source01 [-top 20]
 //	leapme eval    -data data/cameras -store store.bin [-frac 0.8] [-runs 5]
 //	leapme cluster -data data/cameras -store store.bin -train source00,source01 [-scheme star]
-//	leapme label   -data data/cameras -store store.bin -category cameras -train source00,source01
 //	leapme index   -data data/cameras -store store.bin -out index.leapme
 //
 // embed trains domain GloVe embeddings (and prints an embedding quality
@@ -13,8 +12,7 @@
 // model file for leapme-serve; match trains on the named sources and
 // prints the matches it finds among the remaining sources; eval runs the
 // paper's protocol and prints averaged P/R/F1; cluster derives property
-// clusters from the similarity graph; label runs TAPON semantic labelling
-// against a reference ontology; index builds an ANN snapshot for
+// clusters from the similarity graph; index builds an ANN snapshot for
 // leapme-serve's -index flag.
 package main
 
@@ -36,7 +34,6 @@ import (
 	"leapme/internal/graph"
 	"leapme/internal/index"
 	"leapme/internal/mathx"
-	"leapme/internal/tapon"
 )
 
 func main() {
@@ -61,8 +58,6 @@ func main() {
 		err = cmdEval(ctx, os.Args[2:])
 	case "cluster":
 		err = cmdCluster(ctx, os.Args[2:])
-	case "label":
-		err = cmdLabel(ctx, os.Args[2:])
 	case "index":
 		err = cmdIndex(ctx, os.Args[2:])
 	case "serve":
@@ -104,10 +99,9 @@ func usage() {
   leapme match   -data DIR -store store.bin -train src1,src2 [-features both/all] [-threshold 0.5] [-top 0]
   leapme eval    -data DIR -store store.bin [-frac 0.8] [-runs 5] [-features both/all] [-seed 1]
   leapme cluster -data DIR -store store.bin -train src1,src2 [-scheme components|star|correlation]
-  leapme label   -data DIR -store store.bin -category cameras -train src1,src2 [-top 20]
   leapme index   -data DIR -store store.bin -out index.leapme [-seed 1]
 
-train/match/eval/cluster/label/index also accept:
+train/match/eval/cluster/index also accept:
   -lenient       quarantine malformed dataset records instead of failing the load
   -timeout DUR   abort the run after DUR (e.g. 90s); Ctrl-C cancels cooperatively
   -workers N     parallelism: N workers, 0 (default) or -1 = all CPUs;
@@ -365,89 +359,6 @@ func cmdEval(ctx context.Context, args []string) error {
 		return err
 	}
 	fmt.Printf("%s @ %.0f%% training (%d runs, features %s): %v\n", d.Name, *frac*100, *runs, fc, m)
-	return nil
-}
-
-func cmdLabel(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("label", flag.ExitOnError)
-	dataDir := fs.String("data", "", "dataset directory")
-	storePath := fs.String("store", "", "embedding store file")
-	category := fs.String("category", "", "reference ontology category (cameras|headphones|phones|tvs)")
-	trainList := fs.String("train", "", "comma-separated training sources (ground truth used)")
-	top := fs.Int("top", 20, "print only the N most confident labels (0 = all)")
-	seed := fs.Int64("seed", 1, "seed")
-	workers := fs.Int("workers", 0, "parallelism: N workers, -1 = all CPUs, 0 = all CPUs except labeling, which runs serially; results are bit-identical for every value")
-	lenient := fs.Bool("lenient", false, "quarantine malformed dataset records instead of failing")
-	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
-	fs.Parse(args)
-	if *dataDir == "" || *storePath == "" || *category == "" || *trainList == "" {
-		return fmt.Errorf("label needs -data, -store, -category and -train")
-	}
-	ctx, cancel := cli.WithTimeout(ctx, *timeout)
-	defer cancel()
-	store, err := loadStore(*storePath)
-	if err != nil {
-		return err
-	}
-	d, err := loadData(*dataDir, *lenient)
-	if err != nil {
-		return err
-	}
-	cat, ok := domain.Categories()[*category]
-	if !ok {
-		return fmt.Errorf("unknown category %q", *category)
-	}
-	var classes []string
-	for _, p := range cat.Props {
-		classes = append(classes, p.Canonical)
-	}
-	trainSrc := cli.SourceSet(*trainList)
-	trainData := &dataset.Dataset{Name: d.Name + "-train", Category: d.Category}
-	testData := &dataset.Dataset{Name: d.Name + "-test", Category: d.Category}
-	for _, s := range d.Sources {
-		if trainSrc[s] {
-			trainData.Sources = append(trainData.Sources, s)
-		} else {
-			testData.Sources = append(testData.Sources, s)
-		}
-	}
-	for _, p := range d.Props {
-		if trainSrc[p.Source] {
-			trainData.Props = append(trainData.Props, p)
-		} else {
-			testData.Props = append(testData.Props, p)
-		}
-	}
-	for _, in := range d.Instances {
-		if trainSrc[in.Source] {
-			trainData.Instances = append(trainData.Instances, in)
-		} else {
-			testData.Instances = append(testData.Instances, in)
-		}
-	}
-	topts := tapon.DefaultOptions(*seed)
-	topts.Workers = *workers
-	l, err := tapon.New(store, classes, topts)
-	if err != nil {
-		return err
-	}
-	if err := l.Train(ctx, trainData); err != nil {
-		return err
-	}
-	preds, err := l.Label(ctx, testData)
-	if err != nil {
-		return err
-	}
-	sort.Slice(preds, func(i, j int) bool { return preds[i].Confidence > preds[j].Confidence })
-	show := preds
-	if *top > 0 && len(show) > *top {
-		show = show[:*top]
-	}
-	for _, pr := range show {
-		fmt.Printf("%.3f  %-40s → %s\n", pr.Confidence, pr.Key, pr.Label)
-	}
-	a2, a1, n := tapon.Accuracy(preds, testData)
-	fmt.Fprintf(os.Stderr, "accuracy over %d slots with ground truth: phase1=%.3f two-phase=%.3f\n", n, a1, a2)
 	return nil
 }
 

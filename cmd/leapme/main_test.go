@@ -75,33 +75,6 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 }
 
-func TestCLILabel(t *testing.T) {
-	dir := t.TempDir()
-	dataDir := writeTestData(t, dir)
-	storePath := filepath.Join(dir, "store.bin")
-	if err := cmdEmbed([]string{
-		"-out", storePath, "-dim", "16", "-epochs", "6",
-		"-sentences", "25", "-categories", "headphones",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdLabel(context.Background(), []string{
-		"-data", dataDir, "-store", storePath, "-category", "headphones",
-		"-train", "source00,source01,source02", "-top", "5",
-	}); err != nil {
-		t.Fatalf("label: %v", err)
-	}
-	if err := cmdLabel(context.Background(), []string{
-		"-data", dataDir, "-store", storePath, "-category", "bicycles",
-		"-train", "source00",
-	}); err == nil {
-		t.Error("unknown category accepted")
-	}
-	if err := cmdLabel(context.Background(), nil); err == nil {
-		t.Error("label without flags accepted")
-	}
-}
-
 func TestCLIMissingFlags(t *testing.T) {
 	if err := cmdMatch(context.Background(), nil); err == nil {
 		t.Error("match without flags accepted")

@@ -20,21 +20,19 @@ import (
 	"leapme/internal/analysis/lintkit"
 )
 
-// Packages lists the import paths whose results feed the paper's
-// 25-repetition evaluation protocol and the -workers reproducibility
-// claim. The analyzer is silent everywhere else. Var, not const, so the
-// fixture tests can retarget it.
+// Packages lists the import paths whose results stand behind a golden
+// file or CRC, a paper table or the -workers reproducibility claim. The
+// analyzer is silent everywhere else. Var, not const, so the fixture
+// tests can retarget it.
 var Packages = []string{
 	"leapme/internal/nn",
 	"leapme/internal/features",
 	"leapme/internal/eval",
-	"leapme/internal/tapon",
 	"leapme/internal/core",
 	"leapme/internal/parallel",
-	// The fault-injection layer and the retrying client promise seeded,
-	// replayable schedules — same rules, same analyzer.
+	// The fault-injection layer promises seeded, replayable schedules —
+	// same rules, same analyzer.
 	"leapme/internal/chaos",
-	"leapme/internal/client",
 	// The ANN retrieval layer promises bit-identical indexes and
 	// candidate sets for any worker count — same rules again.
 	"leapme/internal/index",
@@ -42,6 +40,17 @@ var Packages = []string{
 	// The GloVe store's bytes are a golden contract that every feature,
 	// model and table rests on — same rules.
 	"leapme/internal/embedding",
+	// The paper's tables: Table II's baselines (Nezhadi's AdaBoost in
+	// ml) and A4's clusterings.
+	"leapme/internal/baselines",
+	"leapme/internal/ml",
+	"leapme/internal/graph",
+	// The generated datasets, the ontology and corpus they are drawn
+	// from, and the text and math kernels every feature goes through.
+	"leapme/internal/dataset",
+	"leapme/internal/domain",
+	"leapme/internal/text",
+	"leapme/internal/mathx",
 }
 
 // clockFuncs are the time package functions that read the wall clock or
@@ -68,7 +77,8 @@ var randConstructors = map[string]bool{
 var Analyzer = &lintkit.Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock reads, global math/rand and map-order accumulation " +
-		"inside the deterministic packages (nn, features, eval, tapon, core, parallel, chaos, client, index, blocking)",
+		"inside the deterministic packages (nn, features, eval, core, parallel, chaos, index, blocking, embedding, " +
+		"baselines, ml, graph, dataset, domain, text, mathx)",
 	Run: run,
 }
 

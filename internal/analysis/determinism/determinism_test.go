@@ -22,7 +22,7 @@ func TestPositiveFixturesSilentOutsideScope(t *testing.T) {
 	// scope must fail if anything is reported — but nothing should be,
 	// and the unmatched wants would fail too. Use a throwaway subtest
 	// to assert the analyzer's package gate directly instead.
-	if got := len(determinism.Packages); got != 11 {
-		t.Fatalf("deterministic package set has %d entries, want 11 (nn, features, eval, tapon, core, parallel, chaos, client, index, blocking, embedding)", got)
+	if got := len(determinism.Packages); got != 16 {
+		t.Fatalf("deterministic package set has %d entries, want 16 (nn, features, eval, core, parallel, chaos, index, blocking, embedding, baselines, ml, graph, dataset, domain, text, mathx)", got)
 	}
 }

@@ -6,13 +6,17 @@
 //	determinism  wall-clock reads, the global math/rand source and
 //	             map-iteration-order accumulation are forbidden inside
 //	             the packages behind the -workers reproducibility
-//	             guarantee (nn, features, eval, tapon, core, parallel),
-//	             the packages promising seeded, replayable schedules
-//	             (chaos, client), and the ANN retrieval layer promising
-//	             bit-identical indexes and candidate sets for any worker
-//	             count (index, blocking). Seeded *rand.Rand values
-//	             (mathx.NewRand, parallel.SeedStream) and the
-//	             collect-keys-then-sort map pattern stay legal.
+//	             guarantee (nn, features, eval, core, parallel), the
+//	             fault injector's seeded, replayable schedules (chaos),
+//	             the ANN retrieval layer promising bit-identical indexes
+//	             and candidate sets for any worker count (index,
+//	             blocking), the GloVe store's golden bytes (embedding),
+//	             the paper tables' baselines and clusterings (baselines,
+//	             ml, graph), and the generated datasets and the kernels
+//	             every feature goes through (dataset, domain, text,
+//	             mathx). Seeded *rand.Rand values (mathx.NewRand,
+//	             parallel.SeedStream) and the collect-keys-then-sort map
+//	             pattern stay legal.
 //	guardgo      goroutine launches must route through internal/guard
 //	             (guard.Go / guard.ForEach) so panics land in a
 //	             guard.Report instead of killing the process.

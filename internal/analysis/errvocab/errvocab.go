@@ -2,14 +2,13 @@
 // HTTP response produced by the serving layer must go through the typed
 // error-vocabulary helpers.
 //
-// PR 5 gave the server a typed JSON error vocabulary — apiError{error,
+// The server answers errors in a typed JSON vocabulary — apiError{error,
 // code, retry_after_ms} written by fail/failCode/shed/failDeadline/
-// enqueueFail — and the retrying client dispatches on those codes
-// (overloaded, draining, deadline_exceeded, ...) to decide whether and
-// when to retry. A new endpoint answering a naked http.Error or bare
-// WriteHeader(503) silently breaks that contract: the client sees an
-// unparseable body, treats the failure as opaque, and the retry
-// behaviour the chaos suite certifies no longer holds. errvocab makes
+// enqueueFail — and clients dispatch on those codes (overloaded,
+// draining, deadline_exceeded, ...) to decide whether and when to
+// retry. A new endpoint answering a naked http.Error or bare
+// WriteHeader(503) silently breaks that contract: a client sees an
+// unparseable body and treats the failure as opaque. errvocab makes
 // the vocabulary load-bearing: inside the serving packages, calls to
 // net/http.Error and to ResponseWriter.WriteHeader with an error status
 // (>= 400, or a status the analyzer cannot prove harmless) are reported

@@ -104,6 +104,7 @@ func (f *FCAMap) Match(in Input) ([]Match, error) {
 	}
 	out := make([]Match, 0, len(seen))
 	for pair, score := range seen {
+		//lint:allow determinism the pair sort below is a total order over the distinct map keys, so map order never reaches the result
 		out = append(out, Match{Pair: pair, Score: score})
 	}
 	sort.Slice(out, func(i, j int) bool {

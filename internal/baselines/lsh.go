@@ -89,6 +89,7 @@ func (l *LSH) Match(in Input) ([]Match, error) {
 		}
 		est := float64(agree) / lshHashes
 		if est >= lshThreshold {
+			//lint:allow determinism the pair sort below is a total order over the distinct candidate pairs, so map order never reaches the result
 			out = append(out, Match{
 				Pair:  dataset.Pair{A: in.Props[i].Key(), B: in.Props[j].Key()}.Canonical(),
 				Score: est,

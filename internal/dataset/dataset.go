@@ -178,6 +178,7 @@ func MatchingPairs(props []Property) []Pair {
 				if group[i].Source == group[j].Source {
 					continue
 				}
+				//lint:allow determinism the lessPair sort below is a total order over pairs, so map order never reaches the result
 				out = append(out, Pair{A: group[i].Key(), B: group[j].Key()}.Canonical())
 			}
 		}

@@ -40,12 +40,51 @@ func (g *SimilarityGraph) ConnectedComponents() Clustering {
 			union(ia, ib)
 		}
 	}
-	groups := map[int][]dataset.Key{}
+	groups := make([]Cluster, len(g.keys))
 	for i, k := range g.keys {
 		r := find(i)
 		groups[r] = append(groups[r], k)
 	}
-	return collect(groups)
+	var out Clustering
+	for _, cl := range groups {
+		if len(cl) > 0 {
+			out = append(out, cl)
+		}
+	}
+	return sortClustering(out)
+}
+
+// neighbours returns node i's neighbours in ascending index order.
+func (g *SimilarityGraph) neighbours(i int) []int {
+	nbrs := make([]int, 0, len(g.adj[i]))
+	for nb := range g.adj[i] {
+		nbrs = append(nbrs, nb)
+	}
+	sort.Ints(nbrs)
+	return nbrs
+}
+
+// byDegree returns the nodes by descending weighted degree, ties broken
+// by index. Each degree sums the node's weights in ascending neighbour
+// order: float addition is not associative, so a sum in map order can
+// differ by an ulp between two builds of the same graph and flip a tie.
+func (g *SimilarityGraph) byDegree() []int {
+	order := make([]int, len(g.keys))
+	degree := make([]float64, len(g.keys))
+	for i := range g.keys {
+		order[i] = i
+		for _, nb := range g.neighbours(i) {
+			degree[i] += g.adj[i][nb]
+		}
+	}
+	sort.Slice(order, func(a, b int) bool {
+		//lint:allow floateq sort tie-break must be an exact total order; a tolerance comparator is not a strict weak ordering
+		if degree[order[a]] != degree[order[b]] {
+			return degree[order[a]] > degree[order[b]]
+		}
+		return order[a] < order[b]
+	})
+	return order
 }
 
 // StarClustering repeatedly picks the unassigned node with the highest
@@ -53,40 +92,15 @@ func (g *SimilarityGraph) ConnectedComponents() Clustering {
 // to it. It is precision-oriented: clusters never span more than one hop
 // from the centre.
 func (g *SimilarityGraph) StarClustering() Clustering {
-	type cand struct {
-		idx    int
-		degree float64
-	}
-	cands := make([]cand, len(g.keys))
-	for i := range g.keys {
-		var deg float64
-		for _, w := range g.adj[i] {
-			deg += w
-		}
-		cands[i] = cand{idx: i, degree: deg}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		//lint:allow floateq sort tie-break must be an exact total order; a tolerance comparator is not a strict weak ordering
-		if cands[a].degree != cands[b].degree {
-			return cands[a].degree > cands[b].degree
-		}
-		return cands[a].idx < cands[b].idx
-	})
 	assigned := make([]bool, len(g.keys))
 	var out Clustering
-	for _, c := range cands {
-		if assigned[c.idx] {
+	for _, centre := range g.byDegree() {
+		if assigned[centre] {
 			continue
 		}
-		cluster := Cluster{g.keys[c.idx]}
-		assigned[c.idx] = true
-		// Deterministic neighbour order.
-		nbrs := make([]int, 0, len(g.adj[c.idx]))
-		for nb := range g.adj[c.idx] {
-			nbrs = append(nbrs, nb)
-		}
-		sort.Ints(nbrs)
-		for _, nb := range nbrs {
+		cluster := Cluster{g.keys[centre]}
+		assigned[centre] = true
+		for _, nb := range g.neighbours(centre) {
 			if !assigned[nb] {
 				assigned[nb] = true
 				cluster = append(cluster, g.keys[nb])
@@ -104,37 +118,15 @@ func (g *SimilarityGraph) StarClustering() Clustering {
 // chain through transitive edges, and unlike star clustering the pivot's
 // neighbourhood is filtered by weight.
 func (g *SimilarityGraph) CorrelationClustering(minWeight float64) Clustering {
-	order := make([]int, len(g.keys))
-	for i := range order {
-		order[i] = i
-	}
-	degree := make([]float64, len(g.keys))
-	for i := range g.keys {
-		for _, w := range g.adj[i] {
-			degree[i] += w
-		}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		//lint:allow floateq sort tie-break must be an exact total order; a tolerance comparator is not a strict weak ordering
-		if degree[order[a]] != degree[order[b]] {
-			return degree[order[a]] > degree[order[b]]
-		}
-		return order[a] < order[b]
-	})
 	assigned := make([]bool, len(g.keys))
 	var out Clustering
-	for _, pivot := range order {
+	for _, pivot := range g.byDegree() {
 		if assigned[pivot] {
 			continue
 		}
 		assigned[pivot] = true
 		cluster := Cluster{g.keys[pivot]}
-		nbrs := make([]int, 0, len(g.adj[pivot]))
-		for nb := range g.adj[pivot] {
-			nbrs = append(nbrs, nb)
-		}
-		sort.Ints(nbrs)
-		for _, nb := range nbrs {
+		for _, nb := range g.neighbours(pivot) {
 			if !assigned[nb] && g.adj[pivot][nb] >= minWeight {
 				assigned[nb] = true
 				cluster = append(cluster, g.keys[nb])
@@ -190,15 +182,6 @@ func (c Clustering) PairwiseQuality(truth []dataset.Pair) (precision, recall, f1
 		f1 = 2 * precision * recall / (precision + recall)
 	}
 	return precision, recall, f1
-}
-
-func collect(groups map[int][]dataset.Key) Clustering {
-	out := make(Clustering, 0, len(groups))
-	for _, ks := range groups {
-		sort.Slice(ks, func(i, j int) bool { return lessKey(ks[i], ks[j]) })
-		out = append(out, ks)
-	}
-	return sortClustering(out)
 }
 
 func sortClustering(c Clustering) Clustering {

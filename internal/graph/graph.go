@@ -87,6 +87,7 @@ func (g *SimilarityGraph) Edges() []Edge {
 	for ia, m := range g.adj {
 		for ib, w := range m {
 			if ia < ib {
+				//lint:allow determinism the (A, B) key sort below is a total order over distinct edges, so map order never reaches the result
 				out = append(out, Edge{A: g.keys[ia], B: g.keys[ib], Weight: w})
 			}
 		}

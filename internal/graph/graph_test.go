@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -217,21 +218,44 @@ func TestClusteringsArePartitions(t *testing.T) {
 	}
 }
 
+// tieGraph's two top nodes tie on weighted degree in some summation
+// orders only: B's 0.25 + 0.35 is 0.6, and A's weights 0.2, 0.3 and 0.1
+// sum to 0.6 in two of their six orders and to one ulp more in the other
+// four.
+func tieGraph() *SimilarityGraph {
+	g := New()
+	g.AddEdge(k("s1", "B"), k("s2", "X"), 0.25)
+	g.AddEdge(k("s1", "B"), k("s3", "V"), 0.35)
+	g.AddEdge(k("s1", "A"), k("s2", "Y"), 0.2)
+	g.AddEdge(k("s1", "A"), k("s3", "Z"), 0.3)
+	g.AddEdge(k("s1", "A"), k("s2", "X"), 0.1)
+	return g
+}
+
+// TestClusteringDeterminism rebuilds each graph 100 times. Go randomises
+// map iteration per range, so a scheme that read the adjacency maps in
+// their own order could return more than one clustering.
 func TestClusteringDeterminism(t *testing.T) {
-	for i := 0; i < 3; i++ {
-		a := triangle().CorrelationClustering(0.5)
-		b := triangle().CorrelationClustering(0.5)
-		if len(a) != len(b) {
-			t.Fatal("non-deterministic clustering")
-		}
-		for ci := range a {
-			if len(a[ci]) != len(b[ci]) {
-				t.Fatal("non-deterministic cluster sizes")
+	graphs := []struct {
+		name  string
+		build func() *SimilarityGraph
+	}{{"triangle", triangle}, {"tie", tieGraph}}
+	schemes := []struct {
+		name string
+		run  func(*SimilarityGraph) Clustering
+	}{
+		{"star", (*SimilarityGraph).StarClustering},
+		{"correlation(0)", func(g *SimilarityGraph) Clustering { return g.CorrelationClustering(0) }},
+		{"correlation(0.5)", func(g *SimilarityGraph) Clustering { return g.CorrelationClustering(0.5) }},
+	}
+	for _, gr := range graphs {
+		for _, sc := range schemes {
+			seen := map[string]int{}
+			for i := 0; i < 100; i++ {
+				seen[fmt.Sprint(sc.run(gr.build()))]++
 			}
-			for ki := range a[ci] {
-				if a[ci][ki] != b[ci][ki] {
-					t.Fatal("non-deterministic cluster membership")
-				}
+			if len(seen) != 1 {
+				t.Errorf("%s, %s: %d distinct clusterings over 100 rebuilds: %v", gr.name, sc.name, len(seen), seen)
 			}
 		}
 	}

@@ -84,7 +84,7 @@ func TestKernelIsNetworkView(t *testing.T) {
 	before := scoreOne(k, x)
 	xs, ys := [][]float64{{1, 0, 0}, {0, 1, 0}}, []int{0, 1}
 	cfg := TrainConfig{Schedule: []Phase{{Epochs: 3, LR: 0.1}}, Workers: 1}
-	if _, err := net.Fit(context.Background(), xs, ys, cfg); err != nil {
+	if _, err := fit(context.Background(), net, xs, ys, cfg); err != nil {
 		t.Fatal(err)
 	}
 	after := scoreOne(k, x)

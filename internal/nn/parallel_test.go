@@ -36,7 +36,7 @@ func trainToy(t *testing.T, workers int) ([]byte, *Network) {
 	cfg := TrainConfig{Seed: 123}
 	cfg.Schedule = []Phase{{Epochs: 4, LR: 1e-3}, {Epochs: 2, LR: 1e-4}}
 	cfg.Workers = workers
-	if _, err := n.Fit(context.Background(), xs, ys, cfg); err != nil {
+	if _, err := fit(context.Background(), n, xs, ys, cfg); err != nil {
 		t.Fatalf("Fit(workers=%d): %v", workers, err)
 	}
 	var buf bytes.Buffer
@@ -100,7 +100,7 @@ func TestFitParallelCancellation(t *testing.T) {
 	ys := []int{0, 1}
 	cfg := TrainConfig{Seed: 1}
 	cfg.Workers = 4
-	if _, err := n.Fit(ctx, xs, ys, cfg); err != context.Canceled {
+	if _, err := fit(ctx, n, xs, ys, cfg); err != context.Canceled {
 		t.Errorf("Fit on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }

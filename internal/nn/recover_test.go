@@ -33,7 +33,7 @@ func TestFitRecoversFromDivergence(t *testing.T) {
 			recoveries = append(recoveries, recovery{phase, retry, lr, reason})
 		},
 	}
-	loss, err := n.Fit(context.Background(), xs, ys, cfg)
+	loss, err := fit(context.Background(), n, xs, ys, cfg)
 	if err != nil {
 		t.Fatalf("Fit did not recover: %v", err)
 	}
@@ -79,7 +79,7 @@ func TestFitDivergenceBudget(t *testing.T) {
 	}
 	retries := 0
 	cfg.OnRecovery = func(phase, retry int, lr float64, reason string) { retries++ }
-	_, err := n.Fit(context.Background(), xs, ys, cfg)
+	_, err := fit(context.Background(), n, xs, ys, cfg)
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("err = %v, want ErrDiverged", err)
 	}
@@ -99,7 +99,7 @@ func TestFitDivergenceBudget(t *testing.T) {
 func TestFitRejectsNonFiniteFeatures(t *testing.T) {
 	n, _ := New(Config{InDim: 2, Out: 2, Seed: 1})
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := n.Fit(context.Background(), [][]float64{{1, bad}}, []int{0}, TrainConfig{Seed: 1}); err == nil {
+		if _, err := fit(context.Background(), n, [][]float64{{1, bad}}, []int{0}, TrainConfig{Seed: 1}); err == nil {
 			t.Errorf("non-finite feature %v accepted", bad)
 		}
 	}
@@ -112,7 +112,7 @@ func TestFitCancellation(t *testing.T) {
 	n, _ := New(Config{InDim: 2, Hidden: []int{16, 8}, Out: 2, Seed: 8})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := n.Fit(ctx, xs, ys, TrainConfig{Seed: 8}); !errors.Is(err, context.Canceled) {
+	if _, err := fit(ctx, n, xs, ys, TrainConfig{Seed: 8}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
@@ -121,7 +121,7 @@ func TestFitCancellation(t *testing.T) {
 	cfg := TrainConfig{Seed: 8}
 	cfg.Schedule = []Phase{{Epochs: 100000, LR: 1e-3}}
 	start := time.Now()
-	_, err := n.Fit(ctx2, xs, ys, cfg)
+	_, err := fit(ctx2, n, xs, ys, cfg)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"context"
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Phase is one stage of the learning-rate schedule.
 type Phase struct {
@@ -16,7 +12,7 @@ type Phase struct {
 // exploding weights after exhausting the per-phase retry budget.
 var ErrDiverged = errors.New("nn: training diverged")
 
-// TrainConfig controls Fit.
+// TrainConfig controls TrainKernel.Fit.
 type TrainConfig struct {
 	// Schedule is the staged learning-rate plan. The paper's schedule is
 	// 10 epochs at 1e-3, then 5 at 1e-4, then 5 at 1e-5.
@@ -59,35 +55,4 @@ type TrainConfig struct {
 // PaperSchedule returns the LR schedule of Section IV-D.
 func PaperSchedule() []Phase {
 	return []Phase{{Epochs: 10, LR: 1e-3}, {Epochs: 5, LR: 1e-4}, {Epochs: 5, LR: 1e-5}}
-}
-
-// Fit trains the network on (xs, ys) with mini-batch Adam.
-// ys[i] is the class index of xs[i]. It returns the mean loss of the final
-// epoch. Fit packs the rows into one flat slab and trains through a
-// TrainKernel, so it produces exactly the bytes TrainKernel.Fit does.
-//
-// Fit is cancellable: ctx is checked between mini-batches and a done
-// context aborts with ctx.Err(), leaving the network in its
-// last-completed-batch state. A nil ctx behaves like context.Background().
-// Divergence (non-finite loss, exploding weights) triggers checkpoint
-// rollback with a backed-off learning rate; see TrainConfig.
-func (n *Network) Fit(ctx context.Context, xs [][]float64, ys []int, cfg TrainConfig) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("nn: Fit with no training examples")
-	}
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("nn: %d inputs but %d labels", len(xs), len(ys))
-	}
-	flat := make([]float64, 0, len(xs)*n.inDim)
-	for i, x := range xs {
-		if len(x) != n.inDim {
-			return 0, fmt.Errorf("nn: example %d has dim %d, want %d", i, len(x), n.inDim)
-		}
-		flat = append(flat, x...)
-	}
-	k, err := NewTrainKernel(n, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return k.Fit(ctx, flat, ys)
 }

@@ -10,12 +10,12 @@ import (
 	"leapme/internal/mathx"
 )
 
-// TrainKernel is the package's only trainer (Network.Fit packs its rows
-// and runs one). It trains a network's own Kernel in place — the weight
-// and bias slabs the network is made of — and keeps the batch
-// gradients, optimizer moments and phase-rollback snapshot in flat
-// slabs of the same layout; each gradient chunk runs a fused
-// forward/backward pass over a per-chunk arena.
+// TrainKernel is the package's only trainer: Fit on a flat training
+// slab is the one way to train a Network. It trains a network's own
+// Kernel in place — the weight and bias slabs the network is made of —
+// and keeps the batch gradients, optimizer moments and phase-rollback
+// snapshot in flat slabs of the same layout; each gradient chunk runs a
+// fused forward/backward pass over a per-chunk arena.
 //
 // Memory layout (the Kernel's kernLayer offsets):
 //

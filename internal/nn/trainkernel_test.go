@@ -10,8 +10,8 @@ import (
 )
 
 // tkDataset builds a deterministic synthetic training set both as row
-// slices (for Network.Fit and the chunkedFit oracle) and as a flat slab
-// (for TrainKernel.Fit).
+// slices (for the chunkedFit oracle) and as a flat slab (for
+// TrainKernel.Fit).
 func tkDataset(n, dim, classes int, seed int64) ([][]float64, []float64, []int) {
 	rng := rand.New(rand.NewSource(seed))
 	rows := make([][]float64, n)

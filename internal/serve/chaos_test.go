@@ -10,7 +10,6 @@ package serve
 //     and the pool recovers when the stall clears;
 //   - an injected scorer panic is isolated to its one pair;
 //   - corrupted model bytes on reload keep the old snapshot serving;
-//   - the internal/client retry loop converges once injection stops;
 //   - Close drains: every in-flight pair is answered, late work gets a
 //     typed 503.
 //
@@ -19,7 +18,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -31,7 +29,6 @@ import (
 	"time"
 
 	"leapme/internal/chaos"
-	"leapme/internal/client"
 )
 
 // decodeAPIError unmarshals the server's typed error body.
@@ -274,86 +271,6 @@ func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 		if after.Results[i].Score != before.Results[i].Score {
 			t.Errorf("pair %d: score drifted across a failed reload", i)
 		}
-	}
-}
-
-// TestChaosClientConvergence drives the internal/client retry loop
-// against a stalled, shedding server: throttled calls back off and
-// retry, and every call converges to success once injection stops.
-func TestChaosClientConvergence(t *testing.T) {
-	inj := chaos.New(1, chaos.Fault{Point: chaos.PointBatch, Mode: chaos.Stall, Delay: 30 * time.Second})
-	s, ts := newChaosServer(t, inj, func(c *Config) {
-		c.Workers = 1
-		c.MaxBatch = 4
-		c.MaxQueuedPairs = 8
-		c.RetryAfter = 50 * time.Millisecond
-	})
-	defer inj.Disarm()
-
-	wire := somePairs(t, 4)
-	var cpairs []client.Pair
-	for _, p := range wire {
-		cpairs = append(cpairs, client.Pair{
-			A: client.PropSpec{Name: p.A.Name, Values: p.A.Values},
-			B: client.PropSpec{Name: p.B.Name, Values: p.B.Values},
-		})
-	}
-	c, err := client.New(client.Config{
-		BaseURL:     ts.URL,
-		HTTPClient:  ts.Client(),
-		MaxAttempts: 50,
-		BaseBackoff: 10 * time.Millisecond,
-		MaxBackoff:  100 * time.Millisecond,
-		Seed:        7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Enough concurrent calls to guarantee shedding against the cap of
-	// 8 pairs (each call carries 4).
-	const calls = 6
-	var wg sync.WaitGroup
-	var failures atomic.Int64
-	for g := 0; g < calls; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			resp, err := c.Match(ctx, &client.MatchRequest{Pairs: cpairs})
-			if err != nil {
-				failures.Add(1)
-				t.Errorf("call %d never converged: %v", g, err)
-				return
-			}
-			for i, r := range resp.Results {
-				if r.Error != "" {
-					t.Errorf("call %d pair %d: %s", g, i, r.Error)
-				}
-			}
-		}(g)
-	}
-
-	// Let the clients pile into the stall until the server has shed at
-	// least once, then stop injecting: everything must converge.
-	deadline := time.Now().Add(15 * time.Second)
-	for s.Metrics().RequestsShed.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	shedSeen := s.Metrics().RequestsShed.Load()
-	inj.Disarm()
-	wg.Wait()
-
-	if failures.Load() != 0 {
-		t.Fatalf("%d of %d calls failed after injection stopped", failures.Load(), calls)
-	}
-	if shedSeen == 0 {
-		t.Error("server never shed; the test exercised no overload")
-	}
-	st := c.Stats()
-	if st.Throttled == 0 || st.Retries == 0 {
-		t.Errorf("client stats %+v: expected throttled calls and retries during injection", st)
 	}
 }
 

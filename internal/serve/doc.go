@@ -81,8 +81,8 @@
 // wait, so the waiters of a slow or stalled batch answer a typed 504
 // ("deadline_exceeded") while the worker finishes into buffered response
 // channels — an abandoned waiter can never wedge the pool. All error
-// answers share the typed JSON vocabulary; internal/client consumes it
-// for retry decisions.
+// answers share the typed JSON vocabulary: a message and a
+// machine-readable code.
 //
 // # Fault injection
 //

@@ -20,8 +20,7 @@ import (
 )
 
 // DeadlineHeader carries a per-request scoring budget in integer
-// milliseconds; the server clamps it to Config.MaxDeadline. Kept in sync
-// with internal/client.DeadlineHeader.
+// milliseconds; the server clamps it to Config.MaxDeadline.
 const DeadlineHeader = "X-Leapme-Deadline-Ms"
 
 // Config configures a Server.

@@ -35,7 +35,6 @@
 package leapme
 
 import (
-	"fmt"
 	"math/rand"
 
 	"leapme/internal/baselines"
@@ -46,13 +45,10 @@ import (
 	"leapme/internal/embedding"
 	"leapme/internal/eval"
 	"leapme/internal/features"
-	"leapme/internal/fusion"
 	"leapme/internal/graph"
 	"leapme/internal/guard"
-	"leapme/internal/integrate"
 	"leapme/internal/nn"
 	"leapme/internal/serve"
-	"leapme/internal/tapon"
 )
 
 // Core matcher API (package core).
@@ -301,33 +297,6 @@ func NewHarness(store *Store, seed int64) *Harness { return eval.NewHarness(stor
 // Matcher.MatchAll output and cluster it.
 func NewSimilarityGraph() *SimilarityGraph { return graph.New() }
 
-// Value fusion (package fusion): reconcile a matched cluster's values
-// into one canonical profile — the paper's future-work fusion step.
-type (
-	// FusedProfile is a cluster's canonical value profile.
-	FusedProfile = fusion.Profile
-	// CanonicalValue is one parsed, unit-normalised value.
-	CanonicalValue = fusion.Canonical
-)
-
-// ParseValue canonicalises one raw value (number+unit, flag, or text).
-func ParseValue(v string) CanonicalValue { return fusion.Parse(v) }
-
-// FuseCluster aggregates a property cluster's values into a profile with
-// agreement statistics.
-func FuseCluster(values []string) FusedProfile { return fusion.FuseCluster(values) }
-
-// Incremental integration (package integrate).
-type (
-	// Integrator accumulates sources, matching each new one against the
-	// properties already integrated.
-	Integrator = integrate.Integrator
-)
-
-// NewIntegrator wraps a trained matcher for incremental source
-// integration.
-func NewIntegrator(m *Matcher) (*Integrator, error) { return integrate.New(m) }
-
 // Candidate blocking (package blocking): break the quadratic pair
 // barrier before matching.
 type (
@@ -349,47 +318,6 @@ func UnionBlockers(bs ...Blocker) Blocker { return blocking.Union(bs) }
 // MeasureBlocking scores a candidate set against ground truth.
 func MeasureBlocking(cands []Pair, props []Property) BlockingQuality {
 	return blocking.Measure(cands, props)
-}
-
-// Semantic labelling (package tapon): the two-phase labeler the paper's
-// instance features originate from.
-type (
-	// Labeler assigns reference-ontology labels to properties from their
-	// instance values alone (TAPON).
-	Labeler = tapon.Labeler
-	// LabelerOptions configures a Labeler.
-	LabelerOptions = tapon.Options
-	// Prediction is one labeled property.
-	Prediction = tapon.Prediction
-)
-
-// NewLabeler builds a TAPON semantic labeler over the given embedding
-// store and label set.
-func NewLabeler(store *Store, classes []string, opts LabelerOptions) (*Labeler, error) {
-	return tapon.New(store, classes, opts)
-}
-
-// DefaultLabelerOptions returns TAPON defaults.
-func DefaultLabelerOptions(seed int64) LabelerOptions { return tapon.DefaultOptions(seed) }
-
-// LabelAccuracy scores predictions against a dataset's ground truth,
-// returning phase-2 accuracy, phase-1 accuracy and the slot count.
-func LabelAccuracy(preds []Prediction, d *Dataset) (phase2, phase1 float64, n int) {
-	return tapon.Accuracy(preds, d)
-}
-
-// CategoryClasses returns the reference property names of a category —
-// the label set for NewLabeler.
-func CategoryClasses(category string) ([]string, error) {
-	c, ok := domain.Categories()[category]
-	if !ok {
-		return nil, fmt.Errorf("leapme: unknown category %q", category)
-	}
-	var out []string
-	for _, p := range c.Props {
-		out = append(out, p.Canonical)
-	}
-	return out, nil
 }
 
 // Baseline constructors.
